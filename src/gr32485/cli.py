@@ -1,7 +1,7 @@
 """Command line front end: run the check suite, print a table or JSON.
 
-Exit codes: 0 when every selected check passes, 1 on any fail or
-no-converge, 2 on a usage error. No environment variables are
+Exit codes: 0 when every selected check passes, 1 on any fail,
+no-converge or error, 2 on a usage error. No environment variables are
 consulted; behaviour is a function of the flags alone.
 """
 
@@ -13,7 +13,6 @@ import sys
 from .quadrature import QuadratureConfig
 from .series import SeriesConfig
 from .verifier import (
-    UnknownCheckError,
     catalog,
     render_json,
     render_table,
@@ -64,13 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="per-check time budget; slower checks report no-converge (default 30)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker pool size (default: available parallelism)",
-    )
     parser.add_argument("--json", action="store_true", help="emit the machine-readable report")
     parser.add_argument("--list", action="store_true", help="print the check catalog and exit")
     return parser
@@ -88,26 +80,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.only:
         selection = [token.strip() for token in args.only.split(",") if token.strip()]
 
-    if args.max_evals < 15 or args.tol <= 0 or args.series_tol <= 0 or args.timeout_secs <= 0:
-        sys.stderr.write("verify: tolerances, budgets and timeouts must be positive\n")
-        return 2
-    if args.workers is not None and args.workers < 1:
-        sys.stderr.write("verify: --workers must be at least 1\n")
-        return 2
-
-    cfg = QuadratureConfig(abs_tol=1e-12, max_evals=args.max_evals)
-    scfg = SeriesConfig()
     try:
         report = run_checks(
             selection,
-            cfg,
-            scfg,
+            QuadratureConfig(abs_tol=1e-12, max_evals=args.max_evals),
+            SeriesConfig(),
             tol=args.tol,
             series_tol=args.series_tol,
             timeout_secs=args.timeout_secs,
-            workers=args.workers,
         )
-    except UnknownCheckError as exc:
+    except ValueError as exc:
+        # unknown ids, and budgets or tolerances that are not positive and finite
         sys.stderr.write(f"verify: {exc}\n")
         return 2
 

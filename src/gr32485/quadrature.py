@@ -19,13 +19,17 @@ therefore never detects singularities at run time. It
   ``abs_tol`` or the evaluation budget runs out.
 
 Results are deterministic functions of (integrand, interval, config).
+The check runner may also set a wall-clock deadline for the current
+context; bisection past it raises ``TimeoutError`` instead of returning.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
 import heapq
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -125,6 +129,11 @@ _WG = (
 
 _EPS = 2.220446049250313e-16
 
+# time.monotonic() instant after which _adaptive stops bisecting. The
+# check runner sets it around each check; elsewhere it stays infinite and
+# the engine never reads the clock.
+_DEADLINE: contextvars.ContextVar[float] = contextvars.ContextVar("deadline", default=math.inf)
+
 
 def _node(g: Callable, x: float):
     try:
@@ -220,6 +229,7 @@ def _pieces(f: Callable, iv: Interval) -> list:
 def _adaptive(pieces: list, cfg: QuadratureConfig):
     if 15 * len(pieces) > cfg.max_evals:
         raise ValueError("max_evals too small for the interval decomposition")
+    deadline = _DEADLINE.get()
     heap = []
     parked = []  # panels too narrow to bisect further
     seq = 0
@@ -237,6 +247,8 @@ def _adaptive(pieces: list, cfg: QuadratureConfig):
             break
         if evals + 30 > cfg.max_evals:
             break
+        if deadline != math.inf and time.monotonic() > deadline:
+            raise TimeoutError(f"deadline passed after {evals} integrand evaluations")
         _, _, idx, a, b, _, old_err, old_floor = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if not (a < mid < b) or old_err <= 1.05 * old_floor:

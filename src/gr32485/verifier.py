@@ -8,20 +8,18 @@ absolute difference, and a pass/fail status. Record kinds:
             check: the integral must NOT equal the tabulated value)
     bound   pass when lhs <= rhs + tolerance
 
-Checks run on a bounded worker pool; a check that exceeds its time
-budget is reported as no-converge instead of hanging the run. Records
-are assembled in catalog order regardless of completion order, so a
-report is deterministic for a fixed configuration (wall times aside).
+Checks run one after another in catalog order, so a report is
+deterministic for a fixed configuration (wall times aside). Each check
+gets a time budget: quadrature inside it stops at the next bisection once
+the budget is spent, and a check that overruns it is reported as
+no-converge. A record that did not pass or fail says why in ``reason``.
 """
 
 from __future__ import annotations
 
 import json as _json
 import math
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +32,7 @@ from .contour import (
     nested_radical,
 )
 from .elliptic import landen_residual
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import _DEADLINE, DEFAULT_CONFIG, QuadratureConfig
 from .representations import (
     BF_IDENTITIES,
     CONSTANTS,
@@ -83,11 +81,12 @@ class CheckRecord:
     rhs: float
     abs_diff: float
     tolerance: float
-    status: str  # "pass" | "fail" | "no-converge"
+    status: str  # "pass" | "fail" | "no-converge" | "error"
     paper_anchor: str
     evals: int
     wall_time_ms: int
     kind: str = "match"
+    reason: str | None = None  # why a check did not pass or fail
 
 
 @dataclass
@@ -111,25 +110,21 @@ class CheckSpec:
 
 class _Context:
     """Per-run cache so shared quantities (the R0 baseline above all) are
-    computed once; concurrent duplicate computation is idempotent."""
+    computed once."""
 
     def __init__(self, cfg: QuadratureConfig, scfg: SeriesConfig):
         self.cfg = cfg
         self.scfg = scfg
         self._values: dict[str, tuple] = {}
-        self._lock = threading.Lock()
 
     def representation(self, rep_id: str):
-        with self._lock:
-            hit = self._values.get(rep_id)
+        hit = self._values.get(rep_id)
         if hit is not None:
             return hit
         res = eval_representation(rep_id, self.cfg, self.scfg)
         if not res.converged:
             raise ArithmeticError(f"{rep_id} did not converge")
-        out = (res.value, res.evals)
-        with self._lock:
-            self._values[rep_id] = out
+        out = self._values[rep_id] = (res.value, res.evals)
         return out
 
 
@@ -456,9 +451,10 @@ def _status(kind: str, abs_diff: float, tolerance: float) -> str:
     return "pass" if abs_diff <= tolerance else "fail"
 
 
-def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, started: dict) -> CheckRecord:
-    started[spec.id] = time.monotonic()
+def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, timeout_secs: float) -> CheckRecord:
+    timeout = f"timeout after {timeout_secs:g} s"
     t0 = time.monotonic()
+    token = _DEADLINE.set(t0 + timeout_secs)
     try:
         lhs, rhs, evals = spec.fn(ctx)
         if spec.kind == "bound":
@@ -466,12 +462,23 @@ def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, started: dict) ->
         else:
             abs_diff = abs(lhs - rhs)
         status = _status(spec.kind, abs_diff, tolerance)
-    except Exception:
+        reason = "the difference is NaN" if status == "no-converge" else None
+    except Exception as exc:
         # isolation: a broken or non-convergent check must not stop the run
         lhs = rhs = abs_diff = math.nan
         evals = 0
-        status = "no-converge"
-    wall_ms = int(round((time.monotonic() - t0) * 1000.0))
+        if isinstance(exc, TimeoutError):
+            status, reason = "no-converge", timeout
+        elif isinstance(exc, (ArithmeticError, ValueError)):
+            status, reason = "no-converge", str(exc)
+        else:
+            status, reason = "error", f"{type(exc).__name__}: {exc}"
+    finally:
+        _DEADLINE.reset(token)
+    elapsed = time.monotonic() - t0
+    if elapsed > timeout_secs and status != "error":
+        # work outside the quadrature engine cannot be stopped, only relabelled
+        status, reason = "no-converge", timeout
     return CheckRecord(
         id=spec.id,
         description=spec.description,
@@ -482,8 +489,9 @@ def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, started: dict) ->
         status=status,
         paper_anchor=spec.anchor,
         evals=evals,
-        wall_time_ms=wall_ms,
+        wall_time_ms=int(round(elapsed * 1000.0)),
         kind=spec.kind,
+        reason=reason,
     )
 
 
@@ -495,14 +503,19 @@ def run_checks(
     tol: float = 1e-9,
     series_tol: float = 1e-5,
     timeout_secs: float = 30.0,
-    workers: int | None = None,
 ) -> Report:
-    """Run the selected checks (all of them when selection is falsy).
+    """Run the selected checks (all of them when selection is falsy), one
+    after another in catalog order.
 
-    Unknown ids raise UnknownCheckError. A failing check never prevents
-    later checks from running; a check that exceeds timeout_secs of run
-    time is recorded as no-converge.
+    Unknown ids raise UnknownCheckError, and a tolerance or timeout that
+    is not a positive finite number raises ValueError. A failing check
+    never prevents later checks from running. Each check has timeout_secs
+    of wall time: quadrature stops at its next bisection once that is
+    spent, and a check that overruns it is recorded as no-converge.
     """
+    for name, value in (("tol", tol), ("series_tol", series_tol), ("timeout_secs", timeout_secs)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     known = {spec.id: spec for spec in _CATALOG}
     if selection:
         missing = [cid for cid in selection if cid not in known]
@@ -513,49 +526,14 @@ def run_checks(
         chosen = list(_CATALOG)
 
     ctx = _Context(cfg, scfg)
-    started: dict[str, float] = {}
-    if workers is None:
-        workers = min(len(chosen), os.cpu_count() or 1) or 1
-
-    records: list[CheckRecord] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            spec.id: pool.submit(
-                _execute, spec, ctx, _spec_tolerance(spec, tol, series_tol), started
-            )
-            for spec in chosen
-        }
-        for spec in chosen:
-            fut = futures[spec.id]
-            while True:
-                try:
-                    records.append(fut.result(timeout=0.05))
-                    break
-                except FuturesTimeout:
-                    begun = started.get(spec.id)
-                    if begun is not None and time.monotonic() - begun > timeout_secs:
-                        fut.cancel()
-                        records.append(
-                            CheckRecord(
-                                id=spec.id,
-                                description=spec.description,
-                                lhs=math.nan,
-                                rhs=math.nan,
-                                abs_diff=math.nan,
-                                tolerance=_spec_tolerance(spec, tol, series_tol),
-                                status="no-converge",
-                                paper_anchor=spec.anchor,
-                                evals=0,
-                                wall_time_ms=int(timeout_secs * 1000.0),
-                                kind=spec.kind,
-                            )
-                        )
-                        break
-
+    records = [
+        _execute(spec, ctx, _spec_tolerance(spec, tol, series_tol), timeout_secs)
+        for spec in chosen
+    ]
     overall = "pass" if all(r.status == "pass" for r in records) else "fail"
     echo = (
         f"tol={tol:g} series_tol={series_tol:g} abs_tol={cfg.abs_tol:g} "
-        f"max_evals={cfg.max_evals} timeout_secs={timeout_secs:g} workers={workers} "
+        f"max_evals={cfg.max_evals} timeout_secs={timeout_secs:g} "
         f"only={','.join(selection) if selection else '-'}"
     )
     return Report(records=records, tool_version=__version__, config_echo=echo, overall=overall)
@@ -582,6 +560,7 @@ def render_table(report: Report) -> str:
         lines.append(
             f"{r.id:<14} {_sig12(r.lhs):>18} {_sig12(r.rhs):>18} {diff:>10} "
             f"{r.tolerance:>8.0e} {r.status:<11} {r.paper_anchor}"
+            + (f"  reason: {r.reason}" if r.reason else "")
         )
     lines.append("-" * len(header))
     lines.append(f"overall: {report.overall} ({len(report.records)} checks, version {report.tool_version})")
@@ -590,6 +569,8 @@ def render_table(report: Report) -> str:
 
 
 def _json_value(v) -> str:
+    if v is None:
+        return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -626,6 +607,7 @@ def render_json(report: Report) -> str:
                 "evals": r.evals,
                 "wall_time_ms": r.wall_time_ms,
                 "kind": r.kind,
+                "reason": r.reason,
             }
             for r in report.records
         ],

@@ -7,6 +7,7 @@ import pytest
 
 import gr32485.verifier as verifier
 from gr32485.cli import main
+from gr32485.quadrature import Interval, QuadratureConfig, integrate
 from gr32485.verifier import (
     CheckSpec,
     Report,
@@ -84,11 +85,71 @@ def test_timeout_marks_no_converge(monkeypatch):
     slow = CheckSpec("slow-probe", "sleeps", "none", "match", "fixed", 1.0, sleepy)
     quick = CheckSpec("quick-probe", "instant", "none", "match", "fixed", 1.0, lambda ctx: (1.0, 1.0, 0))
     monkeypatch.setattr(verifier, "_CATALOG", (slow, quick))
-    report = run_checks(None, timeout_secs=0.2, workers=2)
+    report = run_checks(None, timeout_secs=0.2)
     assert [r.id for r in report.records] == ["slow-probe", "quick-probe"]
     assert report.records[0].status == "no-converge"
     assert report.records[1].status == "pass"
     assert report.overall == "fail"
+    # the record reports the time the check really took, and why it failed
+    assert report.records[0].wall_time_ms >= 1000
+    assert report.records[0].reason == "timeout after 0.2 s"
+
+
+def test_deadline_stops_quadrature(monkeypatch):
+    def oscillating(ctx):
+        cfg = QuadratureConfig(max_evals=10**8)
+        res = integrate(lambda x: math.sin(1.0 / x), Interval(0.0, 1.0), cfg)
+        return res.value, res.value, res.evals
+
+    slow = CheckSpec("sin-probe", "sin(1/x)", "none", "match", "fixed", 1.0, oscillating)
+    quick = CheckSpec("quick-probe", "instant", "none", "match", "fixed", 1.0, lambda ctx: (1.0, 1.0, 0))
+    monkeypatch.setattr(verifier, "_CATALOG", (slow, quick))
+    t0 = time.monotonic()
+    report = run_checks(None, timeout_secs=0.2)
+    assert time.monotonic() - t0 < 1.0
+    assert [r.status for r in report.records] == ["no-converge", "pass"]
+    assert report.records[0].reason == "timeout after 0.2 s"
+    # the deadline belongs to the check that set it
+    assert integrate(math.exp, Interval(0.0, 1.0)).converged
+
+
+def test_failures_say_why(monkeypatch):
+    def diverging(ctx):
+        raise ArithmeticError("R99 did not converge")
+
+    def broken(ctx):
+        return "1.0", 1.0, 0
+
+    specs = (
+        CheckSpec("diverging", "raises ArithmeticError", "none", "match", "fixed", 1.0, diverging),
+        CheckSpec("broken", "raises TypeError", "none", "match", "fixed", 1.0, broken),
+        CheckSpec("fine", "passes", "none", "match", "fixed", 1.0, lambda ctx: (1.0, 1.0, 0)),
+        CheckSpec("off", "fails", "none", "match", "fixed", 1.0, lambda ctx: (3.0, 1.0, 0)),
+    )
+    monkeypatch.setattr(verifier, "_CATALOG", specs)
+    report = run_checks()
+    assert [(r.status, r.reason) for r in report.records] == [
+        ("no-converge", "R99 did not converge"),
+        ("error", "TypeError: unsupported operand type(s) for -: 'str' and 'float'"),
+        ("pass", None),
+        ("fail", None),
+    ]
+    assert math.isnan(report.records[1].lhs)
+    assert report.overall == "fail"
+
+    doc = json.loads(render_json(report))
+    assert [rec["reason"] for rec in doc["records"]] == [r.reason for r in report.records]
+    rows = render_table(report).splitlines()[2:-3]
+    assert rows[0].endswith("reason: R99 did not converge")
+    assert rows[1].endswith("reason: TypeError: unsupported operand type(s) for -: 'str' and 'float'")
+    assert "reason" not in rows[2] and "reason" not in rows[3]
+
+
+@pytest.mark.parametrize("name", ["tol", "series_tol", "timeout_secs"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_run_checks_rejects_bad_limits(name, value):
+    with pytest.raises(ValueError, match=name):
+        run_checks(["constants"], **{name: value})
 
 
 def test_render_table_shapes():
@@ -173,6 +234,20 @@ def test_cli_exit_codes(capsys):
     assert "overall: fail" in capsys.readouterr().out
 
     assert main(["--tol", "-1"]) == 2
+
+    # non-finite limits are usage errors, not a pass or a switched-off timeout
+    for argv in (
+        ["--tol", "inf", "--only", "R1"],
+        ["--tol", "nan", "--only", "R1"],
+        ["--series-tol", "inf", "--only", "R2"],
+        ["--timeout-secs", "nan", "--only", "constants"],
+        ["--timeout-secs", "inf", "--only", "constants"],
+        ["--timeout-secs", "0", "--only", "constants"],
+        ["--max-evals", "14", "--only", "constants"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("verify: "), argv
 
 
 def test_cli_list(capsys):
