@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .contour import (
     DEFAULT_PATH,
-    ContourResult,
     HankelPath,
     hankel_exp_integral,
     hankel_point,
@@ -23,11 +22,10 @@ from .elliptic import (
 )
 from .quadrature import (
     DEFAULT_CONFIG,
-    ComplexQuadratureResult,
+    Estimate,
     IntegrandError,
     Interval,
     QuadratureConfig,
-    QuadratureResult,
     integrate,
     integrate_complex,
 )
@@ -42,7 +40,6 @@ from .representations import (
 from .series import (
     DEFAULT_SERIES,
     SeriesConfig,
-    SeriesResult,
     double_series_I,
     hankel_series,
     inner_k_sum,
@@ -50,12 +47,11 @@ from .series import (
     u_series,
     u_value,
 )
-from .special import central_binomial_ratio, gamma, log_gamma, pochhammer_half
+from .special import central_binomial_ratio
 
 __all__ = [
     "__version__",
     "DEFAULT_PATH",
-    "ContourResult",
     "HankelPath",
     "hankel_exp_integral",
     "hankel_point",
@@ -69,11 +65,10 @@ __all__ = [
     "incomplete_F",
     "landen_residual",
     "DEFAULT_CONFIG",
-    "ComplexQuadratureResult",
+    "Estimate",
     "IntegrandError",
     "Interval",
     "QuadratureConfig",
-    "QuadratureResult",
     "integrate",
     "integrate_complex",
     "CONSTANTS",
@@ -84,7 +79,6 @@ __all__ = [
     "representation_ids",
     "DEFAULT_SERIES",
     "SeriesConfig",
-    "SeriesResult",
     "double_series_I",
     "hankel_series",
     "inner_k_sum",
@@ -92,7 +86,4 @@ __all__ = [
     "u_series",
     "u_value",
     "central_binomial_ratio",
-    "gamma",
-    "log_gamma",
-    "pochhammer_half",
 ]

@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from .quadrature import QuadratureConfig
-from .series import SeriesConfig
 from .verifier import (
     catalog,
     render_json,
@@ -84,7 +83,6 @@ def main(argv: list[str] | None = None) -> int:
         report = run_checks(
             selection,
             QuadratureConfig(abs_tol=1e-12, max_evals=args.max_evals),
-            SeriesConfig(),
             tol=args.tol,
             series_tol=args.series_tol,
             timeout_secs=args.timeout_secs,

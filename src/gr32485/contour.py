@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .quadrature import (
     DEFAULT_CONFIG,
+    Estimate,
     Interval,
     QuadratureConfig,
     integrate_complex,
@@ -35,7 +36,6 @@ from .quadrature import (
 __all__ = [
     "HankelPath",
     "DEFAULT_PATH",
-    "ContourResult",
     "principal_sqrt",
     "nested_radical",
     "hankel_point",
@@ -48,29 +48,16 @@ _TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class HankelPath:
-    """Hankel contour at distance ``delta``; ``xi_max=None`` picks the
-    truncation per integral from the decay rate."""
+    """Hankel contour at distance ``delta``."""
 
     delta: float = 0.5
-    xi_max: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise ValueError("delta must be > 0")
-        if self.xi_max is not None and not self.xi_max > 1.0:
-            raise ValueError("xi_max must exceed 1 (the end of the circular arc)")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError("delta must be a positive finite number")
 
 
 DEFAULT_PATH = HankelPath()
-
-
-@dataclass(frozen=True)
-class ContourResult:
-    value: float
-    error_estimate: float
-    evals: int
-    converged: bool
-    imag_residual: float
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -100,7 +87,7 @@ def hankel_point(xi: float, path: HankelPath = DEFAULT_PATH) -> tuple[complex, c
     return d * w, d * (0.5j * math.pi) * w
 
 
-def _contour_value(parts, extra_tail: float = 0.0):
+def _contour_value(parts, extra_tail: float = 0.0) -> Estimate:
     total = 0j
     err = extra_tail
     evals = 0
@@ -111,48 +98,45 @@ def _contour_value(parts, extra_tail: float = 0.0):
         evals += res.evals
         ok = ok and res.converged
     v = total / _TWO_PI_I
-    return v.real, err / (2.0 * math.pi), evals, ok, abs(v.imag)
+    return Estimate(v.real, err / (2.0 * math.pi), evals, ok, abs(v.imag))
 
 
 def hankel_exp_integral(
     t: float,
     path: HankelPath = DEFAULT_PATH,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> ContourResult:
+) -> Estimate:
     """(1/(2 pi i)) * int_H exp(t z) / sqrt(z + sqrt(z)) dz for t > 0.
 
     On the rays |exp(t z)| = exp(t * delta * (1 - |xi|)), so the contour is
     truncated where the discarded tail sits far below ``cfg.abs_tol``; the
     tail bound joins the error estimate. The integral is real; the computed
-    imaginary part is reported as a diagnostic.
+    imaginary part is reported as ``imag_residual``, a diagnostic.
     """
     if not t > 0.0:
         raise ValueError("hankel_exp_integral: t must be > 0")
-    xi_max = path.xi_max
-    if xi_max is None:
-        xi_max = 1.0 + math.log(1.0 / cfg.abs_tol) / (t * path.delta) + 10.0
+    xi_cut = 1.0 + math.log(1.0 / cfg.abs_tol) / (t * path.delta) + 10.0
 
     def g(xi: float) -> complex:
         z, dz = hankel_point(xi, path)
         return cmath.exp(t * z) / nested_radical(z) * dz
 
     parts = [
-        integrate_complex(g, Interval(-xi_max, -1.0), cfg),
+        integrate_complex(g, Interval(-xi_cut, -1.0), cfg),
         integrate_complex(g, Interval(-1.0, 1.0), cfg),
-        integrate_complex(g, Interval(1.0, xi_max), cfg),
+        integrate_complex(g, Interval(1.0, xi_cut), cfg),
     ]
-    ray = path.delta * (xi_max - 1.0)
+    ray = path.delta * (xi_cut - 1.0)
     amplitude = math.sqrt(2.0 / max(ray, 0.5))
     tail = 2.0 * amplitude * math.exp(-t * ray) / t
-    value, err, evals, ok, imag = _contour_value(parts, tail)
-    return ContourResult(value, err, evals, ok, imag)
+    return _contour_value(parts, tail)
 
 
 def hankel_resolvent_integral(
     c: float,
     path: HankelPath = DEFAULT_PATH,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> ContourResult:
+) -> Estimate:
     """(1/(2 pi i)) * int_H dz / (sqrt(z + sqrt(z)) * (1 - z + c)) for c >= 0.
 
     The integrand has a simple pole at z = 1 + c to the right of the
@@ -185,5 +169,4 @@ def hankel_resolvent_integral(
         integrate_complex(arc, Interval(-1.0, 1.0), cfg),
         integrate_complex(upper_ray, Interval(0.0, math.inf), cfg),
     ]
-    value, err, evals, ok, imag = _contour_value(parts)
-    return ContourResult(value, err, evals, ok, imag)
+    return _contour_value(parts)

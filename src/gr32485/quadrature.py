@@ -5,12 +5,13 @@ interval; the only admissible endpoint misbehaviour is an inverse square
 root blow-up, declared in advance through ``Interval`` flags. The engine
 therefore never detects singularities at run time. It
 
-* removes a flagged singular endpoint exactly with the substitution
+* removes a flagged singular endpoint with the substitution
   x = endpoint -/+ s**2, which maps smooth(x)/sqrt(|x - endpoint|)
-  integrands onto smooth ones (working in the offset variable s also
-  sidesteps the precision loss of forming ``x`` right next to a nonzero
-  endpoint, which is what limits plain double-exponential rules to
-  roughly 1e-8 in double precision),
+  integrands onto smooth ones. The engine hands the integrand ``x``,
+  not the offset s**2, and the integrand recomputes ``x - endpoint``;
+  next to a nonzero endpoint that difference carries the rounding error
+  of ``x``, so the result can be less accurate than its error estimate
+  claims (ROADMAP, honest error bars, item (b)),
 * compactifies a semi-infinite range with t = lower + s/(1 - s) and
   treats the image of infinity as a sqrt-singular endpoint, which also
   resolves the t**(-3/2) algebraic tails that occur here,
@@ -36,8 +37,7 @@ from typing import Callable
 __all__ = [
     "Interval",
     "QuadratureConfig",
-    "QuadratureResult",
-    "ComplexQuadratureResult",
+    "Estimate",
     "IntegrandError",
     "DEFAULT_CONFIG",
     "integrate",
@@ -73,8 +73,10 @@ class QuadratureConfig:
     max_evals: int = 200_000
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be > 0")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise ValueError("abs_tol must be a positive finite number")
+        if not isinstance(self.max_evals, int):
+            raise ValueError(f"max_evals must be an integer, got {self.max_evals!r}")
         if self.max_evals < 15:
             raise ValueError("max_evals must admit at least one 15-point panel")
 
@@ -83,19 +85,19 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
-    value: float
+class Estimate:
+    """A computed value with its absolute error bound and its cost.
+
+    ``evals`` counts integrand evaluations for quadrature and contour
+    integrals, and terms for series. ``imag_residual`` is the imaginary
+    part a contour integral left over from a value that must be real.
+    """
+
+    value: float | complex
     error_estimate: float
     evals: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class ComplexQuadratureResult:
-    value: complex
-    error_estimate: float
-    evals: int
-    converged: bool
+    imag_residual: float = 0.0
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
@@ -281,21 +283,21 @@ def integrate(
     f: Callable[[float], float],
     iv: Interval,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> QuadratureResult:
+) -> Estimate:
     """Integrate f over iv to within cfg.abs_tol (absolute, with high confidence).
 
     Endpoints flagged singular are never evaluated; integrands may blow up
     there no faster than the -1/2 power of the distance to the endpoint.
     """
     value, err, evals, ok = _adaptive(_pieces(f, iv), cfg)
-    return QuadratureResult(float(value), err, evals, ok)
+    return Estimate(float(value), err, evals, ok)
 
 
 def integrate_complex(
     f: Callable[[float], complex],
     iv: Interval,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> ComplexQuadratureResult:
+) -> Estimate:
     """Same engine as :func:`integrate` for a complex-valued integrand of a real parameter."""
     value, err, evals, ok = _adaptive(_pieces(f, iv), cfg)
-    return ComplexQuadratureResult(complex(value), err, evals, ok)
+    return Estimate(complex(value), err, evals, ok)

@@ -27,18 +27,12 @@ from .contour import DEFAULT_PATH, hankel_exp_integral
 from .elliptic import complete_K, complete_Pi, incomplete_F
 from .quadrature import (
     DEFAULT_CONFIG,
+    Estimate,
     Interval,
     QuadratureConfig,
-    QuadratureResult,
     integrate,
 )
-from .series import (
-    DEFAULT_SERIES,
-    SeriesConfig,
-    double_series_I,
-    hankel_series,
-    u_value,
-)
+from .series import SeriesConfig, double_series_I, hankel_series, u_value
 
 __all__ = [
     "Constants",
@@ -46,7 +40,6 @@ __all__ = [
     "constant_residuals",
     "phi",
     "h",
-    "A",
     "B",
     "Representation",
     "REPRESENTATIONS",
@@ -134,14 +127,6 @@ def h(y: float) -> float:
     return 1.0 + 4.0 / 3.0 * y2 * (1.0 - y2)
 
 
-def A(y: float) -> float:
-    """(3 + 4 y^2) / ((1 - 4 y^2)(9 - 4 y^2)); poles at |y| = 1/2, 3/2."""
-    q = 4.0 * y * y
-    if q == 1.0 or q == 9.0:
-        raise ValueError(f"A: pole at y = {y!r}")
-    return (3.0 + q) / ((1.0 - q) * (9.0 - q))
-
-
 def B(t: float) -> float:
     """(1 + 10 t - sqrt(1 + 32 t + 64 t^2)) / (8 t) for t > 0.
 
@@ -177,36 +162,55 @@ def _inv_sqrt_delta(x: float) -> float:
     return 1.0 / math.sqrt(delta_radicand(x))
 
 
+def _shifted_inv_sqrt_delta(x: float) -> float:
+    return _inv_sqrt_delta(x) / (x + 1.0 + _SQRT3)
+
+
+# The three Delta-form integrals of the normal form, shared by R11 and the
+# Byrd-Friedman checks: over [1, 1/k] and [1, a] of 1/sqrt(Delta), and over
+# [1, 1/k] of 1/((x + 1 + sqrt3) sqrt(Delta)).
+_WHOLE_DELTA_RANGE = Interval(1.0, CONSTANTS.inv_k, singular_lower=True, singular_upper=True)
+_DELTA_FORMS = (
+    (_inv_sqrt_delta, _WHOLE_DELTA_RANGE),
+    (_inv_sqrt_delta, Interval(1.0, CONSTANTS.a_upper, singular_lower=True)),
+    (_shifted_inv_sqrt_delta, _WHOLE_DELTA_RANGE),
+)
+
+
+def _combined(value: float, err: float, parts: tuple[Estimate, ...]) -> Estimate:
+    """A route's estimate built from the quadratures it ran."""
+    return Estimate(value, err, sum(p.evals for p in parts), all(p.converged for p in parts))
+
+
 # ---------------------------------------------------------------------------
 # representation evaluators
 
 
-def _eval_r0(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r0(cfg: QuadratureConfig) -> Estimate:
     return integrate(_integrand_r0, Interval(0.0, math.inf), cfg)
 
 
-def _eval_r1(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r1(cfg: QuadratureConfig) -> Estimate:
     return integrate(lambda y: 1.0 / _sqrt_term(h(y)), Interval(0.0, 1.0), cfg)
 
 
-def _eval_r2(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
-    r = double_series_I(scfg)
-    return QuadratureResult(r.value, r.tail_estimate, r.terms_used, r.converged)
+def _eval_r2(cfg: QuadratureConfig) -> Estimate:
+    return double_series_I()
 
 
 _R3_SWITCH_T = 8.0  # Hankel sum below, contour integral above
 _R3_CUTOFF_T = 50.0
 
 
-def _eval_r3(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r3(cfg: QuadratureConfig) -> Estimate:
     """int_0^inf S(t) U(t) exp(-t) dt with S from the route stable at each t."""
     inner_cfg = QuadratureConfig(max(cfg.abs_tol * 10.0, 1e-11), cfg.max_evals)
-    series_cfg = SeriesConfig(scfg.max_terms, 1e-12, scfg.accelerate)
+    series_cfg = SeriesConfig(1e-12)
     outer_cfg = QuadratureConfig(max(cfg.abs_tol * 100.0, 1e-9), cfg.max_evals)
 
     def s_factor(t: float) -> float:
         if t <= _R3_SWITCH_T:
-            return hankel_series(t, series_cfg).value
+            return hankel_series(t, series_cfg)
         # the exp(-t) weight outside means S(t) only needs absolute
         # accuracy ~ tol * exp(t); the contour integrand grows like
         # exp(t * delta) on the arc, so a fixed tight tolerance would
@@ -226,15 +230,10 @@ def _eval_r3(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
     # per unit length of the outer range.
     tail = math.exp(-_R3_CUTOFF_T) / math.sqrt(_R3_CUTOFF_T)
     err = low.error_estimate + high.error_estimate + tail + _R3_CUTOFF_T * inner_cfg.abs_tol
-    return QuadratureResult(
-        low.value + high.value,
-        err,
-        low.evals + high.evals,
-        low.converged and high.converged,
-    )
+    return _combined(low.value + high.value, err, (low, high))
 
 
-def _eval_r4(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r4(cfg: QuadratureConfig) -> Estimate:
     def f(x: float) -> float:
         w = x * (1.0 - x)
         return 1.0 / _sqrt_term(1.0 + 16.0 / 3.0 * w * w)
@@ -242,7 +241,7 @@ def _eval_r4(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
     return integrate(f, Interval(0.0, 1.0), cfg)
 
 
-def _eval_r5(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r5(cfg: QuadratureConfig) -> Estimate:
     def f(x: float) -> float:
         return 1.0 / (2.0 * math.sqrt(1.0 - x)) / _sqrt_term(1.0 + x * x / 3.0)
 
@@ -253,7 +252,7 @@ def _rationalized_core(x: float) -> float:
     return math.sqrt((1.0 - x + x * x) / (x * (1.0 - x * x) * (2.0 - x)))
 
 
-def _eval_r6(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r6(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
 
     def f(x: float) -> float:
@@ -261,12 +260,10 @@ def _eval_r6(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
 
     res = integrate(f, Interval(0.0, c.k, singular_lower=True), cfg)
     scale = _SQRT3 / math.sqrt(c.k)
-    return QuadratureResult(
-        scale * res.value, scale * res.error_estimate, res.evals, res.converged
-    )
+    return _combined(scale * res.value, scale * res.error_estimate, (res,))
 
 
-def _eval_r7(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r7(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
 
     def f(x: float) -> float:
@@ -274,15 +271,13 @@ def _eval_r7(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
 
     res = integrate(f, Interval(2.0, c.inv_k, singular_lower=True), cfg)
     scale = _SQRT3 / math.sqrt(c.inv_k)
-    return QuadratureResult(
-        scale * res.value, scale * res.error_estimate, res.evals, res.converged
-    )
+    return _combined(scale * res.value, scale * res.error_estimate, (res,))
 
 
 _LOG_T0 = (2.0 + _SQRT3) / 8.0  # where sqrt(B) reaches sqrt(3) - 3/2
 
 
-def _eval_r8(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r8(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
 
     def f(t: float) -> float:
@@ -292,11 +287,8 @@ def _eval_r8(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
         return math.log(num / den) / (2.0 * math.sqrt(t))
 
     res = integrate(f, Interval(_LOG_T0, math.inf), cfg)
-    return QuadratureResult(
-        c.c0 + NORMAL_FORM_COEFF * res.value,
-        NORMAL_FORM_COEFF * res.error_estimate,
-        res.evals,
-        res.converged,
+    return _combined(
+        c.c0 + NORMAL_FORM_COEFF * res.value, NORMAL_FORM_COEFF * res.error_estimate, (res,)
     )
 
 
@@ -304,7 +296,7 @@ _M_UPPER = 4.0 * (3.0 * _SQRT3 - 4.0)
 _M_SHIFT = 4.0 * (4.0 + 3.0 * _SQRT3)
 
 
-def h1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def h1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """First half of the pre-normal-form pair on [4, 4(3 sqrt(3) - 4)]."""
 
     def f(x: float) -> float:
@@ -319,7 +311,7 @@ def h1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     return integrate(f, Interval(4.0, _M_UPPER, singular_lower=True), cfg)
 
 
-def h2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def h2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """Second half of the pre-normal-form pair."""
 
     def f(x: float) -> float:
@@ -328,18 +320,17 @@ def h2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     return integrate(f, Interval(4.0, _M_UPPER, singular_lower=True), cfg)
 
 
-def _eval_r9(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r9(cfg: QuadratureConfig) -> Estimate:
     r1 = h1_integral(cfg)
     r2 = h2_integral(cfg)
-    return QuadratureResult(
+    return _combined(
         NORMAL_FORM_COEFF * (r1.value - r2.value),
         NORMAL_FORM_COEFF * (r1.error_estimate + r2.error_estimate),
-        r1.evals + r2.evals,
-        r1.converged and r2.converged,
+        (r1, r2),
     )
 
 
-def j1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def j1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """int_{(1+sqrt3)/2}^{2+sqrt3} (x+1)/(x+1+sqrt3) dx/sqrt(Delta)."""
     c = CONSTANTS
 
@@ -349,7 +340,7 @@ def j1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     return integrate(f, Interval(c.a_upper, c.inv_k, singular_upper=True), cfg)
 
 
-def j2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def j2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """int_1^{(1+sqrt3)/2} (x-2-sqrt3)/(x+1+sqrt3) dx/sqrt(Delta); negative."""
     c = CONSTANTS
 
@@ -359,33 +350,19 @@ def j2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     return integrate(f, Interval(1.0, c.a_upper, singular_lower=True), cfg)
 
 
-def _eval_r10(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r10(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
     r1 = j1_integral(cfg)
     r2 = j2_integral(cfg)
-    return QuadratureResult(
+    return _combined(
         c.coeff_a * r1.value + c.coeff_b * r2.value,
         c.coeff_a * r1.error_estimate + c.coeff_b * r2.error_estimate,
-        r1.evals + r2.evals,
-        r1.converged and r2.converged,
+        (r1, r2),
     )
 
 
-def _eval_r11(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
-    c = CONSTANTS
-    whole = integrate(
-        _inv_sqrt_delta,
-        Interval(1.0, c.inv_k, singular_lower=True, singular_upper=True),
-        cfg,
-    )
-    partial = integrate(
-        _inv_sqrt_delta, Interval(1.0, c.a_upper, singular_lower=True), cfg
-    )
-    shifted = integrate(
-        lambda x: _inv_sqrt_delta(x) / (x + 1.0 + _SQRT3),
-        Interval(1.0, c.inv_k, singular_lower=True, singular_upper=True),
-        cfg,
-    )
+def _eval_r11(cfg: QuadratureConfig) -> Estimate:
+    whole, partial, shifted = (integrate(f, iv, cfg) for f, iv in _DELTA_FORMS)
     value = (
         _SQRT3 * whole.value + (_SQRT3 - 3.0) * partial.value - 3.0 * shifted.value
     ) / (2.0 * _SQRT2)
@@ -394,23 +371,18 @@ def _eval_r11(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
         + (3.0 - _SQRT3) * partial.error_estimate
         + 3.0 * shifted.error_estimate
     ) / (2.0 * _SQRT2)
-    return QuadratureResult(
-        value,
-        err,
-        whole.evals + partial.evals + shifted.evals,
-        whole.converged and partial.converged and shifted.converged,
-    )
+    return _combined(value, err, (whole, partial, shifted))
 
 
-def _eval_r12(cfg: QuadratureConfig, scfg: SeriesConfig) -> QuadratureResult:
+def _eval_r12(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
     k1 = 1.0 / _SQRT3
     value = ((_SQRT3 - 1.0) * complete_Pi(c.k, k1) - incomplete_F(c.alpha, k1)) / _SQRT2
     # Carlson evaluation is correct to a few ulps
-    return QuadratureResult(value, 8.0 * abs(value) * 2.2e-16, 0, True)
+    return Estimate(value, 8.0 * abs(value) * 2.2e-16, 0, True)
 
 
-def double_angle_form(cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def double_angle_form(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """int_0^{pi/4} 2 sin(2 theta) dtheta / sqrt(1 + sin^4(2 theta)/3 + sqrt(...))."""
 
     def f(theta: float) -> float:
@@ -470,18 +442,14 @@ def representation_ids() -> list[str]:
     return [rep.id for rep in REPRESENTATIONS]
 
 
-def eval_representation(
-    rep_id: str,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    scfg: SeriesConfig = DEFAULT_SERIES,
-) -> QuadratureResult:
+def eval_representation(rep_id: str, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """Evaluate one representation of I; every id returns an estimate of
     the same number."""
     try:
         fn = _EVALUATORS[rep_id]
     except KeyError:
         raise KeyError(f"unknown representation id {rep_id!r}") from None
-    return fn(cfg, scfg)
+    return fn(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -518,29 +486,18 @@ BF_IDENTITIES: tuple[BfIdentity, ...] = (
 def bf_identity(which: int, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Return (lhs, rhs, evals): lhs by raw singular quadrature of the
     Delta-form, rhs through the elliptic module."""
+    if which not in (0, 1, 2):
+        raise ValueError(f"bf_identity: which must be 0, 1 or 2, got {which!r}")
     c = CONSTANTS
     k1 = 1.0 / _SQRT3
+    f, iv = _DELTA_FORMS[which]
+    lhs = integrate(f, iv, cfg)
     if which == 0:
-        lhs = integrate(
-            _inv_sqrt_delta,
-            Interval(1.0, c.inv_k, singular_lower=True, singular_upper=True),
-            cfg,
-        )
         rhs = complete_K(c.k_prime)
     elif which == 1:
-        lhs = integrate(
-            _inv_sqrt_delta, Interval(1.0, c.a_upper, singular_lower=True), cfg
-        )
         rhs = (3.0 + _SQRT3) / 3.0 * incomplete_F(c.alpha, k1)
-    elif which == 2:
-        lhs = integrate(
-            lambda x: _inv_sqrt_delta(x) / (x + 1.0 + _SQRT3),
-            Interval(1.0, c.inv_k, singular_lower=True, singular_upper=True),
-            cfg,
-        )
-        rhs = (1.0 + _SQRT3) / 3.0 * complete_K(k1) - 2.0 * (_SQRT3 - 1.0) / 3.0 * complete_Pi(c.k, k1)
     else:
-        raise ValueError(f"bf_identity: which must be 0, 1 or 2, got {which!r}")
+        rhs = (1.0 + _SQRT3) / 3.0 * complete_K(k1) - 2.0 * (_SQRT3 - 1.0) / 3.0 * complete_Pi(c.k, k1)
     if not lhs.converged:
         raise ArithmeticError(f"bf_identity({which}): quadrature side did not converge")
     return lhs.value, rhs, lhs.evals

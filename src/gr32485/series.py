@@ -25,18 +25,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quadrature import DEFAULT_CONFIG, Interval, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, integrate
 from .special import central_binomial_ratio
 
 __all__ = [
     "SeriesConfig",
-    "SeriesResult",
     "DEFAULT_SERIES",
     "u_series",
     "u_integral",
     "u_value",
     "hankel_series",
-    "hankel_series_term",
     "inner_k_sum",
     "double_series_I",
     "U_SERIES_T_SWITCH",
@@ -47,43 +45,34 @@ _EPS = 2.220446049250313e-16
 # the series is used below this t, the integral form above it
 U_SERIES_T_SWITCH = 2.0
 
+# a series that has not met its tail tolerance after this many terms
+# reports non-convergence
+MAX_TERMS = 500
+
+# outer terms of the double series handed to the acceleration
+_OUTER_TERMS = 48
+
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    max_terms: int = 500
     tail_tol: float = 1e-13
-    accelerate: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_terms < 4:
-            raise ValueError("max_terms must be at least 4")
-        if not self.tail_tol > 0.0:
-            raise ValueError("tail_tol must be > 0")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
+            raise ValueError("tail_tol must be a positive finite number")
 
 
 DEFAULT_SERIES = SeriesConfig()
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: float
-    terms_used: int
-    tail_estimate: float
-    converged: bool
-
-
-def _nonconvergent(value: float, terms: int, tail: float) -> SeriesResult:
-    return SeriesResult(value, terms, tail, False)
-
-
-def u_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
+def u_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
     """U(t) by its alternating power series; truncation bound from the
     first omitted term once the terms decay."""
     if t < 0.0:
         raise ValueError("u_series: t must be >= 0")
     total = 0.0
     term = 1.0
-    for k in range(cfg.max_terms):
+    for k in range(MAX_TERMS):
         total += term
         ratio = (
             -4.0
@@ -93,9 +82,9 @@ def u_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
         )
         nxt = term * ratio
         if abs(nxt) <= abs(term) and abs(nxt) <= 0.5 * cfg.tail_tol:
-            return SeriesResult(total, k + 1, abs(nxt), True)
+            return Estimate(total, abs(nxt), k + 1, True)
         term = nxt
-    return _nonconvergent(total, cfg.max_terms, abs(term))
+    return Estimate(total, abs(term), MAX_TERMS, False)
 
 
 def u_integral(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -115,38 +104,26 @@ def u_integral(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
 def u_value(
     t: float,
-    scfg: SeriesConfig = DEFAULT_SERIES,
-    qcfg: QuadratureConfig = DEFAULT_CONFIG,
+    series_cfg: SeriesConfig = DEFAULT_SERIES,
+    quad_cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
     """U(t) through whichever route is stable: series for small t,
     integral beyond ``U_SERIES_T_SWITCH``."""
     if t <= U_SERIES_T_SWITCH:
-        res = u_series(t, scfg)
+        res = u_series(t, series_cfg)
         if res.converged:
             return res.value
-    return u_integral(t, qcfg)
+    return u_integral(t, quad_cfg)
 
 
-def hankel_series_term(n: int, t: float) -> float:
-    """Unsigned magnitude of the n-th Hankel-sum term at parameter t (log-space)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not t > 0.0:
-        raise ValueError("t must be > 0")
-    log_cbr = math.lgamma(2 * n + 1) - 2.0 * math.lgamma(n + 1) - n * math.log(4.0)
-    return math.exp(
-        log_cbr + 0.5 * (n - 1) * math.log(t) - math.lgamma(0.5 * (n + 1))
-    )
-
-
-def hankel_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
+def hankel_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """S(t) by direct summation.
 
     Term magnitudes grow until n ~ 2t (peaking near exp(t)/(2 pi t)) and
     decrease beyond, so the alternating truncation bound is applied only
     once n >= 2t. The roundoff floor max_term * eps joins the tail
-    estimate; for large t it dominates and the sum honestly reports
-    non-convergence (the contour route takes over there).
+    estimate; for large t it dominates and the sum raises ArithmeticError
+    instead of returning (the contour route takes over there).
     """
     if not t > 0.0:
         raise ValueError("hankel_series: t must be > 0")
@@ -158,7 +135,7 @@ def hankel_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
     sign = 1.0
     total = 0.0
     peak = 0.0
-    for n in range(cfg.max_terms):
+    for n in range(MAX_TERMS):
         total += sign * b
         peak = max(peak, b)
         nxt = b * (2 * n + 1) / (2 * n + 2) * sqrt_t / g
@@ -166,17 +143,17 @@ def hankel_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
         sign = -sign
         tail = nxt + 2.0 * peak * _EPS
         if n + 1 >= 2.0 * t and tail <= cfg.tail_tol:
-            return SeriesResult(total, n + 1, tail, True)
+            return total
         b = nxt
-    return _nonconvergent(total, cfg.max_terms, b + 2.0 * peak * _EPS)
+    raise ArithmeticError(f"hankel_series({t}) did not converge")
 
 
 @lru_cache(maxsize=4096)
-def _inner_sum(n: int, max_terms: int, tail_tol: float):
+def _inner_sum(n: int, tail_tol: float) -> Estimate:
     total = 0.0
     term = 1.0
     half = 0.5 * (n + 1)
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         total += term
         ratio = (
             -(half + k)
@@ -187,18 +164,17 @@ def _inner_sum(n: int, max_terms: int, tail_tol: float):
         )
         nxt = term * ratio
         if abs(ratio) <= 0.5 and abs(nxt) <= 0.25 * tail_tol:
-            return total, k + 1, 2.0 * abs(nxt), True
+            return Estimate(total, 2.0 * abs(nxt), k + 1, True)
         term = nxt
-    return total, max_terms, 2.0 * abs(term), False
+    return Estimate(total, 2.0 * abs(term), MAX_TERMS, False)
 
 
-def inner_k_sum(n: int, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
+def inner_k_sum(n: int, cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
     """The absolutely convergent k-sum inner(n); geometric tail bound from
     the eventual term ratio < 1/2. Results are memoized (idempotent)."""
     if n < 0:
         raise ValueError("inner_k_sum: n must be nonnegative")
-    value, terms, tail, ok = _inner_sum(n, cfg.max_terms, cfg.tail_tol)
-    return SeriesResult(value, terms, tail, ok)
+    return _inner_sum(n, cfg.tail_tol)
 
 
 def _cvz(a: list[float]) -> float:
@@ -217,46 +193,25 @@ def _cvz(a: list[float]) -> float:
     return s / d
 
 
-def _averaged_partial_sums(a: list[float]) -> tuple[float, float]:
-    """Fallback for sign patterns that are not strictly alternating:
-    iterated averaging of the partial sums."""
-    sums = []
-    acc = 0.0
-    sign = 1.0
-    for v in a:
-        acc += sign * v
-        sums.append(acc)
-        sign = -sign
-    rounds = min(len(sums) - 1, 24)
-    estimate = math.inf
-    for _ in range(rounds):
-        previous = sums[-1]
-        sums = [0.5 * (sums[i] + sums[i + 1]) for i in range(len(sums) - 1)]
-        estimate = abs(sums[-1] - previous)
-    return sums[-1], estimate
-
-
-def double_series_I(cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
+def double_series_I(cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
     """The iterated double series for the target integral I.
 
     The outer sum is only conditionally convergent, so the inner k-sums
     are evaluated first (at a tightened tolerance) and the outer
     alternating sum is accelerated; plain partial sums would need ~1/eps
-    terms. Falls back to averaged partial sums if the computed outer
-    coefficients ever fail to alternate strictly.
+    terms. The acceleration needs positive outer coefficients, which a
+    moment sequence has; computed ones that are not raise ArithmeticError.
     """
-    n_terms = min(48, cfg.max_terms)
-    inner_cfg = SeriesConfig(cfg.max_terms, 0.25 * cfg.tail_tol, cfg.accelerate)
-    inner = [inner_k_sum(n, inner_cfg) for n in range(n_terms)]
+    inner_cfg = SeriesConfig(0.25 * cfg.tail_tol)
+    inner = [inner_k_sum(n, inner_cfg) for n in range(_OUTER_TERMS)]
     coeffs = [central_binomial_ratio(n) * r.value for n, r in enumerate(inner)]
-    inner_tail = max(r.tail_estimate for r in inner)
-    inner_ok = all(r.converged for r in inner)
-
-    if cfg.accelerate and all(v > 0.0 for v in coeffs):
-        value = _cvz(coeffs)
-        consistency = abs(value - _cvz(coeffs[:-4]))
-    else:
-        value, consistency = _averaged_partial_sums(coeffs)
-    tail = consistency + 2.0 * inner_tail
-    converged = inner_ok and tail <= cfg.tail_tol
-    return SeriesResult(value, n_terms, tail, converged)
+    if not all(v > 0.0 for v in coeffs):
+        raise ArithmeticError(
+            "double_series_I: an outer coefficient is not positive, so the "
+            "Chebyshev acceleration does not apply"
+        )
+    value = _cvz(coeffs)
+    consistency = abs(value - _cvz(coeffs[:-4]))
+    tail = consistency + 2.0 * max(r.error_estimate for r in inner)
+    converged = all(r.converged for r in inner) and tail <= cfg.tail_tol
+    return Estimate(value, tail, _OUTER_TERMS, converged)

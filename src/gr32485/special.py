@@ -1,67 +1,8 @@
-"""Gamma-family scalars feeding the series expansions.
-
-Half-integer and integer arguments are the hot path; they are evaluated
-by exact recurrence from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi) so the
-series code carries no approximation error from this module.
-"""
+"""The central binomial ratio feeding the series expansions."""
 
 from __future__ import annotations
 
-import math
-
-__all__ = [
-    "GAMMA_OVERFLOW_THRESHOLD",
-    "gamma",
-    "log_gamma",
-    "pochhammer_half",
-    "central_binomial_ratio",
-]
-
-_SQRT_PI = math.sqrt(math.pi)
-
-# Gamma(x) stays below the largest finite double for x up to this argument.
-GAMMA_OVERFLOW_THRESHOLD = 171.624376956
-
-
-def _check_positive(name: str, x: float) -> float:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x) or x <= 0.0:
-        raise ValueError(f"{name}: argument must be finite and > 0, got {x!r}")
-    return x
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for finite x > 0; raises OverflowError past the float range."""
-    x = _check_positive("gamma", x)
-    if x > GAMMA_OVERFLOW_THRESHOLD:
-        raise OverflowError(f"gamma({x}) is not a finite double, use log_gamma")
-    two_x = 2.0 * x
-    if two_x == math.floor(two_x):
-        n = int(two_x)
-        if n % 2 == 0:
-            return float(math.factorial(n // 2 - 1))
-        value = _SQRT_PI
-        for j in range((n - 1) // 2):
-            value *= 0.5 + j
-        return value
-    return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """log(Gamma(x)) for finite x > 0."""
-    x = _check_positive("log_gamma", x)
-    return math.lgamma(x)
-
-
-def pochhammer_half(n: int, k: int) -> float:
-    """Gamma((n+1)/2 + k) / Gamma((n+1)/2) as a running product."""
-    if n < 0 or k < 0:
-        raise ValueError("pochhammer_half: n and k must be nonnegative integers")
-    base = (n + 1) / 2.0
-    value = 1.0
-    for j in range(k):
-        value *= base + j
-    return value
+__all__ = ["central_binomial_ratio"]
 
 
 def central_binomial_ratio(n: int) -> float:

@@ -17,10 +17,10 @@ no-converge. A record that did not pass or fail says why in ``reason``.
 
 from __future__ import annotations
 
-import json as _json
+import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__
@@ -32,7 +32,7 @@ from .contour import (
     nested_radical,
 )
 from .elliptic import landen_residual
-from .quadrature import _DEADLINE, DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import _DEADLINE, DEFAULT_CONFIG, Estimate, QuadratureConfig
 from .representations import (
     BF_IDENTITIES,
     CONSTANTS,
@@ -48,7 +48,7 @@ from .representations import (
     j1_integral,
     j2_integral,
 )
-from .series import DEFAULT_SERIES, SeriesConfig, u_integral, u_series
+from .series import u_integral, u_series
 
 __all__ = [
     "CheckRecord",
@@ -110,22 +110,19 @@ class CheckSpec:
 
 class _Context:
     """Per-run cache so shared quantities (the R0 baseline above all) are
-    computed once."""
+    computed once, whether or not they converged."""
 
-    def __init__(self, cfg: QuadratureConfig, scfg: SeriesConfig):
+    def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
-        self.scfg = scfg
-        self._values: dict[str, tuple] = {}
+        self._values: dict[str, Estimate] = {}
 
     def representation(self, rep_id: str):
-        hit = self._values.get(rep_id)
-        if hit is not None:
-            return hit
-        res = eval_representation(rep_id, self.cfg, self.scfg)
+        res = self._values.get(rep_id)
+        if res is None:
+            res = self._values[rep_id] = eval_representation(rep_id, self.cfg)
         if not res.converged:
             raise ArithmeticError(f"{rep_id} did not converge")
-        out = self._values[rep_id] = (res.value, res.evals)
-        return out
+        return res.value, res.evals
 
 
 def _check_headline(ctx: _Context):
@@ -170,11 +167,11 @@ def _check_lemma_pair(ctx: _Context):
     worst = 0.0
     evals = 0
     for t in _LEMMA_T_GRID:
-        s = u_series(t, ctx.scfg)
+        s = u_series(t)
         if not s.converged:
             raise ArithmeticError(f"u_series({t}) did not converge")
         worst = max(worst, abs(s.value - u_integral(t, ctx.cfg)))
-        evals += s.terms_used
+        evals += s.evals
     return worst, 0.0, evals
 
 
@@ -198,10 +195,9 @@ def _check_hankel_series(ctx: _Context):
     evals = 0
     for t in _HANKEL_T_GRID:
         contour_val = hankel_exp_integral(t, DEFAULT_PATH, ctx.cfg)
-        series_val = hankel_series(t, ctx.scfg)
-        if not (contour_val.converged and series_val.converged):
+        if not contour_val.converged:
             raise ArithmeticError(f"Hankel comparison at t={t} did not converge")
-        worst = max(worst, abs(contour_val.value - series_val.value))
+        worst = max(worst, abs(contour_val.value - hankel_series(t)))
         evals += contour_val.evals
     return worst, 0.0, evals
 
@@ -498,7 +494,6 @@ def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, timeout_secs: flo
 def run_checks(
     selection: list[str] | None = None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    scfg: SeriesConfig = DEFAULT_SERIES,
     *,
     tol: float = 1e-9,
     series_tol: float = 1e-5,
@@ -525,7 +520,7 @@ def run_checks(
     else:
         chosen = list(_CATALOG)
 
-    ctx = _Context(cfg, scfg)
+    ctx = _Context(cfg)
     records = [
         _execute(spec, ctx, _spec_tolerance(spec, tol, series_tol), timeout_secs)
         for spec in chosen
@@ -568,48 +563,20 @@ def render_table(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if math.isnan(v) or math.isinf(v):
-            return "null"
-        return format(v, ".17g")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return _json.dumps(v)
-    if isinstance(v, dict):
-        inner = ", ".join(f"{_json.dumps(k)}: {_json_value(x)}" for k, x in v.items())
-        return "{" + inner + "}"
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
-    raise TypeError(f"cannot serialize {type(v)!r}")
+def _finite_or_none(v):
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def render_json(report: Report) -> str:
+    """The report as strict JSON: NaN and infinities become null, and a
+    record's keys follow the CheckRecord fields in order."""
     doc = {
         "tool_version": report.tool_version,
         "config_echo": report.config_echo,
         "overall": report.overall,
         "records": [
-            {
-                "id": r.id,
-                "description": r.description,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "abs_diff": r.abs_diff,
-                "tolerance": r.tolerance,
-                "status": r.status,
-                "paper_anchor": r.paper_anchor,
-                "evals": r.evals,
-                "wall_time_ms": r.wall_time_ms,
-                "kind": r.kind,
-                "reason": r.reason,
-            }
+            {key: _finite_or_none(v) for key, v in asdict(r).items()}
             for r in report.records
         ],
     }
-    return _json_value(doc) + "\n"
+    return json.dumps(doc, allow_nan=False) + "\n"

@@ -128,7 +128,7 @@ def test_criterion_6_byrd_friedman():
 
 def test_criterion_7_contour_properties():
     series_gap = max(
-        abs(hankel_exp_integral(t).value - hankel_series(t).value)
+        abs(hankel_exp_integral(t).value - hankel_series(t))
         for t in (0.5, 1.0, 2.0, 5.0)
     )
     residue_gap = 0.0

@@ -11,7 +11,6 @@ from gr32485.quadrature import (
     integrate_complex,
 )
 from gr32485.representations import phi
-from gr32485.special import gamma
 
 TOL = DEFAULT_CONFIG.abs_tol
 
@@ -34,6 +33,12 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_evals=14)
+    # an infinite tolerance would let every integral "converge" on its first panel
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureConfig(abs_tol=bad)
+    with pytest.raises(ValueError):
+        QuadratureConfig(max_evals=15.5)
 
 
 def test_upper_singular_antiderivative():
@@ -78,7 +83,7 @@ def test_gamma_integrals(s):
         Interval(0.0, math.inf, singular_lower=s < 1.0),
     )
     assert res.converged
-    assert res.value == pytest.approx(gamma(s), abs=1e-12)
+    assert res.value == pytest.approx(math.gamma(s), abs=1e-12)
 
 
 def test_linearity():

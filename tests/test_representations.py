@@ -6,7 +6,6 @@ from gr32485.quadrature import DEFAULT_CONFIG
 from gr32485.representations import (
     CONSTANTS,
     NORMAL_FORM_COEFF,
-    A,
     B,
     bf_identity,
     constant_residuals,
@@ -41,22 +40,6 @@ def test_h_examples():
     assert h(1.0 / math.sqrt(2.0)) == pytest.approx(4.0 / 3.0, rel=1e-15)
     with pytest.raises(ValueError):
         h(1.5)
-
-
-def test_A_examples():
-    assert A(0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert A(SQRT3 - 1.5) == pytest.approx((2.0 + SQRT3) / 8.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        A(0.5)
-    with pytest.raises(ValueError):
-        A(-1.5)
-
-
-def test_A_increasing_and_divergent():
-    ys = [0.049 * i for i in range(11)]
-    vals = [A(y) for y in ys]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    assert A(0.4999) > 1e3
 
 
 def test_B_examples():

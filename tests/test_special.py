@@ -3,108 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gr32485.special import (
-    GAMMA_OVERFLOW_THRESHOLD,
-    central_binomial_ratio,
-    gamma,
-    log_gamma,
-    pochhammer_half,
-)
-
-# Stirling series with Bernoulli correction terms; independent of both
-# math.gamma and the recurrence path under test.
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-)
-
-
-def stirling_log_gamma(x: float) -> float:
-    shift = 0.0
-    while x < 12.0:
-        shift -= math.log(x)
-        x += 1.0
-    series = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi)
-    xp = x
-    for c in _STIRLING_COEFFS:
-        series += c / xp
-        xp *= x * x
-    return series + shift
-
-
-def test_gamma_half_integer_value():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-
-def test_gamma_small_integers_exact():
-    assert gamma(5.0) == 24.0
-    assert gamma(1.0) == 1.0
-    assert gamma(2.0) == 1.0
-
-
-def test_gamma_against_stirling_oracle():
-    for x in (10.5, 3.25, 7.75, 20.0, 33.5, 50.0):
-        assert gamma(x) == pytest.approx(math.exp(stirling_log_gamma(x)), rel=1e-12)
-
-
-def test_gamma_recurrence_property():
-    x = 0.137
-    while x < 40.0:
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-13)
-        x += 0.731
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
-def test_gamma_domain_errors(bad):
-    with pytest.raises(ValueError):
-        gamma(bad)
-
-
-def test_gamma_overflow_threshold():
-    assert math.isfinite(gamma(171.0))
-    with pytest.raises(OverflowError):
-        gamma(GAMMA_OVERFLOW_THRESHOLD + 1.0)
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-    assert log_gamma(100.0) == pytest.approx(stirling_log_gamma(100.0), rel=1e-12)
-
-
-def test_log_gamma_consistent_with_gamma():
-    x = 0.3
-    while x < 60.0:
-        assert math.exp(log_gamma(x)) == pytest.approx(gamma(x), rel=1e-13)
-        x += 1.61
-
-
-def test_log_gamma_domain_error():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-
-
-def test_pochhammer_examples():
-    assert pochhammer_half(0, 0) == 1.0
-    assert pochhammer_half(0, 1) == 0.5
-    assert pochhammer_half(3, 2) == 6.0
-
-
-def test_pochhammer_recurrence_exact():
-    for n in (0, 1, 5, 12):
-        for k in range(20):
-            assert pochhammer_half(n, k + 1) == pochhammer_half(n, k) * ((n + 1) / 2 + k)
-
-
-def test_pochhammer_rejects_negative():
-    with pytest.raises(ValueError):
-        pochhammer_half(-1, 0)
-    with pytest.raises(ValueError):
-        pochhammer_half(0, -2)
+from gr32485.special import central_binomial_ratio
 
 
 def test_central_binomial_examples():

@@ -145,6 +145,22 @@ def test_failures_say_why(monkeypatch):
     assert "reason" not in rows[2] and "reason" not in rows[3]
 
 
+def test_unconverged_route_is_evaluated_once(monkeypatch):
+    # with a tiny budget R0 does not converge; every check comparing against
+    # it must reuse the failed result instead of recomputing it
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return evaluate(*args)
+
+    evaluate = verifier.eval_representation
+    monkeypatch.setattr(verifier, "eval_representation", counting)
+    report = run_checks(cfg=QuadratureConfig(max_evals=100))
+    assert len(calls) == len(set(calls)) == 13
+    assert report.records[0].reason == "R0 did not converge"
+
+
 @pytest.mark.parametrize("name", ["tol", "series_tol", "timeout_secs"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_run_checks_rejects_bad_limits(name, value):
@@ -205,8 +221,8 @@ def test_nan_serializes_as_null():
                 id="x",
                 description="d",
                 lhs=math.nan,
-                rhs=math.nan,
-                abs_diff=math.nan,
+                rhs=math.inf,
+                abs_diff=-math.inf,
                 tolerance=1.0,
                 status="no-converge",
                 paper_anchor="none",
@@ -218,8 +234,12 @@ def test_nan_serializes_as_null():
         config_echo="-",
         overall="fail",
     )
-    doc = json.loads(render_json(report))
-    assert doc["records"][0]["lhs"] is None
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(render_json(report), parse_constant=reject)
+    rec = doc["records"][0]
+    assert rec["lhs"] is None and rec["rhs"] is None and rec["abs_diff"] is None
 
 
 def test_cli_exit_codes(capsys):
