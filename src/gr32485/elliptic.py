@@ -38,11 +38,15 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _MAX_ITER = 40
+# Duplication stops once the scaled spread is below (3 eps)**(1/6) of the
+# mean: the bound Carlson (1995, Numer. Algorithms 10:13-26) gives for the
+# fifth-order R_F series below.
+_RF_STOP = (3.0 * _EPS) ** (-1.0 / 6.0)
 
 
 def _rf_state(x: float, y: float, z: float) -> tuple[float, int]:
     A = A0 = (x + y + z) / 3.0
-    Q = (3.0 * _EPS) ** -0.125 * max(abs(A - x), abs(A - y), abs(A - z))
+    Q = _RF_STOP * max(abs(A - x), abs(A - y), abs(A - z))
     x0, y0 = x, y
     scale = 1.0
     iters = 0

@@ -89,15 +89,13 @@ class Estimate:
     """A computed value with its absolute error bound and its cost.
 
     ``evals`` counts integrand evaluations for quadrature and contour
-    integrals, and terms for series. ``imag_residual`` is the imaginary
-    part a contour integral left over from a value that must be real.
+    integrals, and terms for series.
     """
 
     value: float | complex
     error_estimate: float
     evals: int
     converged: bool
-    imag_residual: float = 0.0
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].

@@ -48,7 +48,7 @@ from .representations import (
     j1_integral,
     j2_integral,
 )
-from .series import u_integral, u_series
+from .series import hankel_series, u_integral, u_series
 
 __all__ = [
     "CheckRecord",
@@ -189,8 +189,6 @@ _HANKEL_T_GRID = (0.5, 1.0, 2.0, 5.0)
 
 
 def _check_hankel_series(ctx: _Context):
-    from .series import hankel_series
-
     worst = 0.0
     evals = 0
     for t in _HANKEL_T_GRID:

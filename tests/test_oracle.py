@@ -1,0 +1,29 @@
+"""High-precision oracle checks with mpmath (a test-only dependency)."""
+
+import random
+import sys
+
+import pytest
+
+from gr32485.contour import hankel_hyperbolic
+from gr32485.elliptic import carlson_rf
+
+mpmath = pytest.importorskip("mpmath")
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 20.0, 30.0, 50.0])
+def test_hyperbolic_against_invertlaplace(t):
+    with mpmath.workdps(30):
+        ref = mpmath.invertlaplace(lambda p: 1 / mpmath.sqrt(p + mpmath.sqrt(p)), t, method="talbot")
+    assert abs(hankel_hyperbolic(t) - float(ref)) <= 1e-12
+
+
+def test_carlson_rf_against_elliprf():
+    # relative error in units of machine epsilon, the ulp of 1.0
+    rng = random.Random(20180517)
+    worst = 0.0
+    for _ in range(300):
+        x, y, z = (rng.uniform(0.01, 3.0) for _ in range(3))
+        ref = mpmath.elliprf(x, y, z)
+        worst = max(worst, float(abs(carlson_rf(x, y, z) - ref) / ref) / sys.float_info.epsilon)
+    assert worst <= 4.0

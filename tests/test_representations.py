@@ -136,3 +136,13 @@ def test_j2_is_negative():
 def test_unknown_representation_id():
     with pytest.raises(KeyError):
         eval_representation("R99")
+
+
+# I to 40 digits (mpmath; the closed form agrees to 1e-41)
+I_40 = 0.66637711426883385639865821078815900224
+
+
+@pytest.mark.parametrize("rid", ["R3", "R12"])
+def test_error_estimate_covers_true_error(rep_results, rid):
+    res = rep_results[rid]
+    assert abs(res.value - I_40) <= res.error_estimate
