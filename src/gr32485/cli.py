@@ -39,14 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-9,
         metavar="X",
-        help="tolerance for quadrature-vs-quadrature checks (default 1e-9)",
-    )
-    parser.add_argument(
-        "--series-tol",
-        type=float,
-        default=1e-5,
-        metavar="X",
-        help="tolerance for series-based checks R2 and R3 (default 1e-5)",
+        help="tolerance for the checks of routes R1-R12 against R0 (default 1e-9)",
     )
     parser.add_argument(
         "--max-evals",
@@ -84,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
             selection,
             QuadratureConfig(abs_tol=1e-12, max_evals=args.max_evals),
             tol=args.tol,
-            series_tol=args.series_tol,
             timeout_secs=args.timeout_secs,
         )
     except ValueError as exc:

@@ -32,7 +32,7 @@ from .quadrature import (
     QuadratureConfig,
     integrate,
 )
-from .series import SeriesConfig, double_series_I, hankel_series, u_value
+from .series import DEFAULT_SERIES, U_RULE_ERROR, double_series_I, hankel_series, u_value
 
 __all__ = [
     "Constants",
@@ -200,36 +200,39 @@ def _eval_r2(cfg: QuadratureConfig) -> Estimate:
 
 _R3_SWITCH_T = 8.0  # Hankel sum up to here, hyperbolic contour rule above
 _R3_CUTOFF_T = 50.0
+_HYPERBOLIC_ERROR = 1e-13  # hankel_hyperbolic's bound for t >= 8
 
 
 def _eval_r3(cfg: QuadratureConfig) -> Estimate:
     """int_0^inf S(t) U(t) exp(-t) dt.
 
     S(t) comes from ``hankel_series`` for t <= 8, where the alternating
-    sum is accurate to about 1e-13, and from the fixed-node rule
-    ``hankel_hyperbolic`` for 8 < t <= 50, where the sum's terms reach
-    exp(t)/(2 pi t) and it loses its digits to cancellation.
+    sum is accurate to its 1e-13 tail tolerance, and from the fixed-node
+    rule ``hankel_hyperbolic`` for 8 < t <= 50, where the sum's terms
+    reach exp(t)/(2 pi t) and it loses its digits to cancellation. U(t)
+    comes from the fixed Gauss-Legendre rule of ``u_value``, so the only
+    adaptive quadrature is the outer one.
     """
-    inner_cfg = QuadratureConfig(max(cfg.abs_tol * 10.0, 1e-11), cfg.max_evals)
-    series_cfg = SeriesConfig(1e-12)
-    outer_cfg = QuadratureConfig(max(cfg.abs_tol * 100.0, 1e-9), cfg.max_evals)
+    outer_cfg = QuadratureConfig(max(cfg.abs_tol * 10.0, 1e-11), cfg.max_evals)
 
     def s_factor(t: float) -> float:
         if t <= _R3_SWITCH_T:
-            return hankel_series(t, series_cfg)
+            return hankel_series(t)
         return hankel_hyperbolic(t)
 
     def f(t: float) -> float:
-        return s_factor(t) * u_value(t, series_cfg, inner_cfg) * math.exp(-t)
+        return s_factor(t) * u_value(t) * math.exp(-t)
 
     low = integrate(f, Interval(0.0, _R3_SWITCH_T, singular_lower=True), outer_cfg)
     high = integrate(f, Interval(_R3_SWITCH_T, _R3_CUTOFF_T), outer_cfg)
-    # |S(t)| <= 1/sqrt(t) and 0 < U <= 1, so the discarded tail is below
-    # exp(-T)/sqrt(T); inner evaluations contribute at most their abs_tol
-    # per unit length of the outer range (the hyperbolic rule's error,
-    # below 1e-13 for t >= 8, is inside the 1e-11 floor of that abs_tol).
+    # 0 < U <= 1 and |S(t)| <= 1/sqrt(t), whose integral against exp(-t)
+    # is sqrt(pi). So an error e_S in S(t) costs at most e_S times the
+    # integral of exp(-t) over its range, the rule's error in U(t) at most
+    # sqrt(pi) U_RULE_ERROR, and the discarded tail exp(-T)/sqrt(T).
     tail = math.exp(-_R3_CUTOFF_T) / math.sqrt(_R3_CUTOFF_T)
-    err = low.error_estimate + high.error_estimate + tail + _R3_CUTOFF_T * inner_cfg.abs_tol
+    s_err = DEFAULT_SERIES.tail_tol + _HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
+    u_err = math.sqrt(math.pi) * U_RULE_ERROR
+    err = low.error_estimate + high.error_estimate + s_err + u_err + tail
     return _combined(low.value + high.value, err, (low, high))
 
 

@@ -103,7 +103,7 @@ class CheckSpec:
     description: str
     anchor: str
     kind: str  # "match" | "differ" | "bound"
-    tol_class: str  # "quad" | "series" | "fixed"
+    tol_class: str  # "quad" | "fixed"
     tolerance: float  # used when tol_class == "fixed"
     fn: Callable  # ctx -> (lhs, rhs, evals)
 
@@ -294,14 +294,13 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
         ),
     ]
     for rep in REPRESENTATIONS[1:]:
-        tol_class = "series" if rep.kind == "series" else "quad"
         specs.append(
             CheckSpec(
                 rep.id,
                 f"{rep.description} agrees with R0",
                 rep.anchor,
                 "match",
-                tol_class,
+                "quad",
                 0.0,
                 _rep_check(rep.id),
             )
@@ -429,12 +428,8 @@ def catalog_ids() -> list[str]:
     return [spec.id for spec in _CATALOG]
 
 
-def _spec_tolerance(spec: CheckSpec, tol: float, series_tol: float) -> float:
-    if spec.tol_class == "quad":
-        return tol
-    if spec.tol_class == "series":
-        return series_tol
-    return spec.tolerance
+def _spec_tolerance(spec: CheckSpec, tol: float) -> float:
+    return tol if spec.tol_class == "quad" else spec.tolerance
 
 
 def _status(kind: str, abs_diff: float, tolerance: float) -> str:
@@ -494,7 +489,6 @@ def run_checks(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     tol: float = 1e-9,
-    series_tol: float = 1e-5,
     timeout_secs: float = 30.0,
 ) -> Report:
     """Run the selected checks (all of them when selection is falsy), one
@@ -506,7 +500,7 @@ def run_checks(
     of wall time: quadrature stops at its next bisection once that is
     spent, and a check that overruns it is recorded as no-converge.
     """
-    for name, value in (("tol", tol), ("series_tol", series_tol), ("timeout_secs", timeout_secs)):
+    for name, value in (("tol", tol), ("timeout_secs", timeout_secs)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     known = {spec.id: spec for spec in _CATALOG}
@@ -519,13 +513,10 @@ def run_checks(
         chosen = list(_CATALOG)
 
     ctx = _Context(cfg)
-    records = [
-        _execute(spec, ctx, _spec_tolerance(spec, tol, series_tol), timeout_secs)
-        for spec in chosen
-    ]
+    records = [_execute(spec, ctx, _spec_tolerance(spec, tol), timeout_secs) for spec in chosen]
     overall = "pass" if all(r.status == "pass" for r in records) else "fail"
     echo = (
-        f"tol={tol:g} series_tol={series_tol:g} abs_tol={cfg.abs_tol:g} "
+        f"tol={tol:g} abs_tol={cfg.abs_tol:g} "
         f"max_evals={cfg.max_evals} timeout_secs={timeout_secs:g} "
         f"only={','.join(selection) if selection else '-'}"
     )

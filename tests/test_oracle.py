@@ -7,6 +7,7 @@ import pytest
 
 from gr32485.contour import hankel_hyperbolic
 from gr32485.elliptic import carlson_rf
+from gr32485.series import u_value
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -26,4 +27,16 @@ def test_carlson_rf_against_elliprf():
         x, y, z = (rng.uniform(0.01, 3.0) for _ in range(3))
         ref = mpmath.elliprf(x, y, z)
         worst = max(worst, float(abs(carlson_rf(x, y, z) - ref) / ref) / sys.float_info.epsilon)
+    assert worst <= 4.0
+
+
+def test_u_value_against_quad():
+    # U(t) = 2 int_0^(1/2) exp(-(16t/3)(1/4 - v^2)^2) dv, the rule's own form
+    worst = 0.0
+    with mpmath.workdps(30):
+        for t in (0.0, 0.1, 1.0, 2.0, 5.0, 10.0, 20.0, 36.8, 50.0):
+            c = mpmath.mpf(16) * t / 3
+            quarter = mpmath.mpf(1) / 4
+            ref = 2 * mpmath.quad(lambda v: mpmath.exp(-c * (quarter - v * v) ** 2), [0, 0.25, 0.5])
+            worst = max(worst, float(abs(u_value(t) - ref) / ref) / sys.float_info.epsilon)
     assert worst <= 4.0

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,11 +98,28 @@ def test_u_rejects_negative():
         u_series(-1.0)
     with pytest.raises(ValueError):
         u_integral(-0.5)
+    with pytest.raises(ValueError):
+        u_value(-0.5)
 
 
-def test_u_value_switch_consistency():
-    for t in (1.99, 2.0, 2.01):
-        assert u_value(t) == pytest.approx(u_integral(t), abs=1e-11)
+def test_u_rule_integrates_even_moments_exactly():
+    # 24 Gauss nodes are exact through degree 47. Rounding each node v to a
+    # float perturbs v^(2j) by up to 2j half-ulps, which sets the tolerance.
+    nodes, weights = series._U_NODES, series._U_WEIGHTS
+    assert len(nodes) == len(weights) == 24
+    assert all(0.0 < v < 0.5 for v in nodes) and all(w > 0.0 for w in weights)
+    assert abs(math.fsum(weights) - 0.5) <= 2.0**-53
+    eps = sys.float_info.epsilon
+    for j in range(24):
+        exact = 0.5 ** (2 * j + 1) / (2 * j + 1)
+        rule = math.fsum(w * v ** (2 * j) for v, w in zip(nodes, weights))
+        assert abs(rule - exact) <= (j + 2) * eps * exact, j
+
+
+def test_u_value_matches_u_integral():
+    # across the rule's upper limit t = 50, where u_value hands over
+    for t in (0.5, 2.0, 10.0, 49.99, 50.0, 50.01):
+        assert u_value(t) == pytest.approx(u_integral(t), abs=1e-13), t
 
 
 def test_hankel_peak_magnitude():

@@ -79,20 +79,20 @@ def test_failing_check_does_not_stop_later_ones():
 
 def test_timeout_marks_no_converge(monkeypatch):
     def sleepy(ctx):
-        time.sleep(1.0)
+        time.sleep(0.4)
         return 1.0, 1.0, 0
 
     slow = CheckSpec("slow-probe", "sleeps", "none", "match", "fixed", 1.0, sleepy)
     quick = CheckSpec("quick-probe", "instant", "none", "match", "fixed", 1.0, lambda ctx: (1.0, 1.0, 0))
     monkeypatch.setattr(verifier, "_CATALOG", (slow, quick))
-    report = run_checks(None, timeout_secs=0.2)
+    report = run_checks(None, timeout_secs=0.1)
     assert [r.id for r in report.records] == ["slow-probe", "quick-probe"]
     assert report.records[0].status == "no-converge"
     assert report.records[1].status == "pass"
     assert report.overall == "fail"
     # the record reports the time the check really took, and why it failed
-    assert report.records[0].wall_time_ms >= 1000
-    assert report.records[0].reason == "timeout after 0.2 s"
+    assert report.records[0].wall_time_ms >= 400
+    assert report.records[0].reason == "timeout after 0.1 s"
 
 
 def test_deadline_stops_quadrature(monkeypatch):
@@ -161,7 +161,7 @@ def test_unconverged_route_is_evaluated_once(monkeypatch):
     assert report.records[0].reason == "R0 did not converge"
 
 
-@pytest.mark.parametrize("name", ["tol", "series_tol", "timeout_secs"])
+@pytest.mark.parametrize("name", ["tol", "timeout_secs"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_run_checks_rejects_bad_limits(name, value):
     with pytest.raises(ValueError, match=name):
@@ -259,7 +259,6 @@ def test_cli_exit_codes(capsys):
     for argv in (
         ["--tol", "inf", "--only", "R1"],
         ["--tol", "nan", "--only", "R1"],
-        ["--series-tol", "inf", "--only", "R2"],
         ["--timeout-secs", "nan", "--only", "constants"],
         ["--timeout-secs", "inf", "--only", "constants"],
         ["--timeout-secs", "0", "--only", "constants"],
@@ -268,6 +267,12 @@ def test_cli_exit_codes(capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("verify: "), argv
+
+    # R2 and R3 are checked at --tol; the flag that loosened them is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["--series-tol", "1e-5", "--only", "R2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --series-tol" in capsys.readouterr().err
 
 
 def test_cli_list(capsys):
