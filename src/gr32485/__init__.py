@@ -38,8 +38,7 @@ from .representations import (
     representation_ids,
 )
 from .series import (
-    DEFAULT_SERIES,
-    SeriesConfig,
+    TAIL_TOL,
     double_series_I,
     hankel_series,
     inner_k_sum,
@@ -77,8 +76,7 @@ __all__ = [
     "constant_residuals",
     "eval_representation",
     "representation_ids",
-    "DEFAULT_SERIES",
-    "SeriesConfig",
+    "TAIL_TOL",
     "double_series_I",
     "hankel_series",
     "inner_k_sum",

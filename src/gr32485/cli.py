@@ -69,8 +69,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     selection = None
-    if args.only:
+    if args.only is not None:
         selection = [token.strip() for token in args.only.split(",") if token.strip()]
+        if not selection:
+            sys.stderr.write(f"verify: --only {args.only!r} names no check id\n")
+            return 2
 
     try:
         report = run_checks(

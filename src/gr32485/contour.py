@@ -166,8 +166,8 @@ def hankel_resolvent_integral(
     1 / sqrt((1+c) + sqrt(1+c)). The integrand decays only like |z|**(-3/2)
     on the rays, so both rays are compactified rather than truncated.
     """
-    if c < 0.0:
-        raise ValueError("hankel_resolvent_integral: c must be >= 0")
+    if not c >= 0.0:
+        raise ValueError(f"hankel_resolvent_integral: c must be >= 0, got {c!r}")
     if path.delta >= 1.0 + c:
         raise ValueError("path.delta must keep the pole right of the contour")
 

@@ -140,10 +140,9 @@ def _rj_state(x: float, y: float, z: float, p: float) -> tuple[float, int]:
 
 
 def _check_rf_args(x: float, y: float, z: float) -> None:
-    args = (x, y, z)
-    if any(v < 0.0 for v in args):
-        raise ValueError("carlson arguments must be nonnegative")
-    if sum(1 for v in args if v == 0.0) > 1:
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf and 0.0 <= z < math.inf):
+        raise ValueError("carlson arguments must be finite and nonnegative")
+    if (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
         raise ValueError("at most one carlson argument may vanish")
 
 
@@ -156,8 +155,8 @@ def carlson_rf(x: float, y: float, z: float) -> float:
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     """Carlson's symmetric integral of the third kind R_J(x, y, z, p), p > 0."""
     _check_rf_args(x, y, z)
-    if not p > 0.0:
-        raise ValueError("carlson_rj: p must be > 0")
+    if not 0.0 < p < math.inf:
+        raise ValueError("carlson_rj: p must be finite and > 0")
     return _rj_state(x, y, z, p)[0]
 
 

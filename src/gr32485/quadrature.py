@@ -98,6 +98,17 @@ class Estimate:
     converged: bool
 
 
+def _combined(value: float, err: float, parts) -> Estimate:
+    """An estimate built from the estimates it was computed from: their
+    evals summed, converged when all of them are."""
+    return Estimate(value, err, sum(p.evals for p in parts), all(p.converged for p in parts))
+
+
+def _scaled(c: float, est: Estimate) -> Estimate:
+    """c times the estimated quantity."""
+    return Estimate(c * est.value, abs(c) * est.error_estimate, est.evals, est.converged)
+
+
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _XGK = (
     0.9914553711208126,

@@ -22,17 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .contour import hankel_hyperbolic
-from .elliptic import complete_K, complete_Pi, incomplete_F
+from .elliptic import complete_Pi, incomplete_F
 from .quadrature import (
     DEFAULT_CONFIG,
     Estimate,
     Interval,
     QuadratureConfig,
+    _combined,
+    _scaled,
     integrate,
 )
-from .series import DEFAULT_SERIES, U_RULE_ERROR, double_series_I, hankel_series, u_value
+from .series import TAIL_TOL, U_RULE_ERROR, double_series_I, hankel_series, u_value
 
 __all__ = [
     "Constants",
@@ -46,8 +49,7 @@ __all__ = [
     "representation_ids",
     "eval_representation",
     "delta_radicand",
-    "bf_identity",
-    "BF_IDENTITIES",
+    "DELTA_FORMS",
     "double_angle_form",
     "h1_integral",
     "h2_integral",
@@ -170,16 +172,11 @@ def _shifted_inv_sqrt_delta(x: float) -> float:
 # Byrd-Friedman checks: over [1, 1/k] and [1, a] of 1/sqrt(Delta), and over
 # [1, 1/k] of 1/((x + 1 + sqrt3) sqrt(Delta)).
 _WHOLE_DELTA_RANGE = Interval(1.0, CONSTANTS.inv_k, singular_lower=True, singular_upper=True)
-_DELTA_FORMS = (
+DELTA_FORMS = (
     (_inv_sqrt_delta, _WHOLE_DELTA_RANGE),
     (_inv_sqrt_delta, Interval(1.0, CONSTANTS.a_upper, singular_lower=True)),
     (_shifted_inv_sqrt_delta, _WHOLE_DELTA_RANGE),
 )
-
-
-def _combined(value: float, err: float, parts: tuple[Estimate, ...]) -> Estimate:
-    """A route's estimate built from the quadratures it ran."""
-    return Estimate(value, err, sum(p.evals for p in parts), all(p.converged for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +227,7 @@ def _eval_r3(cfg: QuadratureConfig) -> Estimate:
     # integral of exp(-t) over its range, the rule's error in U(t) at most
     # sqrt(pi) U_RULE_ERROR, and the discarded tail exp(-T)/sqrt(T).
     tail = math.exp(-_R3_CUTOFF_T) / math.sqrt(_R3_CUTOFF_T)
-    s_err = DEFAULT_SERIES.tail_tol + _HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
+    s_err = TAIL_TOL + _HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
     u_err = math.sqrt(math.pi) * U_RULE_ERROR
     err = low.error_estimate + high.error_estimate + s_err + u_err + tail
     return _combined(low.value + high.value, err, (low, high))
@@ -262,8 +259,7 @@ def _eval_r6(cfg: QuadratureConfig) -> Estimate:
         return _rationalized_core(x) / (c.inv_k - x)
 
     res = integrate(f, Interval(0.0, c.k, singular_lower=True), cfg)
-    scale = _SQRT3 / math.sqrt(c.k)
-    return _combined(scale * res.value, scale * res.error_estimate, (res,))
+    return _scaled(_SQRT3 / math.sqrt(c.k), res)
 
 
 def _eval_r7(cfg: QuadratureConfig) -> Estimate:
@@ -273,8 +269,7 @@ def _eval_r7(cfg: QuadratureConfig) -> Estimate:
         return _rationalized_core(x) / (x - c.k)
 
     res = integrate(f, Interval(2.0, c.inv_k, singular_lower=True), cfg)
-    scale = _SQRT3 / math.sqrt(c.inv_k)
-    return _combined(scale * res.value, scale * res.error_estimate, (res,))
+    return _scaled(_SQRT3 / math.sqrt(c.inv_k), res)
 
 
 _LOG_T0 = (2.0 + _SQRT3) / 8.0  # where sqrt(B) reaches sqrt(3) - 3/2
@@ -365,7 +360,7 @@ def _eval_r10(cfg: QuadratureConfig) -> Estimate:
 
 
 def _eval_r11(cfg: QuadratureConfig) -> Estimate:
-    whole, partial, shifted = (integrate(f, iv, cfg) for f, iv in _DELTA_FORMS)
+    whole, partial, shifted = (integrate(f, iv, cfg) for f, iv in DELTA_FORMS)
     value = (
         _SQRT3 * whole.value + (_SQRT3 - 3.0) * partial.value - 3.0 * shifted.value
     ) / (2.0 * _SQRT2)
@@ -405,39 +400,23 @@ class Representation:
     id: str
     description: str
     anchor: str
-    kind: str  # "quadrature" | "series" | "closed-form"
+    evaluate: Callable  # cfg -> Estimate
 
-
-_EVALUATORS = {
-    "R0": _eval_r0,
-    "R1": _eval_r1,
-    "R2": _eval_r2,
-    "R3": _eval_r3,
-    "R4": _eval_r4,
-    "R5": _eval_r5,
-    "R6": _eval_r6,
-    "R7": _eval_r7,
-    "R8": _eval_r8,
-    "R9": _eval_r9,
-    "R10": _eval_r10,
-    "R11": _eval_r11,
-    "R12": _eval_r12,
-}
 
 REPRESENTATIONS: tuple[Representation, ...] = (
-    Representation("R0", "defining integral over [0, inf)", "GR 3.248.5 left side", "quadrature"),
-    Representation("R1", "finite form after x -> 1/y, x -> 1 + y^2, x y^2 = 1", "substituted integral on [0, 1]", "quadrature"),
-    Representation("R2", "conditionally convergent double series, accelerated", "binomial double expansion", "series"),
-    Representation("R3", "Laplace form int S(t) U(t) exp(-t) dt", "Hankel-contour kernel times Gaussian-type kernel", "series"),
-    Representation("R4", "residue-reduced integral on [0, 1]", "resolvent pole at 1 + (16/3)u^2(1-u)^2", "quadrature"),
-    Representation("R5", "half-interval form with 1/(2 sqrt(1-x)) weight", "double-angle reduction", "quadrature"),
-    Representation("R6", "hyperbola-rationalized form on [0, 2-sqrt(3)]", "x^2+3=y^2 rational point (1,2), lower branch", "quadrature"),
-    Representation("R7", "companion rationalized form on [2, 2+sqrt(3)]", "x^2+3=y^2 rational point (1,2), upper branch", "quadrature"),
-    Representation("R8", "logarithmic form C0 + weighted log integral", "order swap via indicator bracket", "quadrature"),
-    Representation("R9", "pre-normal-form pair on [4, 4(3 sqrt(3)-4)]", "rationalized sqrt(1+32t+64t^2)", "quadrature"),
-    Representation("R10", "elliptic normal form a J1 + b J2, modulus 2-sqrt(3)", "bilinear reduction to Delta(x)", "quadrature"),
-    Representation("R11", "three-integral normal form over [1, 2+sqrt(3)]", "partial fractions of a J1 + b J2", "quadrature"),
-    Representation("R12", "closed form ((sqrt3-1) Pi - F)/sqrt(2)", "BF 256.00, 256.39, 340.01 + DLMF 19.8.12", "closed-form"),
+    Representation("R0", "defining integral over [0, inf)", "GR 3.248.5 left side", _eval_r0),
+    Representation("R1", "finite form after x -> 1/y, x -> 1 + y^2, x y^2 = 1", "substituted integral on [0, 1]", _eval_r1),
+    Representation("R2", "conditionally convergent double series, accelerated", "binomial double expansion", _eval_r2),
+    Representation("R3", "Laplace form int S(t) U(t) exp(-t) dt", "Hankel-contour kernel times Gaussian-type kernel", _eval_r3),
+    Representation("R4", "residue-reduced integral on [0, 1]", "resolvent pole at 1 + (16/3)u^2(1-u)^2", _eval_r4),
+    Representation("R5", "half-interval form with 1/(2 sqrt(1-x)) weight", "double-angle reduction", _eval_r5),
+    Representation("R6", "hyperbola-rationalized form on [0, 2-sqrt(3)]", "x^2+3=y^2 rational point (1,2), lower branch", _eval_r6),
+    Representation("R7", "companion rationalized form on [2, 2+sqrt(3)]", "x^2+3=y^2 rational point (1,2), upper branch", _eval_r7),
+    Representation("R8", "logarithmic form C0 + weighted log integral", "order swap via indicator bracket", _eval_r8),
+    Representation("R9", "pre-normal-form pair on [4, 4(3 sqrt(3)-4)]", "rationalized sqrt(1+32t+64t^2)", _eval_r9),
+    Representation("R10", "elliptic normal form a J1 + b J2, modulus 2-sqrt(3)", "bilinear reduction to Delta(x)", _eval_r10),
+    Representation("R11", "three-integral normal form over [1, 2+sqrt(3)]", "partial fractions of a J1 + b J2", _eval_r11),
+    Representation("R12", "closed form ((sqrt3-1) Pi - F)/sqrt(2)", "BF 256.00, 256.39, 340.01 + DLMF 19.8.12", _eval_r12),
 )
 
 
@@ -448,59 +427,7 @@ def representation_ids() -> list[str]:
 def eval_representation(rep_id: str, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """Evaluate one representation of I; every id returns an estimate of
     the same number."""
-    try:
-        fn = _EVALUATORS[rep_id]
-    except KeyError:
-        raise KeyError(f"unknown representation id {rep_id!r}") from None
-    return fn(cfg)
-
-
-# ---------------------------------------------------------------------------
-# Byrd-Friedman reductions of the three-integral form (modulus 1/sqrt(3))
-
-
-@dataclass(frozen=True)
-class BfIdentity:
-    id: str
-    description: str
-    anchor: str
-
-
-BF_IDENTITIES: tuple[BfIdentity, ...] = (
-    BfIdentity(
-        "V0-kprime",
-        "int_1^{1/k} dx/sqrt(Delta) = K(k')",
-        "Whittaker-Watson p.501",
-    ),
-    BfIdentity(
-        "V1-bf25600",
-        "int_1^a dx/sqrt(Delta) = (3+sqrt3)/3 F(arcsin sqrt(k), 1/sqrt3)",
-        "Byrd-Friedman 256.00",
-    ),
-    BfIdentity(
-        "V2-bf25639",
-        "int_1^{1/k} dx/((x+1+sqrt3) sqrt(Delta)) = "
-        "(1+sqrt3)/3 K(1/sqrt3) - 2(sqrt3-1)/3 Pi(2-sqrt3, 1/sqrt3)",
-        "Byrd-Friedman 256.39 with 340.01",
-    ),
-)
-
-
-def bf_identity(which: int, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Return (lhs, rhs, evals): lhs by raw singular quadrature of the
-    Delta-form, rhs through the elliptic module."""
-    if which not in (0, 1, 2):
-        raise ValueError(f"bf_identity: which must be 0, 1 or 2, got {which!r}")
-    c = CONSTANTS
-    k1 = 1.0 / _SQRT3
-    f, iv = _DELTA_FORMS[which]
-    lhs = integrate(f, iv, cfg)
-    if which == 0:
-        rhs = complete_K(c.k_prime)
-    elif which == 1:
-        rhs = (3.0 + _SQRT3) / 3.0 * incomplete_F(c.alpha, k1)
-    else:
-        rhs = (1.0 + _SQRT3) / 3.0 * complete_K(k1) - 2.0 * (_SQRT3 - 1.0) / 3.0 * complete_Pi(c.k, k1)
-    if not lhs.converged:
-        raise ArithmeticError(f"bf_identity({which}): quadrature side did not converge")
-    return lhs.value, rhs, lhs.evals
+    for rep in REPRESENTATIONS:
+        if rep.id == rep_id:
+            return rep.evaluate(cfg)
+    raise KeyError(f"unknown representation id {rep_id!r}")

@@ -29,14 +29,12 @@ Chebyshev acceleration applies and converges geometrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .quadrature import DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, integrate
 from .special import central_binomial_ratio
 
 __all__ = [
-    "SeriesConfig",
-    "DEFAULT_SERIES",
+    "TAIL_TOL",
     "u_series",
     "u_integral",
     "u_value",
@@ -56,23 +54,15 @@ MAX_TERMS = 500
 _OUTER_TERMS = 48
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    tail_tol: float = 1e-13
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
-            raise ValueError("tail_tol must be a positive finite number")
+# absolute tail tolerance of every series sum
+TAIL_TOL = 1e-13
 
 
-DEFAULT_SERIES = SeriesConfig()
-
-
-def u_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
+def u_series(t: float) -> Estimate:
     """U(t) by its alternating power series; truncation bound from the
     first omitted term once the terms decay."""
-    if t < 0.0:
-        raise ValueError("u_series: t must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"u_series: t must be finite and >= 0, got {t!r}")
     total = 0.0
     term = 1.0
     for k in range(MAX_TERMS):
@@ -84,7 +74,7 @@ def u_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
             / ((k + 1) * (4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5))
         )
         nxt = term * ratio
-        if abs(nxt) <= abs(term) and abs(nxt) <= 0.5 * cfg.tail_tol:
+        if abs(nxt) <= abs(term) and abs(nxt) <= 0.5 * TAIL_TOL:
             return Estimate(total, abs(nxt), k + 1, True)
         term = nxt
     return Estimate(total, abs(term), MAX_TERMS, False)
@@ -92,8 +82,8 @@ def u_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
 
 def u_integral(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """U(t) by quadrature of exp(-(16/3) u^2 (1-u)^2 t) over [0, 1]."""
-    if t < 0.0:
-        raise ValueError("u_integral: t must be >= 0")
+    if not t >= 0.0:
+        raise ValueError(f"u_integral: t must be >= 0, got {t!r}")
 
     def f(u: float) -> float:
         w = u * (1.0 - u)
@@ -162,14 +152,14 @@ def u_value(t: float) -> float:
     """U(t) for any t >= 0: the fixed 24-node Gauss-Legendre rule in
     v = u - 1/2 on [0, 1/2] for t <= 50, within ``U_RULE_ERROR``, and
     ``u_integral`` above."""
-    if t < 0.0:
-        raise ValueError("u_value: t must be >= 0")
+    if not t >= 0.0:
+        raise ValueError(f"u_value: t must be >= 0, got {t!r}")
     if t > _U_RULE_T_MAX:
         return u_integral(t)
     return 2.0 * sum(w * math.exp(c * t) for w, c in zip(_U_WEIGHTS, _U_EXPONENTS))
 
 
-def hankel_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+def hankel_series(t: float) -> float:
     """S(t) by direct summation.
 
     Term magnitudes grow until n ~ 2t (peaking near exp(t)/(2 pi t)) and
@@ -195,17 +185,18 @@ def hankel_series(t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
         g = 0.5 * (n + 1) / g
         sign = -sign
         tail = nxt + 2.0 * peak * _EPS
-        if n + 1 >= 2.0 * t and tail <= cfg.tail_tol:
+        if n + 1 >= 2.0 * t and tail <= TAIL_TOL:
             return total
         b = nxt
     raise ArithmeticError(f"hankel_series({t}) did not converge")
 
 
-def inner_k_sum(n: int, cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
-    """The absolutely convergent k-sum inner(n); geometric tail bound from
-    the eventual term ratio < 1/2."""
-    if n < 0:
-        raise ValueError("inner_k_sum: n must be nonnegative")
+def inner_k_sum(n: int) -> Estimate:
+    """The absolutely convergent k-sum inner(n) to TAIL_TOL/16, the
+    tolerance the double series needs; geometric tail bound from the
+    eventual term ratio < 1/2."""
+    if not n >= 0:
+        raise ValueError(f"inner_k_sum: n must be >= 0, got {n!r}")
     total = 0.0
     term = 1.0
     half = 0.5 * (n + 1)
@@ -219,7 +210,7 @@ def inner_k_sum(n: int, cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
             / ((4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5))
         )
         nxt = term * ratio
-        if abs(ratio) <= 0.5 and abs(nxt) <= 0.25 * cfg.tail_tol:
+        if abs(ratio) <= 0.5 and abs(nxt) <= TAIL_TOL / 16.0:
             return Estimate(total, 2.0 * abs(nxt), k + 1, True)
         term = nxt
     return Estimate(total, 2.0 * abs(term), MAX_TERMS, False)
@@ -241,7 +232,7 @@ def _cvz(a: list[float]) -> float:
     return s / d
 
 
-def double_series_I(cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
+def double_series_I() -> Estimate:
     """The iterated double series for the target integral I.
 
     The outer sum is only conditionally convergent, so the inner k-sums
@@ -250,8 +241,7 @@ def double_series_I(cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
     terms. The acceleration needs positive outer coefficients, which a
     moment sequence has; computed ones that are not raise ArithmeticError.
     """
-    inner_cfg = SeriesConfig(0.25 * cfg.tail_tol)
-    inner = [inner_k_sum(n, inner_cfg) for n in range(_OUTER_TERMS)]
+    inner = [inner_k_sum(n) for n in range(_OUTER_TERMS)]
     coeffs = [central_binomial_ratio(n) * r.value for n, r in enumerate(inner)]
     if not all(v > 0.0 for v in coeffs):
         raise ArithmeticError(
@@ -261,5 +251,5 @@ def double_series_I(cfg: SeriesConfig = DEFAULT_SERIES) -> Estimate:
     value = _cvz(coeffs)
     consistency = abs(value - _cvz(coeffs[:-4]))
     tail = consistency + 2.0 * max(r.error_estimate for r in inner)
-    converged = all(r.converged for r in inner) and tail <= cfg.tail_tol
+    converged = all(r.converged for r in inner) and tail <= TAIL_TOL
     return Estimate(value, tail, _OUTER_TERMS, converged)

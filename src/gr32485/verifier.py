@@ -8,6 +8,11 @@ absolute difference, and a pass/fail status. Record kinds:
             check: the integral must NOT equal the tabulated value)
     bound   pass when lhs <= rhs + tolerance
 
+A check is a function of the run context that returns its two sides,
+each a float or an Estimate. The runner unwraps them: an Estimate side
+that did not converge makes the record no-converge, and the record's
+evals sum the Estimate sides' evals.
+
 Checks run one after another in catalog order, so a report is
 deterministic for a fixed configuration (wall times aside). Each check
 gets a time budget: quadrature inside it stops at the next bisection once
@@ -31,15 +36,22 @@ from .contour import (
     hankel_resolvent_integral,
     nested_radical,
 )
-from .elliptic import landen_residual
-from .quadrature import _DEADLINE, DEFAULT_CONFIG, Estimate, QuadratureConfig
+from .elliptic import complete_K, complete_Pi, incomplete_F, landen_residual
+from .quadrature import (
+    _DEADLINE,
+    DEFAULT_CONFIG,
+    Estimate,
+    QuadratureConfig,
+    _combined,
+    _scaled,
+    integrate,
+)
 from .representations import (
-    BF_IDENTITIES,
     CONSTANTS,
+    DELTA_FORMS,
     NORMAL_FORM_COEFF,
     REPRESENTATIONS,
     B,
-    bf_identity,
     constant_residuals,
     double_angle_form,
     eval_representation,
@@ -66,6 +78,7 @@ __all__ = [
 HEADLINE_VALUE = 0.666377
 HEADLINE_TOL = 5e-7
 
+_SQRT3 = math.sqrt(3.0)
 _SQRT_3PI = math.sqrt(3.0 * math.pi)
 
 
@@ -103,9 +116,8 @@ class CheckSpec:
     description: str
     anchor: str
     kind: str  # "match" | "differ" | "bound"
-    tol_class: str  # "quad" | "fixed"
-    tolerance: float  # used when tol_class == "fixed"
-    fn: Callable  # ctx -> (lhs, rhs, evals)
+    tolerance: float | None  # None: the run's tol
+    fn: Callable  # ctx -> (lhs, rhs), each a float or an Estimate
 
 
 class _Context:
@@ -116,160 +128,67 @@ class _Context:
         self.cfg = cfg
         self._values: dict[str, Estimate] = {}
 
-    def representation(self, rep_id: str):
+    def representation(self, rep_id: str) -> Estimate:
         res = self._values.get(rep_id)
         if res is None:
             res = self._values[rep_id] = eval_representation(rep_id, self.cfg)
         if not res.converged:
             raise ArithmeticError(f"{rep_id} did not converge")
-        return res.value, res.evals
+        return res
 
 
-def _check_headline(ctx: _Context):
-    value, evals = ctx.representation("R0")
-    return value, HEADLINE_VALUE, evals
-
-
-def _check_wrong_value(ctx: _Context):
-    value, evals = ctx.representation("R0")
-    return value, CONSTANTS.wrong_value, evals
-
-
-def _rep_check(rep_id: str):
-    def fn(ctx: _Context):
-        value, evals = ctx.representation(rep_id)
-        base, base_evals = ctx.representation("R0")
-        return value, base, evals + base_evals
-
-    return fn
-
-
-def _check_bf(which: int):
-    def fn(ctx: _Context):
-        lhs, rhs, evals = bf_identity(which, ctx.cfg)
-        return lhs, rhs, evals
-
-    return fn
-
-
-_LANDEN_MODULI = (CONSTANTS.k, 0.5, 0.9)
-
-
-def _check_landen(ctx: _Context):
-    worst = max((abs(landen_residual(k)) for k in _LANDEN_MODULI))
-    return worst, 0.0, 0
+def _worst(gaps: list[float], parts: list[Estimate]) -> Estimate:
+    """The largest of gaps computed from the estimates in parts; their
+    summed error estimates bound the error of any one gap."""
+    return _combined(max(gaps), sum(p.error_estimate for p in parts), parts)
 
 
 _LEMMA_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 
 def _check_lemma_pair(ctx: _Context):
-    worst = 0.0
-    evals = 0
-    for t in _LEMMA_T_GRID:
-        s = u_series(t)
-        if not s.converged:
-            raise ArithmeticError(f"u_series({t}) did not converge")
-        worst = max(worst, abs(s.value - u_integral(t, ctx.cfg)))
-        evals += s.evals
-    return worst, 0.0, evals
-
-
-_LEMMA_BOUND_T = (2.0, 10.0, 100.0)
+    sums = [u_series(t) for t in _LEMMA_T_GRID]
+    gaps = [abs(s.value - u_integral(t, ctx.cfg)) for s, t in zip(sums, _LEMMA_T_GRID)]
+    return _worst(gaps, sums), 0.0
 
 
 def _check_lemma_decay(ctx: _Context):
     # U(t) <= sqrt(3 pi) / (2 sqrt(t)): the proof bound with the factor
     # from the symmetry of u(1-u) about 1/2 made explicit
-    worst = max(u_integral(t, ctx.cfg) * math.sqrt(t) for t in _LEMMA_BOUND_T)
-    return worst, _SQRT_3PI / 2.0, 0
+    worst = max(u_integral(t, ctx.cfg) * math.sqrt(t) for t in (2.0, 10.0, 100.0))
+    return worst, _SQRT_3PI / 2.0
 
 
 _HANKEL_T_GRID = (0.5, 1.0, 2.0, 5.0)
 
 
 def _check_hankel_series(ctx: _Context):
-    worst = 0.0
-    evals = 0
-    for t in _HANKEL_T_GRID:
-        contour_val = hankel_exp_integral(t, DEFAULT_PATH, ctx.cfg)
-        if not contour_val.converged:
-            raise ArithmeticError(f"Hankel comparison at t={t} did not converge")
-        worst = max(worst, abs(contour_val.value - hankel_series(t)))
-        evals += contour_val.evals
-    return worst, 0.0, evals
+    contour = [hankel_exp_integral(t, DEFAULT_PATH, ctx.cfg) for t in _HANKEL_T_GRID]
+    gaps = [abs(c.value - hankel_series(t)) for c, t in zip(contour, _HANKEL_T_GRID)]
+    return _worst(gaps, contour), 0.0
+
+
+# the pole offsets c = (16/3) u^2 (1-u)^2 on a 20-point u grid
+_RESIDUE_C = tuple(16.0 / 3.0 * u * u * (1.0 - u) ** 2 for u in (j / 19.0 for j in range(20)))
 
 
 def _check_residue(ctx: _Context):
-    worst = 0.0
-    evals = 0
-    for j in range(20):
-        u = j / 19.0
-        c = 16.0 / 3.0 * u * u * (1.0 - u) ** 2
-        res = hankel_resolvent_integral(c, DEFAULT_PATH, ctx.cfg)
-        if not res.converged:
-            raise ArithmeticError(f"resolvent at u={u} did not converge")
-        reference = (1.0 / nested_radical(complex(1.0 + c, 0.0))).real
-        worst = max(worst, abs(res.value - reference))
-        evals += res.evals
-    return worst, 0.0, evals
-
-
-_DELTA_VARIANTS = (0.25, 1.0)
-_DELTA_T_GRID = (1.0, 2.0)
+    contour = [hankel_resolvent_integral(c, DEFAULT_PATH, ctx.cfg) for c in _RESIDUE_C]
+    residues = [(1.0 / nested_radical(complex(1.0 + c, 0.0))).real for c in _RESIDUE_C]
+    return _worst([abs(r.value - v) for r, v in zip(contour, residues)], contour), 0.0
 
 
 def _check_delta_independence(ctx: _Context):
-    worst = 0.0
-    evals = 0
-    for t in _DELTA_T_GRID:
+    parts, gaps = [], []
+    for t in (1.0, 2.0):
         base = hankel_exp_integral(t, DEFAULT_PATH, ctx.cfg)
-        evals += base.evals
-        for delta in _DELTA_VARIANTS:
-            other = hankel_exp_integral(t, HankelPath(delta=delta), ctx.cfg)
-            if not (base.converged and other.converged):
-                raise ArithmeticError(f"delta variant at t={t} did not converge")
-            worst = max(worst, abs(other.value - base.value))
-            evals += other.evals
-    return worst, 0.0, evals
+        others = [hankel_exp_integral(t, HankelPath(delta=d), ctx.cfg) for d in (0.25, 1.0)]
+        parts += [base, *others]
+        gaps += [abs(o.value - base.value) for o in others]
+    return _worst(gaps, parts), 0.0
 
 
-_B_THRESHOLD_T = (2.0 + math.sqrt(3.0)) / 8.0
-
-
-def _check_b_threshold(ctx: _Context):
-    lhs = math.sqrt(B(_B_THRESHOLD_T))
-    rhs = math.sqrt(3.0) - 1.5
-    return lhs, rhs, 0
-
-
-def _check_double_angle(ctx: _Context):
-    res = double_angle_form(ctx.cfg)
-    base, base_evals = ctx.representation("R0")
-    if not res.converged:
-        raise ArithmeticError("double-angle form did not converge")
-    return res.value, base, res.evals + base_evals
-
-
-def _check_h1_j1(ctx: _Context):
-    lhs = h1_integral(ctx.cfg)
-    rhs = j1_integral(ctx.cfg)
-    if not (lhs.converged and rhs.converged):
-        raise ArithmeticError("H1/J1 sides did not converge")
-    return NORMAL_FORM_COEFF * lhs.value, CONSTANTS.coeff_a * rhs.value, lhs.evals + rhs.evals
-
-
-def _check_h2_j2(ctx: _Context):
-    lhs = h2_integral(ctx.cfg)
-    rhs = j2_integral(ctx.cfg)
-    if not (lhs.converged and rhs.converged):
-        raise ArithmeticError("H2/J2 sides did not converge")
-    return NORMAL_FORM_COEFF * lhs.value, -CONSTANTS.coeff_b * rhs.value, lhs.evals + rhs.evals
-
-
-def _check_constants(ctx: _Context):
-    worst = max(abs(v) for v in constant_residuals().values())
-    return worst, 0.0, 0
+_K1 = 1.0 / _SQRT3  # modulus of the Byrd-Friedman reductions
 
 
 def _build_catalog() -> tuple[CheckSpec, ...]:
@@ -279,18 +198,16 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
             "headline value of the integral",
             "GR 3.248.5 left side, usually quoted as 0.666377",
             "match",
-            "fixed",
             HEADLINE_TOL,
-            _check_headline,
+            lambda ctx: (ctx.representation("R0"), HEADLINE_VALUE),
         ),
         CheckSpec(
             "R0-vs-wrong",
             "integral must differ from the tabulated pi/(2 sqrt(6))",
             "GR 3.248.5 right side (erroneous)",
             "differ",
-            "fixed",
             0.02,
-            _check_wrong_value,
+            lambda ctx: (ctx.representation("R0"), CONSTANTS.wrong_value),
         ),
     ]
     for rep in REPRESENTATIONS[1:]:
@@ -300,34 +217,59 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 f"{rep.description} agrees with R0",
                 rep.anchor,
                 "match",
-                "quad",
-                0.0,
-                _rep_check(rep.id),
+                None,
+                lambda ctx, rep_id=rep.id: (ctx.representation(rep_id), ctx.representation("R0")),
             )
         )
-    for which, ident in enumerate(BF_IDENTITIES):
-        specs.append(
-            CheckSpec(
-                ident.id, ident.description, ident.anchor, "match", "fixed", 1e-10, _check_bf(which)
-            )
-        )
+    # the Delta-form integrals of R11 by raw singular quadrature, each
+    # against its closed form through the elliptic module
     specs.extend(
         [
+            CheckSpec(
+                "V0-kprime",
+                "int_1^{1/k} dx/sqrt(Delta) = K(k')",
+                "Whittaker-Watson p.501",
+                "match",
+                1e-10,
+                lambda ctx: (integrate(*DELTA_FORMS[0], ctx.cfg), complete_K(CONSTANTS.k_prime)),
+            ),
+            CheckSpec(
+                "V1-bf25600",
+                "int_1^a dx/sqrt(Delta) = (3+sqrt3)/3 F(arcsin sqrt(k), 1/sqrt3)",
+                "Byrd-Friedman 256.00",
+                "match",
+                1e-10,
+                lambda ctx: (
+                    integrate(*DELTA_FORMS[1], ctx.cfg),
+                    (3.0 + _SQRT3) / 3.0 * incomplete_F(CONSTANTS.alpha, _K1),
+                ),
+            ),
+            CheckSpec(
+                "V2-bf25639",
+                "int_1^{1/k} dx/((x+1+sqrt3) sqrt(Delta)) = "
+                "(1+sqrt3)/3 K(1/sqrt3) - 2(sqrt3-1)/3 Pi(2-sqrt3, 1/sqrt3)",
+                "Byrd-Friedman 256.39 with 340.01",
+                "match",
+                1e-10,
+                lambda ctx: (
+                    integrate(*DELTA_FORMS[2], ctx.cfg),
+                    (1.0 + _SQRT3) / 3.0 * complete_K(_K1)
+                    - 2.0 * (_SQRT3 - 1.0) / 3.0 * complete_Pi(CONSTANTS.k, _K1),
+                ),
+            ),
             CheckSpec(
                 "landen",
                 "descending Landen residual at k = 2-sqrt(3), 0.5, 0.9",
                 "DLMF 19.8.12",
                 "match",
-                "fixed",
                 1e-12,
-                _check_landen,
+                lambda ctx: (max(abs(landen_residual(k)) for k in (CONSTANTS.k, 0.5, 0.9)), 0.0),
             ),
             CheckSpec(
                 "V4-lemma",
                 "series and integral forms of U(t) agree on the t grid",
                 "alternating kernel sum vs its Gaussian-type integral",
                 "match",
-                "fixed",
                 1e-11,
                 _check_lemma_pair,
             ),
@@ -336,7 +278,6 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "sqrt(t) U(t) stays below sqrt(3 pi)/2 at t = 2, 10, 100",
                 "Gaussian tail bound with the interval-symmetry factor",
                 "bound",
-                "fixed",
                 1e-12,
                 _check_lemma_decay,
             ),
@@ -345,7 +286,6 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "Hankel contour integral equals the Hankel sum at t = 0.5, 1, 2, 5",
                 "reciprocal-gamma contour representation",
                 "match",
-                "fixed",
                 1e-8,
                 _check_hankel_series,
             ),
@@ -354,7 +294,6 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "resolvent contour integral equals its residue on a 20-point u grid",
                 "simple pole at z = 1 + (16/3) u^2 (1-u)^2",
                 "match",
-                "fixed",
                 1e-9,
                 _check_residue,
             ),
@@ -363,16 +302,14 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "sqrt(B(t)) reaches sqrt(3) - 3/2 exactly at t = (2+sqrt(3))/8",
                 "order-swap threshold of the indicator bracket",
                 "match",
-                "fixed",
                 1e-12,
-                _check_b_threshold,
+                lambda ctx: (math.sqrt(B((2.0 + _SQRT3) / 8.0)), _SQRT3 - 1.5),
             ),
             CheckSpec(
                 "V8-delta",
                 "Hankel integral is independent of the contour distance delta",
                 "Cauchy deformation invariance",
                 "match",
-                "fixed",
                 1e-10,
                 _check_delta_independence,
             ),
@@ -381,36 +318,38 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "double-angle intermediate form agrees with R0",
                 "x = sin^2(theta) substitution",
                 "match",
-                "fixed",
                 1e-10,
-                _check_double_angle,
+                lambda ctx: (double_angle_form(ctx.cfg), ctx.representation("R0")),
             ),
             CheckSpec(
                 "H1-vs-J1",
                 "bilinear map sends the first pre-normal integral to a J1",
                 "x = L(t) with L(-1/k,-1,1,1/k) = (5,4,-4,8)",
                 "match",
-                "fixed",
                 1e-9,
-                _check_h1_j1,
+                lambda ctx: (
+                    _scaled(NORMAL_FORM_COEFF, h1_integral(ctx.cfg)),
+                    _scaled(CONSTANTS.coeff_a, j1_integral(ctx.cfg)),
+                ),
             ),
             CheckSpec(
                 "H2-vs-J2",
                 "bilinear map sends the second pre-normal integral to -b J2",
                 "x = L(t) with L(-1/k,-1,1,1/k) = (8,4,-4,inf)",
                 "match",
-                "fixed",
                 1e-9,
-                _check_h2_j2,
+                lambda ctx: (
+                    _scaled(NORMAL_FORM_COEFF, h2_integral(ctx.cfg)),
+                    _scaled(-CONSTANTS.coeff_b, j2_integral(ctx.cfg)),
+                ),
             ),
             CheckSpec(
                 "constants",
                 "exact algebraic relations among the constants",
                 "surd identities of the evaluation",
                 "match",
-                "fixed",
                 1e-14,
-                _check_constants,
+                lambda ctx: (max(abs(v) for v in constant_residuals().values()), 0.0),
             ),
         ]
     )
@@ -428,10 +367,6 @@ def catalog_ids() -> list[str]:
     return [spec.id for spec in _CATALOG]
 
 
-def _spec_tolerance(spec: CheckSpec, tol: float) -> float:
-    return tol if spec.tol_class == "quad" else spec.tolerance
-
-
 def _status(kind: str, abs_diff: float, tolerance: float) -> str:
     if math.isnan(abs_diff):
         return "no-converge"
@@ -445,13 +380,16 @@ def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, timeout_secs: flo
     t0 = time.monotonic()
     token = _DEADLINE.set(t0 + timeout_secs)
     try:
-        lhs, rhs, evals = spec.fn(ctx)
-        if spec.kind == "bound":
-            abs_diff = max(0.0, lhs - rhs)
-        else:
-            abs_diff = abs(lhs - rhs)
+        sides = spec.fn(ctx)
+        estimates = {n: s for n, s in zip(("lhs", "rhs"), sides) if isinstance(s, Estimate)}
+        evals = sum(e.evals for e in estimates.values())
+        lhs, rhs = (s.value if isinstance(s, Estimate) else s for s in sides)
+        abs_diff = max(0.0, lhs - rhs) if spec.kind == "bound" else abs(lhs - rhs)
         status = _status(spec.kind, abs_diff, tolerance)
         reason = "the difference is NaN" if status == "no-converge" else None
+        unconverged = [n for n, e in estimates.items() if not e.converged]
+        if unconverged:
+            status, reason = "no-converge", f"{unconverged[0]} did not converge"
     except Exception as exc:
         # isolation: a broken or non-convergent check must not stop the run
         lhs = rhs = abs_diff = math.nan
@@ -513,7 +451,10 @@ def run_checks(
         chosen = list(_CATALOG)
 
     ctx = _Context(cfg)
-    records = [_execute(spec, ctx, _spec_tolerance(spec, tol), timeout_secs) for spec in chosen]
+    records = [
+        _execute(spec, ctx, tol if spec.tolerance is None else spec.tolerance, timeout_secs)
+        for spec in chosen
+    ]
     overall = "pass" if all(r.status == "pass" for r in records) else "fail"
     echo = (
         f"tol={tol:g} abs_tol={cfg.abs_tol:g} "

@@ -154,6 +154,22 @@ def test_carlson_argument_validation():
         carlson_rj(0.0, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (math.nan, 1.0, 1.0),
+        (math.inf, 1.0, 1.0),
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, 1.0, math.inf),
+    ],
+)
+def test_carlson_rejects_non_finite(args):
+    # each of these used to return NaN
+    fn = carlson_rf if len(args) == 3 else carlson_rj
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 def test_domain_errors():
     for bad in (0.0, 1.0, 1.2, -0.3):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from gr32485.representations import (
     CONSTANTS,
     NORMAL_FORM_COEFF,
     B,
-    bf_identity,
     constant_residuals,
     double_angle_form,
     eval_representation,
@@ -20,6 +19,7 @@ from gr32485.representations import (
     phi,
     representation_ids,
 )
+from gr32485.verifier import run_checks
 
 SQRT3 = math.sqrt(3.0)
 
@@ -109,8 +109,11 @@ def test_discrepancy_window(rep_values):
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_byrd_friedman_identities(which):
-    lhs, rhs, _ = bf_identity(which)
-    assert abs(lhs - rhs) < 1e-10
+    check_id = ("V0-kprime", "V1-bf25600", "V2-bf25639")[which]
+    record = run_checks([check_id]).records[0]
+    assert record.status == "pass"
+    assert record.abs_diff < 1e-10
+    assert record.evals > 0  # the quadrature side's cost
 
 
 def test_double_angle_chain(rep_values):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 import gr32485.series as series
+from gr32485.contour import hankel_resolvent_integral
 from gr32485.quadrature import Interval, integrate
 from gr32485.series import (
-    SeriesConfig,
     double_series_I,
     hankel_series,
     inner_k_sum,
@@ -102,6 +102,24 @@ def test_u_rejects_negative():
         u_value(-0.5)
 
 
+@pytest.mark.parametrize(
+    "fn, arg, name",
+    [
+        (u_value, math.nan, "t"),
+        (u_series, math.nan, "t"),
+        (u_series, math.inf, "t"),
+        (u_integral, math.nan, "t"),
+        (inner_k_sum, math.nan, "n"),
+        (hankel_resolvent_integral, math.nan, "c"),
+    ],
+)
+def test_kernels_reject_nan_and_inf(fn, arg, name):
+    # NaN passes an "x < 0" test; each kernel must name its argument
+    # instead of returning NaN or failing inside its integrand
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        fn(arg)
+
+
 def test_u_rule_integrates_even_moments_exactly():
     # 24 Gauss nodes are exact through degree 47. Rounding each node v to a
     # float perturbs v^(2j) by up to 2j half-ulps, which sets the tolerance.
@@ -146,7 +164,7 @@ def test_hankel_series_guards():
 
 
 def test_hankel_series_nonconvergence_for_large_t():
-    # at t = 40 the roundoff floor exp(t)*eps sits far above tail_tol
+    # at t = 40 the roundoff floor exp(t)*eps sits far above TAIL_TOL
     with pytest.raises(ArithmeticError):
         hankel_series(40.0)
 
@@ -207,8 +225,7 @@ def test_double_series_value():
 
 
 def test_double_series_bracketed_by_partial_sums():
-    cfg = SeriesConfig()
-    accelerated = double_series_I(cfg).value
+    accelerated = double_series_I().value
     from gr32485.special import central_binomial_ratio
 
     partial = 0.0
@@ -228,10 +245,3 @@ def test_double_series_needs_positive_coefficients(monkeypatch):
     monkeypatch.setattr(series, "central_binomial_ratio", lambda n: -1.0 if n == 7 else 1.0)
     with pytest.raises(ArithmeticError, match="not positive"):
         double_series_I()
-
-
-def test_series_config_validation():
-    # an infinite tolerance would stop every series after its first term
-    for bad in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            SeriesConfig(tail_tol=bad)

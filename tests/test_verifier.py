@@ -7,7 +7,7 @@ import pytest
 
 import gr32485.verifier as verifier
 from gr32485.cli import main
-from gr32485.quadrature import Interval, QuadratureConfig, integrate
+from gr32485.quadrature import Estimate, Interval, QuadratureConfig, integrate
 from gr32485.verifier import (
     CheckSpec,
     Report,
@@ -80,10 +80,10 @@ def test_failing_check_does_not_stop_later_ones():
 def test_timeout_marks_no_converge(monkeypatch):
     def sleepy(ctx):
         time.sleep(0.4)
-        return 1.0, 1.0, 0
+        return 1.0, 1.0
 
-    slow = CheckSpec("slow-probe", "sleeps", "none", "match", "fixed", 1.0, sleepy)
-    quick = CheckSpec("quick-probe", "instant", "none", "match", "fixed", 1.0, lambda ctx: (1.0, 1.0, 0))
+    slow = CheckSpec("slow-probe", "sleeps", "none", "match", 1.0, sleepy)
+    quick = CheckSpec("quick-probe", "instant", "none", "match", 1.0, lambda ctx: (1.0, 1.0))
     monkeypatch.setattr(verifier, "_CATALOG", (slow, quick))
     report = run_checks(None, timeout_secs=0.1)
     assert [r.id for r in report.records] == ["slow-probe", "quick-probe"]
@@ -99,10 +99,10 @@ def test_deadline_stops_quadrature(monkeypatch):
     def oscillating(ctx):
         cfg = QuadratureConfig(max_evals=10**8)
         res = integrate(lambda x: math.sin(1.0 / x), Interval(0.0, 1.0), cfg)
-        return res.value, res.value, res.evals
+        return res, res.value
 
-    slow = CheckSpec("sin-probe", "sin(1/x)", "none", "match", "fixed", 1.0, oscillating)
-    quick = CheckSpec("quick-probe", "instant", "none", "match", "fixed", 1.0, lambda ctx: (1.0, 1.0, 0))
+    slow = CheckSpec("sin-probe", "sin(1/x)", "none", "match", 1.0, oscillating)
+    quick = CheckSpec("quick-probe", "instant", "none", "match", 1.0, lambda ctx: (1.0, 1.0))
     monkeypatch.setattr(verifier, "_CATALOG", (slow, quick))
     t0 = time.monotonic()
     report = run_checks(None, timeout_secs=0.2)
@@ -118,13 +118,21 @@ def test_failures_say_why(monkeypatch):
         raise ArithmeticError("R99 did not converge")
 
     def broken(ctx):
-        return "1.0", 1.0, 0
+        return "1.0", 1.0
+
+    def unconverged(ctx):
+        return 1.0, Estimate(1.0, 0.5, 30, False)
+
+    def both_converged(ctx):
+        return Estimate(1.0, 0.0, 30, True), Estimate(1.0, 0.0, 45, True)
 
     specs = (
-        CheckSpec("diverging", "raises ArithmeticError", "none", "match", "fixed", 1.0, diverging),
-        CheckSpec("broken", "raises TypeError", "none", "match", "fixed", 1.0, broken),
-        CheckSpec("fine", "passes", "none", "match", "fixed", 1.0, lambda ctx: (1.0, 1.0, 0)),
-        CheckSpec("off", "fails", "none", "match", "fixed", 1.0, lambda ctx: (3.0, 1.0, 0)),
+        CheckSpec("diverging", "raises ArithmeticError", "none", "match", 1.0, diverging),
+        CheckSpec("broken", "raises TypeError", "none", "match", 1.0, broken),
+        CheckSpec("fine", "passes", "none", "match", 1.0, lambda ctx: (1.0, 1.0)),
+        CheckSpec("off", "fails", "none", "match", 1.0, lambda ctx: (3.0, 1.0)),
+        CheckSpec("unconverged", "rhs did not converge", "none", "match", 1.0, unconverged),
+        CheckSpec("both", "two estimates", "none", "match", None, both_converged),
     )
     monkeypatch.setattr(verifier, "_CATALOG", specs)
     report = run_checks()
@@ -133,8 +141,13 @@ def test_failures_say_why(monkeypatch):
         ("error", "TypeError: unsupported operand type(s) for -: 'str' and 'float'"),
         ("pass", None),
         ("fail", None),
+        ("no-converge", "rhs did not converge"),
+        ("pass", None),
     ]
     assert math.isnan(report.records[1].lhs)
+    # the runner sums the cost of the Estimate sides; a None tolerance is the run's tol
+    assert [r.evals for r in report.records[2:]] == [0, 0, 30, 75]
+    assert report.records[5].tolerance == 1e-9
     assert report.overall == "fail"
 
     doc = json.loads(render_json(report))
@@ -143,6 +156,7 @@ def test_failures_say_why(monkeypatch):
     assert rows[0].endswith("reason: R99 did not converge")
     assert rows[1].endswith("reason: TypeError: unsupported operand type(s) for -: 'str' and 'float'")
     assert "reason" not in rows[2] and "reason" not in rows[3]
+    assert rows[4].endswith("reason: rhs did not converge")
 
 
 def test_unconverged_route_is_evaluated_once(monkeypatch):
@@ -263,6 +277,10 @@ def test_cli_exit_codes(capsys):
         ["--timeout-secs", "inf", "--only", "constants"],
         ["--timeout-secs", "0", "--only", "constants"],
         ["--max-evals", "14", "--only", "constants"],
+        # a selection that names no id is a usage error, not the whole catalog
+        ["--only", ""],
+        ["--only", ","],
+        ["--only", " , "],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
