@@ -7,7 +7,6 @@ from .contour import (
     DEFAULT_PATH,
     HankelPath,
     hankel_exp_integral,
-    hankel_point,
     hankel_resolvent_integral,
     nested_radical,
     principal_sqrt,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_PATH",
     "HankelPath",
     "hankel_exp_integral",
-    "hankel_point",
     "hankel_resolvent_integral",
     "nested_radical",
     "principal_sqrt",

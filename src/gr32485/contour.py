@@ -14,9 +14,9 @@ right half of the circle |z| = delta. The fixed parametrization is
     gamma(xi) = delta * (1 - xi + i)        for xi >= 1    (upper ray)
 
 so increasing xi runs from the lower ray, around the origin, onto the
-upper ray. Exponential integrands are truncated in xi using their ray
-decay rate; integrands with only algebraic ray decay are compactified
-instead of truncated, so no tail is discarded.
+upper ray. Each contour integral compactifies its ray onto a finite
+range (see ``quadrature``), whether the integrand decays exponentially
+or only algebraically along it, so no tail is discarded.
 
 Every integrand here is real on the positive real axis, so its value at
 conj(z) is the conjugate of its value at z. Since gamma(-xi) is the
@@ -58,7 +58,6 @@ __all__ = [
     "DEFAULT_PATH",
     "principal_sqrt",
     "nested_radical",
-    "hankel_point",
     "hankel_exp_integral",
     "hankel_resolvent_integral",
     "hankel_hyperbolic",
@@ -90,32 +89,30 @@ def principal_sqrt(z: complex) -> complex:
 
 def nested_radical(z: complex) -> complex:
     """sqrt(z + sqrt(z)) with principal branches; well defined on all of
-    Omega because z + sqrt(z) never meets the cut there."""
-    w = principal_sqrt(z)
-    return principal_sqrt(z + w)
+    Omega because z + sqrt(z) never meets the cut there. Both square
+    roots reject the cut as :func:`principal_sqrt` does."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0:
+        raise ValueError(f"principal_sqrt: {z!r} lies on the branch cut")
+    v = z + cmath.sqrt(z)
+    if v.imag == 0.0 and v.real <= 0.0:
+        raise ValueError(f"principal_sqrt: {v!r} lies on the branch cut")
+    return cmath.sqrt(v)
 
 
-def hankel_point(xi: float, path: HankelPath = DEFAULT_PATH) -> tuple[complex, complex]:
-    """Return (gamma(xi), gamma'(xi)) for the three-piece parametrization."""
-    d = path.delta
-    if xi <= -1.0:
-        return complex(d * (xi + 1.0), -d), complex(d, 0.0)
-    if xi >= 1.0:
-        return complex(d * (1.0 - xi), d), complex(-d, 0.0)
-    w = cmath.exp(0.5j * math.pi * xi)
-    return d * w, d * (0.5j * math.pi) * w
+# gamma(xi) = delta * exp(_ARC * xi) on the arc, so gamma'(xi) = delta * _ARC * exp(_ARC * xi)
+_ARC = 0.5j * math.pi
 
 
-def _from_upper_half(parts, extra_tail: float = 0.0) -> Estimate:
+def _from_upper_half(parts) -> Estimate:
     """(1/(2 pi i)) int_H from the integrals over the upper half of H.
 
     The lower half contributes the negated conjugate of the upper half,
     so the imaginary parts add and the real parts cancel exactly; the
-    upper half's error estimate counts twice. ``extra_tail`` bounds what
-    truncation discarded on both rays.
+    upper half's error estimate counts twice.
     """
     total = sum(res.value for res in parts)
-    err = 2.0 * sum(res.error_estimate for res in parts) + extra_tail
+    err = 2.0 * sum(res.error_estimate for res in parts)
     return Estimate(
         total.imag / math.pi,
         err / (2.0 * math.pi),
@@ -131,27 +128,30 @@ def hankel_exp_integral(
 ) -> Estimate:
     """(1/(2 pi i)) * int_H exp(t z) / sqrt(z + sqrt(z)) dz for t > 0.
 
-    On the rays |exp(t z)| = exp(t * delta * (1 - |xi|)), so the contour is
-    truncated where the discarded tail sits far below ``cfg.abs_tol``; the
-    tail bound joins the error estimate. Only the upper half of the
-    contour is integrated (see the module docstring).
+    On the upper ray |exp(t z)| = exp(t * delta * (1 - xi)); the ray
+    xi >= 1 is compactified rather than truncated, so no tail is
+    discarded. Only the upper half of the contour is integrated (see the
+    module docstring).
     """
     if not t > 0.0:
         raise ValueError("hankel_exp_integral: t must be > 0")
-    xi_cut = 1.0 + math.log(1.0 / cfg.abs_tol) / (t * path.delta) + 10.0
+    d = path.delta
+    d_arc = d * _ARC
 
-    def g(xi: float) -> complex:
-        z, dz = hankel_point(xi, path)
-        return cmath.exp(t * z) / nested_radical(z) * dz
+    def arc(xi: float) -> complex:
+        w = cmath.exp(_ARC * xi)
+        z = d * w
+        return cmath.exp(t * z) / nested_radical(z) * (d_arc * w)
+
+    def upper_ray(xi: float) -> complex:
+        z = complex(d * (1.0 - xi), d)
+        return cmath.exp(t * z) / nested_radical(z) * -d
 
     parts = [
-        integrate_complex(g, Interval(0.0, 1.0), cfg),
-        integrate_complex(g, Interval(1.0, xi_cut), cfg),
+        integrate_complex(arc, Interval(0.0, 1.0), cfg),
+        integrate_complex(upper_ray, Interval(1.0, math.inf), cfg),
     ]
-    ray = path.delta * (xi_cut - 1.0)
-    amplitude = math.sqrt(2.0 / max(ray, 0.5))
-    tail = 2.0 * amplitude * math.exp(-t * ray) / t
-    return _from_upper_half(parts, tail)
+    return _from_upper_half(parts)
 
 
 def hankel_resolvent_integral(
@@ -164,24 +164,23 @@ def hankel_resolvent_integral(
     The integrand has a simple pole at z = 1 + c to the right of the
     contour; closing H through the right half plane shows the value equals
     1 / sqrt((1+c) + sqrt(1+c)). The integrand decays only like |z|**(-3/2)
-    on the rays, so both rays are compactified rather than truncated.
+    on the rays, which are compactified like every contour ray here.
     """
     if not c >= 0.0:
         raise ValueError(f"hankel_resolvent_integral: c must be >= 0, got {c!r}")
     if path.delta >= 1.0 + c:
         raise ValueError("path.delta must keep the pole right of the contour")
-
-    def fz(z: complex) -> complex:
-        return 1.0 / (nested_radical(z) * (1.0 - z + c))
-
     d = path.delta
+    d_arc = d * _ARC
 
     def arc(xi: float) -> complex:
-        z, dz = hankel_point(xi, path)
-        return fz(z) * dz
+        w = cmath.exp(_ARC * xi)
+        z = d * w
+        return 1.0 / (nested_radical(z) * (1.0 - z + c)) * (d_arc * w)
 
     def upper_ray(r: float) -> complex:
-        return fz(complex(-d * r, d)) * (-d)
+        z = complex(-d * r, d)
+        return 1.0 / (nested_radical(z) * (1.0 - z + c)) * -d
 
     parts = [
         integrate_complex(arc, Interval(0.0, 1.0), cfg),

@@ -252,4 +252,4 @@ def double_series_I() -> Estimate:
     consistency = abs(value - _cvz(coeffs[:-4]))
     tail = consistency + 2.0 * max(r.error_estimate for r in inner)
     converged = all(r.converged for r in inner) and tail <= TAIL_TOL
-    return Estimate(value, tail, _OUTER_TERMS, converged)
+    return Estimate(value, tail, _OUTER_TERMS + sum(r.evals for r in inner), converged)

@@ -5,18 +5,23 @@ import sys
 
 import pytest
 
-from gr32485.contour import hankel_hyperbolic
+from gr32485.contour import HankelPath, hankel_exp_integral, hankel_hyperbolic
 from gr32485.elliptic import carlson_rf
 from gr32485.series import u_value
 
 mpmath = pytest.importorskip("mpmath")
 
 
-@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 20.0, 30.0, 50.0])
-def test_hyperbolic_against_invertlaplace(t):
+def s_reference(t: float) -> float:
+    """S(t), the inverse Laplace transform of 1/sqrt(p + sqrt(p)), to 30 digits."""
     with mpmath.workdps(30):
         ref = mpmath.invertlaplace(lambda p: 1 / mpmath.sqrt(p + mpmath.sqrt(p)), t, method="talbot")
-    assert abs(hankel_hyperbolic(t) - float(ref)) <= 1e-12
+    return float(ref)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 20.0, 30.0, 50.0])
+def test_hyperbolic_against_invertlaplace(t):
+    assert abs(hankel_hyperbolic(t) - s_reference(t)) <= 1e-12
 
 
 def test_carlson_rf_against_elliprf():
@@ -40,3 +45,10 @@ def test_u_value_against_quad():
             ref = 2 * mpmath.quad(lambda v: mpmath.exp(-c * (quarter - v * v) ** 2), [0, 0.25, 0.5])
             worst = max(worst, float(abs(u_value(t) - ref) / ref) / sys.float_info.epsilon)
     assert worst <= 4.0
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 10.0])
+def test_exp_integral_within_its_claim(delta, t):
+    res = hankel_exp_integral(t, HankelPath(delta=delta))
+    assert abs(res.value - s_reference(t)) <= res.error_estimate

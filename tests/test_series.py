@@ -224,6 +224,13 @@ def test_double_series_value():
     assert res.value == pytest.approx(I_SIX_DIGITS, abs=1e-5)
 
 
+def test_double_series_evals_count_every_term():
+    # 48 outer terms plus every term of the inner k-sums under them
+    inner = sum(inner_k_sum(n).evals for n in range(series._OUTER_TERMS))
+    assert double_series_I().evals == series._OUTER_TERMS + inner
+    assert inner > 2000
+
+
 def test_double_series_bracketed_by_partial_sums():
     accelerated = double_series_I().value
     from gr32485.special import central_binomial_ratio

@@ -27,6 +27,16 @@ def test_catalog_covers_all_representations():
         assert rid in ids
 
 
+def test_residue_offsets_cover_the_u_grid():
+    # c(u) = (16/3) u^2 (1-u)^2 is symmetric under u -> 1-u, so the 10
+    # offsets V6 integrates are every offset of the 20-point grid j/19
+    offsets = verifier._RESIDUE_C
+    assert len(set(offsets)) == len(offsets) == 10
+    for u in (j / 19.0 for j in range(20)):
+        c = 16.0 / 3.0 * u * u * (1.0 - u) ** 2
+        assert min(abs(c - o) for o in offsets) <= 1e-16
+
+
 def test_selection_discrepancy_record():
     report = run_checks(["R0-vs-wrong"])
     assert len(report.records) == 1
