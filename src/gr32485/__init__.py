@@ -4,8 +4,6 @@ the corrected closed form of Gradshteyn-Ryzhik entry 3.248.5."""
 __version__ = "0.1.0"
 
 from .contour import (
-    DEFAULT_PATH,
-    HankelPath,
     hankel_exp_integral,
     hankel_resolvent_integral,
     nested_radical,
@@ -49,8 +47,6 @@ from .special import central_binomial_ratio
 
 __all__ = [
     "__version__",
-    "DEFAULT_PATH",
-    "HankelPath",
     "hankel_exp_integral",
     "hankel_resolvent_integral",
     "nested_radical",

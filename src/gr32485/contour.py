@@ -7,28 +7,23 @@ analytic there.
 
 The contour H encircles the negative real axis counterclockwise at
 distance delta: two horizontal rays at Im z = -/+ delta joined by the
-right half of the circle |z| = delta. The fixed parametrization is
+right half of the circle |z| = delta. Every integrand here is real on
+the positive real axis, so its value at conj(z) is the conjugate of its
+value at z. The lower half of H is the mirror image of the upper half
+run backwards, so it contributes the negated conjugate of the upper
+half, and
 
-    gamma(xi) = delta * (xi + 1 - i)        for xi <= -1   (lower ray)
-    gamma(xi) = delta * exp(i pi xi / 2)    for -1 < xi < 1
-    gamma(xi) = delta * (1 - xi + i)        for xi >= 1    (upper ray)
+    (1/(2 pi i)) int_H = Im(int over the upper half) / pi.
 
-so increasing xi runs from the lower ray, around the origin, onto the
-upper ray. Each contour integral compactifies its ray onto a finite
-range (see ``quadrature``), whether the integrand decays exponentially
-or only algebraically along it, so no tail is discarded.
+The adaptive contour integrals therefore integrate only the upper half,
+parametrized as
 
-Every integrand here is real on the positive real axis, so its value at
-conj(z) is the conjugate of its value at z. Since gamma(-xi) is the
-conjugate of gamma(xi) and gamma'(-xi) is minus the conjugate of
-gamma'(xi), the lower half of H contributes the negated conjugate of
-the upper half, and
+    gamma(xi) = delta * exp(i pi xi / 2)    for 0 <= xi <= 1   (arc)
+    gamma(r)  = delta * (-r + i)            for r >= 0         (upper ray)
 
-    (1/(2 pi i)) int_H = Im(int over xi >= 0) / pi.
-
-The adaptive contour integrals therefore integrate only the upper half
-(the arc for 0 <= xi <= 1 and the upper ray) and double its error
-estimate.
+and count its error estimate twice. The ray is compactified onto a
+finite range (see ``quadrature``), whether the integrand decays
+exponentially or only algebraically along it, so no tail is discarded.
 
 For S(t) = (1/(2 pi i)) int_H exp(t z) / sqrt(z + sqrt(z)) dz at larger t
 there is also a fixed-node rule, :func:`hankel_hyperbolic`: the trapezoid
@@ -43,39 +38,24 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import Callable
 
 from .quadrature import (
     DEFAULT_CONFIG,
     Estimate,
     Interval,
     QuadratureConfig,
+    _combined,
     integrate_complex,
 )
 
 __all__ = [
-    "HankelPath",
-    "DEFAULT_PATH",
     "principal_sqrt",
     "nested_radical",
     "hankel_exp_integral",
     "hankel_resolvent_integral",
     "hankel_hyperbolic",
 ]
-
-
-@dataclass(frozen=True)
-class HankelPath:
-    """Hankel contour at distance ``delta``."""
-
-    delta: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError("delta must be a positive finite number")
-
-
-DEFAULT_PATH = HankelPath()
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -104,59 +84,49 @@ def nested_radical(z: complex) -> complex:
 _ARC = 0.5j * math.pi
 
 
-def _from_upper_half(parts) -> Estimate:
-    """(1/(2 pi i)) int_H from the integrals over the upper half of H.
+def _upper_half(g: Callable[[complex], complex], delta: float, cfg: QuadratureConfig) -> Estimate:
+    """(1/(2 pi i)) int_H g(z) dz on the contour at distance ``delta``, from
+    its upper half: the lower half cancels the upper half's real part and
+    doubles its imaginary part, so the half's error estimate counts twice."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError("delta must be a positive finite number")
+    d_arc = delta * _ARC
 
-    The lower half contributes the negated conjugate of the upper half,
-    so the imaginary parts add and the real parts cancel exactly; the
-    upper half's error estimate counts twice.
-    """
+    def arc(xi: float) -> complex:
+        w = cmath.exp(_ARC * xi)
+        return g(delta * w) * (d_arc * w)
+
+    def upper_ray(r: float) -> complex:
+        return g(complex(-delta * r, delta)) * -delta
+
+    parts = (
+        integrate_complex(arc, Interval(0.0, 1.0), cfg),
+        integrate_complex(upper_ray, Interval(0.0, math.inf), cfg),
+    )
     total = sum(res.value for res in parts)
     err = 2.0 * sum(res.error_estimate for res in parts)
-    return Estimate(
-        total.imag / math.pi,
-        err / (2.0 * math.pi),
-        sum(res.evals for res in parts),
-        all(res.converged for res in parts),
-    )
+    return _combined(total.imag / math.pi, err / (2.0 * math.pi), parts)
 
 
 def hankel_exp_integral(
     t: float,
-    path: HankelPath = DEFAULT_PATH,
+    delta: float = 0.5,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Estimate:
     """(1/(2 pi i)) * int_H exp(t z) / sqrt(z + sqrt(z)) dz for t > 0.
 
-    On the upper ray |exp(t z)| = exp(t * delta * (1 - xi)); the ray
-    xi >= 1 is compactified rather than truncated, so no tail is
-    discarded. Only the upper half of the contour is integrated (see the
-    module docstring).
+    On the upper ray |exp(t z)| = exp(-t * delta * r), and on the arc
+    the integrand reaches exp(t * delta), which sets the roundoff floor:
+    once t * delta reaches about 10 the result stops converging.
     """
     if not t > 0.0:
         raise ValueError("hankel_exp_integral: t must be > 0")
-    d = path.delta
-    d_arc = d * _ARC
-
-    def arc(xi: float) -> complex:
-        w = cmath.exp(_ARC * xi)
-        z = d * w
-        return cmath.exp(t * z) / nested_radical(z) * (d_arc * w)
-
-    def upper_ray(xi: float) -> complex:
-        z = complex(d * (1.0 - xi), d)
-        return cmath.exp(t * z) / nested_radical(z) * -d
-
-    parts = [
-        integrate_complex(arc, Interval(0.0, 1.0), cfg),
-        integrate_complex(upper_ray, Interval(1.0, math.inf), cfg),
-    ]
-    return _from_upper_half(parts)
+    return _upper_half(lambda z: cmath.exp(t * z) / nested_radical(z), delta, cfg)
 
 
 def hankel_resolvent_integral(
     c: float,
-    path: HankelPath = DEFAULT_PATH,
+    delta: float = 0.5,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Estimate:
     """(1/(2 pi i)) * int_H dz / (sqrt(z + sqrt(z)) * (1 - z + c)) for c >= 0.
@@ -164,29 +134,13 @@ def hankel_resolvent_integral(
     The integrand has a simple pole at z = 1 + c to the right of the
     contour; closing H through the right half plane shows the value equals
     1 / sqrt((1+c) + sqrt(1+c)). The integrand decays only like |z|**(-3/2)
-    on the rays, which are compactified like every contour ray here.
+    on the ray.
     """
     if not c >= 0.0:
         raise ValueError(f"hankel_resolvent_integral: c must be >= 0, got {c!r}")
-    if path.delta >= 1.0 + c:
-        raise ValueError("path.delta must keep the pole right of the contour")
-    d = path.delta
-    d_arc = d * _ARC
-
-    def arc(xi: float) -> complex:
-        w = cmath.exp(_ARC * xi)
-        z = d * w
-        return 1.0 / (nested_radical(z) * (1.0 - z + c)) * (d_arc * w)
-
-    def upper_ray(r: float) -> complex:
-        z = complex(-d * r, d)
-        return 1.0 / (nested_radical(z) * (1.0 - z + c)) * -d
-
-    parts = [
-        integrate_complex(arc, Interval(0.0, 1.0), cfg),
-        integrate_complex(upper_ray, Interval(0.0, math.inf), cfg),
-    ]
-    return _from_upper_half(parts)
+    if delta >= 1.0 + c:
+        raise ValueError("delta must keep the pole right of the contour")
+    return _upper_half(lambda z: 1.0 / (nested_radical(z) * (1.0 - z + c)), delta, cfg)
 
 
 # Weideman-Trefethen hyperbola z(u) = mu * (1 + sin(i u - alpha)) with

@@ -133,8 +133,8 @@ def B(t: float) -> float:
     """(1 + 10 t - sqrt(1 + 32 t + 64 t^2)) / (8 t) for t > 0.
 
     B increases to 1/4 as t -> inf, vanishes at t = 1/3, and is negative
-    below that; the logarithmic representation only evaluates it on
-    t >= (2 + sqrt(3))/8 where it is positive.
+    below that. The logarithmic representation needs it on t >= (2 + sqrt(3))/8,
+    as 1/4 - B = 2/(sqrt(1 + 32 t + 64 t^2) + 8 t + 1), which does not cancel.
     """
     if not t > 0.0:
         raise ValueError(f"B: argument must be > 0, got {t!r}")
@@ -279,10 +279,11 @@ def _eval_r8(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
 
     def f(t: float) -> float:
-        val = B(t)
-        num = c.inv_k
-        den = 1.5 + _SQRT3 + math.sqrt(val if val > 0.0 else 0.0)
-        return math.log(num / den) / (2.0 * math.sqrt(t))
+        # log(inv_k / (inv_k - h)) with h = 1/2 - sqrt(B(t)) -> 0 like 1/t,
+        # built from q = 1/4 - B(t) without cancelling against 1/4 or 1/2
+        q = 2.0 / (math.sqrt(1.0 + t * (32.0 + 64.0 * t)) + 8.0 * t + 1.0)
+        h = q / (0.5 + math.sqrt(0.25 - q))
+        return -math.log1p(-h / c.inv_k) / (2.0 * math.sqrt(t))
 
     res = integrate(f, Interval(_LOG_T0, math.inf), cfg)
     return _combined(
@@ -329,23 +330,29 @@ def _eval_r9(cfg: QuadratureConfig) -> Estimate:
 
 
 def j1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
-    """int_{(1+sqrt3)/2}^{2+sqrt3} (x+1)/(x+1+sqrt3) dx/sqrt(Delta)."""
+    """int_{(1+sqrt3)/2}^{2+sqrt3} (x+1)/(x+1+sqrt3) dx/sqrt(Delta), in the
+    offset d = 1/k - x from the singular endpoint, where 1 - k x = k d."""
     c = CONSTANTS
 
-    def f(x: float) -> float:
-        return (x + 1.0) / (x + 1.0 + _SQRT3) * _inv_sqrt_delta(x)
+    def f(d: float) -> float:
+        x = c.inv_k - d
+        kd = c.k * d
+        return (x + 1.0) / (x + 1.0 + _SQRT3) / math.sqrt((x * x - 1.0) * kd * (2.0 - kd))
 
-    return integrate(f, Interval(c.a_upper, c.inv_k, singular_upper=True), cfg)
+    return integrate(f, Interval(0.0, c.inv_k - c.a_upper, singular_lower=True), cfg)
 
 
 def j2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
-    """int_1^{(1+sqrt3)/2} (x-2-sqrt3)/(x+1+sqrt3) dx/sqrt(Delta); negative."""
+    """int_1^{(1+sqrt3)/2} (x-2-sqrt3)/(x+1+sqrt3) dx/sqrt(Delta), negative,
+    in the offset d = x - 1 from the singular endpoint, where x^2 - 1 = d (2 + d)."""
     c = CONSTANTS
 
-    def f(x: float) -> float:
-        return (x - c.inv_k) / (x + 1.0 + _SQRT3) * _inv_sqrt_delta(x)
+    def f(d: float) -> float:
+        x = 1.0 + d
+        radicand = d * (2.0 + d) * (1.0 - c.k * c.k * x * x)
+        return (x - c.inv_k) / (x + 1.0 + _SQRT3) / math.sqrt(radicand)
 
-    return integrate(f, Interval(1.0, c.a_upper, singular_lower=True), cfg)
+    return integrate(f, Interval(0.0, c.a_upper - 1.0, singular_lower=True), cfg)
 
 
 def _eval_r10(cfg: QuadratureConfig) -> Estimate:

@@ -29,13 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__
-from .contour import (
-    DEFAULT_PATH,
-    HankelPath,
-    hankel_exp_integral,
-    hankel_resolvent_integral,
-    nested_radical,
-)
+from .contour import hankel_exp_integral, hankel_resolvent_integral, nested_radical
 from .elliptic import complete_K, complete_Pi, incomplete_F, landen_residual
 from .quadrature import (
     _DEADLINE,
@@ -163,7 +157,7 @@ _HANKEL_T_GRID = (0.5, 1.0, 2.0, 5.0)
 
 
 def _check_hankel_series(ctx: _Context):
-    contour = [hankel_exp_integral(t, DEFAULT_PATH, ctx.cfg) for t in _HANKEL_T_GRID]
+    contour = [hankel_exp_integral(t, cfg=ctx.cfg) for t in _HANKEL_T_GRID]
     gaps = [abs(c.value - hankel_series(t)) for c, t in zip(contour, _HANKEL_T_GRID)]
     return _worst(gaps, contour), 0.0
 
@@ -174,7 +168,7 @@ _RESIDUE_C = tuple(16.0 / 3.0 * u * u * (1.0 - u) ** 2 for u in (j / 19.0 for j 
 
 
 def _check_residue(ctx: _Context):
-    contour = [hankel_resolvent_integral(c, DEFAULT_PATH, ctx.cfg) for c in _RESIDUE_C]
+    contour = [hankel_resolvent_integral(c, cfg=ctx.cfg) for c in _RESIDUE_C]
     residues = [(1.0 / nested_radical(complex(1.0 + c, 0.0))).real for c in _RESIDUE_C]
     return _worst([abs(r.value - v) for r, v in zip(contour, residues)], contour), 0.0
 
@@ -182,8 +176,8 @@ def _check_residue(ctx: _Context):
 def _check_delta_independence(ctx: _Context):
     parts, gaps = [], []
     for t in (1.0, 2.0):
-        base = hankel_exp_integral(t, DEFAULT_PATH, ctx.cfg)
-        others = [hankel_exp_integral(t, HankelPath(delta=d), ctx.cfg) for d in (0.25, 1.0)]
+        base = hankel_exp_integral(t, cfg=ctx.cfg)
+        others = [hankel_exp_integral(t, d, ctx.cfg) for d in (0.25, 1.0)]
         parts += [base, *others]
         gaps += [abs(o.value - base.value) for o in others]
     return _worst(gaps, parts), 0.0

@@ -4,12 +4,7 @@ pass/fail line each, every tolerance pinned in the assertion itself."""
 import math
 import time
 
-from gr32485.contour import (
-    HankelPath,
-    hankel_exp_integral,
-    hankel_resolvent_integral,
-    nested_radical,
-)
+from gr32485.contour import hankel_exp_integral, hankel_resolvent_integral, nested_radical
 from gr32485.elliptic import complete_K, complete_Pi, incomplete_F, landen_residual
 from gr32485.quadrature import Interval, integrate
 from gr32485.representations import (
@@ -139,7 +134,7 @@ def test_criterion_7_contour_properties():
         ref = (1.0 / nested_radical(complex(1.0 + c, 0.0))).real
         residue_gap = max(residue_gap, abs(hankel_resolvent_integral(c).value - ref))
     delta_gap = max(
-        abs(hankel_exp_integral(t, HankelPath(delta=d)).value - hankel_exp_integral(t).value)
+        abs(hankel_exp_integral(t, d).value - hankel_exp_integral(t).value)
         for t in (1.0, 2.0)
         for d in (0.25, 1.0)
     )
