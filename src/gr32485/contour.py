@@ -113,14 +113,14 @@ def hankel_exp_integral(
     delta: float = 0.5,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Estimate:
-    """(1/(2 pi i)) * int_H exp(t z) / sqrt(z + sqrt(z)) dz for t > 0.
+    """(1/(2 pi i)) * int_H exp(t z) / sqrt(z + sqrt(z)) dz for finite t > 0.
 
     On the upper ray |exp(t z)| = exp(-t * delta * r), and on the arc
     the integrand reaches exp(t * delta), which sets the roundoff floor:
     once t * delta reaches about 10 the result stops converging.
     """
-    if not t > 0.0:
-        raise ValueError("hankel_exp_integral: t must be > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"hankel_exp_integral: t must be finite and > 0, got {t!r}")
     return _upper_half(lambda z: cmath.exp(t * z) / nested_radical(z), delta, cfg)
 
 
@@ -129,15 +129,15 @@ def hankel_resolvent_integral(
     delta: float = 0.5,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Estimate:
-    """(1/(2 pi i)) * int_H dz / (sqrt(z + sqrt(z)) * (1 - z + c)) for c >= 0.
+    """(1/(2 pi i)) * int_H dz / (sqrt(z + sqrt(z)) * (1 - z + c)) for finite c >= 0.
 
     The integrand has a simple pole at z = 1 + c to the right of the
     contour; closing H through the right half plane shows the value equals
     1 / sqrt((1+c) + sqrt(1+c)). The integrand decays only like |z|**(-3/2)
     on the ray.
     """
-    if not c >= 0.0:
-        raise ValueError(f"hankel_resolvent_integral: c must be >= 0, got {c!r}")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"hankel_resolvent_integral: c must be finite and >= 0, got {c!r}")
     if delta >= 1.0 + c:
         raise ValueError("delta must keep the pole right of the contour")
     return _upper_half(lambda z: 1.0 / (nested_radical(z) * (1.0 - z + c)), delta, cfg)
@@ -170,7 +170,7 @@ _HYP_RULE = _hyperbola_rule()
 
 
 def hankel_hyperbolic(t: float) -> float:
-    """S(t) = (1/(2 pi i)) int exp(t z) / sqrt(z + sqrt(z)) dz for t > 0,
+    """S(t) = (1/(2 pi i)) int exp(t z) / sqrt(z + sqrt(z)) dz for finite t > 0,
     by the 2N+1-point trapezoid rule on the Weideman-Trefethen hyperbola.
 
     The rule evaluates the integrand at the N+1 nodes u_k = k h >= 0 (the
@@ -179,8 +179,8 @@ def hankel_hyperbolic(t: float) -> float:
     0.25 <= t <= 50 and below 1e-13 for t >= 8, where the rounding of the
     terms, not the rule, sets it.
     """
-    if not t > 0.0:
-        raise ValueError("hankel_hyperbolic: t must be > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"hankel_hyperbolic: t must be finite and > 0, got {t!r}")
     mu = _HYP_MU_T / t
     total = 0j
     for w, c in _HYP_RULE:

@@ -31,8 +31,7 @@ import contextvars
 import heapq
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "Interval",
@@ -49,43 +48,65 @@ class IntegrandError(ValueError):
     """The integrand returned a non-finite value at an interior node."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class _IntervalFields(NamedTuple):
     lower: float
     upper: float
     singular_lower: bool = False
     singular_upper: bool = False
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lower) or math.isnan(self.upper):
+
+class Interval(_IntervalFields):
+    """An integration range with its inverse-square-root endpoints flagged."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        iv = super().__new__(cls, *args, **kwargs)
+        if math.isnan(iv.lower) or math.isnan(iv.upper):
             raise ValueError("interval endpoints must not be NaN")
-        if math.isinf(self.lower):
+        if math.isinf(iv.lower):
             raise ValueError("the lower endpoint must be finite")
-        if not self.lower < self.upper:
-            raise ValueError(f"degenerate interval [{self.lower}, {self.upper}]")
-        if self.singular_upper and math.isinf(self.upper):
+        if not iv.lower < iv.upper:
+            raise ValueError(f"degenerate interval [{iv.lower}, {iv.upper}]")
+        if iv.singular_upper and math.isinf(iv.upper):
             raise ValueError("a singular upper endpoint must be finite")
+        return iv
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it passes the checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class _QuadratureConfigFields(NamedTuple):
     abs_tol: float = 1e-12
     max_evals: int = 200_000
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+
+class QuadratureConfig(_QuadratureConfigFields):
+    """The engine's absolute tolerance and integrand-evaluation budget."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if not (math.isfinite(cfg.abs_tol) and cfg.abs_tol > 0.0):
             raise ValueError("abs_tol must be a positive finite number")
-        if not isinstance(self.max_evals, int):
-            raise ValueError(f"max_evals must be an integer, got {self.max_evals!r}")
-        if self.max_evals < 15:
+        if not isinstance(cfg.max_evals, int):
+            raise ValueError(f"max_evals must be an integer, got {cfg.max_evals!r}")
+        if cfg.max_evals < 15:
             raise ValueError("max_evals must admit at least one 15-point panel")
+        return cfg
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A computed value with its absolute error bound and its cost.
 
     ``evals`` counts integrand evaluations for quadrature and contour

@@ -21,8 +21,7 @@ tolerances leave roughly ten orders of margin against the wrong value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .contour import hankel_hyperbolic
 from .elliptic import complete_Pi, incomplete_F
@@ -62,8 +61,7 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """Exact algebraic constants of the evaluation, as floats."""
 
     k: float  # modulus 2 - sqrt(3)
@@ -242,21 +240,19 @@ def _eval_r4(cfg: QuadratureConfig) -> Estimate:
 
 
 def _eval_r5(cfg: QuadratureConfig) -> Estimate:
-    def f(x: float) -> float:
-        return 1.0 / (2.0 * math.sqrt(1.0 - x)) / _sqrt_term(1.0 + x * x / 3.0)
+    # in the offset d = 1 - x from the singular endpoint x = 1
+    def f(d: float) -> float:
+        x = 1.0 - d
+        return 1.0 / (2.0 * math.sqrt(d)) / _sqrt_term(1.0 + x * x / 3.0)
 
-    return integrate(f, Interval(0.0, 1.0, singular_upper=True), cfg)
-
-
-def _rationalized_core(x: float) -> float:
-    return math.sqrt((1.0 - x + x * x) / (x * (1.0 - x * x) * (2.0 - x)))
+    return integrate(f, Interval(0.0, 1.0, singular_lower=True), cfg)
 
 
 def _eval_r6(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
 
     def f(x: float) -> float:
-        return _rationalized_core(x) / (c.inv_k - x)
+        return math.sqrt((1.0 - x + x * x) / (x * (1.0 - x * x) * (2.0 - x))) / (c.inv_k - x)
 
     res = integrate(f, Interval(0.0, c.k, singular_lower=True), cfg)
     return _scaled(_SQRT3 / math.sqrt(c.k), res)
@@ -265,10 +261,13 @@ def _eval_r6(cfg: QuadratureConfig) -> Estimate:
 def _eval_r7(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
 
-    def f(x: float) -> float:
-        return _rationalized_core(x) / (x - c.k)
+    # in the offset d = x - 2 from the singular endpoint, where
+    # (1 - x^2)(2 - x) = d (1 + d)(3 + d)
+    def f(d: float) -> float:
+        x = 2.0 + d
+        return math.sqrt((1.0 - x + x * x) / (x * d * (1.0 + d) * (3.0 + d))) / (x - c.k)
 
-    res = integrate(f, Interval(2.0, c.inv_k, singular_lower=True), cfg)
+    res = integrate(f, Interval(0.0, c.inv_k - 2.0, singular_lower=True), cfg)
     return _scaled(_SQRT3 / math.sqrt(c.inv_k), res)
 
 
@@ -295,28 +294,28 @@ _M_UPPER = 4.0 * (3.0 * _SQRT3 - 4.0)
 _M_SHIFT = 4.0 * (4.0 + 3.0 * _SQRT3)
 
 
+# The pre-normal-form pair is integrated in the offset d = x - 4 from the
+# singular endpoint, where x^2 - 16 = d (8 + d).
+_PRE_NORMAL_RANGE = Interval(0.0, _M_UPPER - 4.0, singular_lower=True)
+
+
+def _pre_normal_root(d: float) -> float:
+    """0.5 sqrt((8 - x)/(x^2 - 16)) / (4 (4 + 3 sqrt(3)) + x) at x = 4 + d."""
+    return 0.5 * math.sqrt((4.0 - d) / (d * (8.0 + d))) / (_M_SHIFT + 4.0 + d)
+
+
 def h1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """First half of the pre-normal-form pair on [4, 4(3 sqrt(3) - 4)]."""
 
-    def f(x: float) -> float:
-        return (
-            0.5
-            * math.sqrt((8.0 - x) / (x * x - 16.0))
-            * (3.0 + 2.0 * _SQRT3)
-            / (_M_SHIFT + x)
-            / math.sqrt(5.0 - x)
-        )
+    def f(d: float) -> float:
+        return _pre_normal_root(d) * (3.0 + 2.0 * _SQRT3) / math.sqrt(1.0 - d)
 
-    return integrate(f, Interval(4.0, _M_UPPER, singular_lower=True), cfg)
+    return integrate(f, _PRE_NORMAL_RANGE, cfg)
 
 
 def h2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """Second half of the pre-normal-form pair."""
-
-    def f(x: float) -> float:
-        return 0.5 * math.sqrt((8.0 - x) / (x * x - 16.0)) / (_M_SHIFT + x)
-
-    return integrate(f, Interval(4.0, _M_UPPER, singular_lower=True), cfg)
+    return integrate(_pre_normal_root, _PRE_NORMAL_RANGE, cfg)
 
 
 def _eval_r9(cfg: QuadratureConfig) -> Estimate:
@@ -402,8 +401,7 @@ def double_angle_form(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
 # catalog
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     id: str
     description: str
     anchor: str

@@ -80,8 +80,9 @@ def u_series(t: float) -> Estimate:
     return Estimate(total, abs(term), MAX_TERMS, False)
 
 
-def u_integral(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """U(t) by quadrature of exp(-(16/3) u^2 (1-u)^2 t) over [0, 1]."""
+def _u_quadrature(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
+    """U(t) by quadrature of exp(-(16/3) u^2 (1-u)^2 t) over [0, 1], with
+    the engine's error estimate and evaluation count."""
     if not t >= 0.0:
         raise ValueError(f"u_integral: t must be >= 0, got {t!r}")
 
@@ -89,7 +90,13 @@ def u_integral(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         w = u * (1.0 - u)
         return math.exp(-16.0 / 3.0 * w * w * t)
 
-    res = integrate(f, Interval(0.0, 1.0), cfg)
+    return integrate(f, Interval(0.0, 1.0), cfg)
+
+
+def u_integral(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """The value of :func:`_u_quadrature`; raises ArithmeticError when it
+    did not converge."""
+    res = _u_quadrature(t, cfg)
     if not res.converged:
         raise ArithmeticError(f"u_integral({t}) did not converge")
     return res.value

@@ -25,8 +25,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .contour import hankel_exp_integral, hankel_resolvent_integral, nested_radical
@@ -54,7 +53,7 @@ from .representations import (
     j1_integral,
     j2_integral,
 )
-from .series import hankel_series, u_integral, u_series
+from .series import _u_quadrature, hankel_series, u_series
 
 __all__ = [
     "CheckRecord",
@@ -80,8 +79,7 @@ class UnknownCheckError(ValueError):
     """A selection named a check id that is not in the catalog."""
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     id: str
     description: str
     lhs: float
@@ -96,16 +94,14 @@ class CheckRecord:
     reason: str | None = None  # why a check did not pass or fail
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     records: list[CheckRecord]
     tool_version: str
     config_echo: str
     overall: str  # "pass" | "fail"
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     id: str
     description: str
     anchor: str
@@ -142,15 +138,16 @@ _LEMMA_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 def _check_lemma_pair(ctx: _Context):
     sums = [u_series(t) for t in _LEMMA_T_GRID]
-    gaps = [abs(s.value - u_integral(t, ctx.cfg)) for s, t in zip(sums, _LEMMA_T_GRID)]
-    return _worst(gaps, sums), 0.0
+    quads = [_u_quadrature(t, ctx.cfg) for t in _LEMMA_T_GRID]
+    gaps = [abs(s.value - q.value) for s, q in zip(sums, quads)]
+    return _worst(gaps, sums + quads), 0.0
 
 
 def _check_lemma_decay(ctx: _Context):
     # U(t) <= sqrt(3 pi) / (2 sqrt(t)): the proof bound with the factor
     # from the symmetry of u(1-u) about 1/2 made explicit
-    worst = max(u_integral(t, ctx.cfg) * math.sqrt(t) for t in (2.0, 10.0, 100.0))
-    return worst, _SQRT_3PI / 2.0
+    scaled = [_scaled(math.sqrt(t), _u_quadrature(t, ctx.cfg)) for t in (2.0, 10.0, 100.0)]
+    return _worst([s.value for s in scaled], scaled), _SQRT_3PI / 2.0
 
 
 _HANKEL_T_GRID = (0.5, 1.0, 2.0, 5.0)
@@ -501,7 +498,7 @@ def render_json(report: Report) -> str:
         "config_echo": report.config_echo,
         "overall": report.overall,
         "records": [
-            {key: _finite_or_none(v) for key, v in asdict(r).items()}
+            {key: _finite_or_none(v) for key, v in r._asdict().items()}
             for r in report.records
         ],
     }

@@ -4,6 +4,7 @@ import pytest
 
 from gr32485.quadrature import (
     DEFAULT_CONFIG,
+    Estimate,
     IntegrandError,
     Interval,
     QuadratureConfig,
@@ -39,6 +40,29 @@ def test_config_validation():
             QuadratureConfig(abs_tol=bad)
     with pytest.raises(ValueError):
         QuadratureConfig(max_evals=15.5)
+
+
+def test_replace_is_validated():
+    with pytest.raises(ValueError):
+        Interval(0.0, 1.0)._replace(upper=0.0)
+    with pytest.raises(ValueError):
+        QuadratureConfig()._replace(max_evals=14)
+    assert Interval(0.0, 1.0)._replace(singular_lower=True) == Interval(0.0, 1.0, True)
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        (Estimate(1.0, 0.0, 15, True), "value"),
+        (Interval(0.0, 1.0), "lower"),
+        (QuadratureConfig(), "abs_tol"),
+    ],
+)
+def test_value_types_are_immutable(obj, field):
+    with pytest.raises(AttributeError):
+        setattr(obj, field, 2.0)
+    with pytest.raises(AttributeError):
+        obj.extra = 2.0
 
 
 def test_upper_singular_antiderivative():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gr32485.series as series
-from gr32485.contour import hankel_resolvent_integral
+from gr32485.contour import hankel_exp_integral, hankel_hyperbolic, hankel_resolvent_integral
 from gr32485.quadrature import Interval, integrate
 from gr32485.series import (
     double_series_I,
@@ -111,6 +111,10 @@ def test_u_rejects_negative():
         (u_integral, math.nan, "t"),
         (inner_k_sum, math.nan, "n"),
         (hankel_resolvent_integral, math.nan, "c"),
+        (hankel_resolvent_integral, math.inf, "c"),
+        (hankel_exp_integral, math.inf, "t"),
+        (hankel_exp_integral, math.nan, "t"),
+        (hankel_hyperbolic, math.inf, "t"),
     ],
 )
 def test_kernels_reject_nan_and_inf(fn, arg, name):

@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gr32485
 import gr32485.verifier as verifier
 from gr32485.cli import main
 from gr32485.quadrature import Estimate, Interval, QuadratureConfig, integrate
+from gr32485.series import _u_quadrature, u_series
 from gr32485.verifier import (
     CheckSpec,
     Report,
@@ -185,6 +190,13 @@ def test_unconverged_route_is_evaluated_once(monkeypatch):
     assert report.records[0].reason == "R0 did not converge"
 
 
+def test_lemma_checks_count_their_quadratures():
+    report = run_checks(["V4-lemma", "lemma-decay"])
+    pair = sum(u_series(t).evals + _u_quadrature(t).evals for t in verifier._LEMMA_T_GRID)
+    decay = sum(_u_quadrature(t).evals for t in (2.0, 10.0, 100.0))
+    assert [r.evals for r in report.records] == [pair, decay]
+
+
 @pytest.mark.parametrize("name", ["tol", "timeout_secs"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_run_checks_rejects_bad_limits(name, value):
@@ -215,6 +227,29 @@ def test_render_json_empty_report():
     doc = json.loads(render_json(empty))
     assert doc["records"] == []
     assert doc["overall"] == "pass"
+
+
+# a record's keys in the JSON report, in CheckRecord field order
+RECORD_KEYS = [
+    "id",
+    "description",
+    "lhs",
+    "rhs",
+    "abs_diff",
+    "tolerance",
+    "status",
+    "paper_anchor",
+    "evals",
+    "wall_time_ms",
+    "kind",
+    "reason",
+]
+
+
+def test_render_json_record_keys():
+    doc = json.loads(render_json(run_checks(["constants"])))
+    assert list(doc["records"][0]) == RECORD_KEYS
+    assert list(verifier.CheckRecord._fields) == RECORD_KEYS
 
 
 def test_render_json_round_trip():
@@ -274,7 +309,8 @@ def test_cli_exit_codes(capsys):
     assert main(["--only", "nonsense"]) == 2
     assert "unknown check id" in capsys.readouterr().err
 
-    assert main(["--only", "R5", "--tol", "1e-18"]) == 1
+    # R3's Laplace form sits about 7e-15 from R0; R5 now matches R0 exactly
+    assert main(["--only", "R3", "--tol", "1e-18"]) == 1
     assert "overall: fail" in capsys.readouterr().out
 
     assert main(["--tol", "-1"]) == 2
@@ -314,3 +350,15 @@ def test_cli_json_output(capsys):
     assert main(["--only", "constants", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["records"][0]["id"] == "constants"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which cost a
+    # verify process more than its checks. -S keeps site hooks from
+    # preloading modules, so sys.modules holds what the import needs.
+    code = "import sys, gr32485.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gr32485.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
