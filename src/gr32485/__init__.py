@@ -24,7 +24,6 @@ from .quadrature import (
     Interval,
     QuadratureConfig,
     integrate,
-    integrate_complex,
 )
 from .representations import (
     CONSTANTS,
@@ -36,6 +35,7 @@ from .representations import (
 )
 from .series import (
     TAIL_TOL,
+    central_binomial_ratio,
     double_series_I,
     hankel_series,
     inner_k_sum,
@@ -43,7 +43,6 @@ from .series import (
     u_series,
     u_value,
 )
-from .special import central_binomial_ratio
 
 __all__ = [
     "__version__",
@@ -63,7 +62,6 @@ __all__ = [
     "Interval",
     "QuadratureConfig",
     "integrate",
-    "integrate_complex",
     "CONSTANTS",
     "REPRESENTATIONS",
     "Constants",

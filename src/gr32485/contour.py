@@ -46,7 +46,7 @@ from .quadrature import (
     Interval,
     QuadratureConfig,
     _combined,
-    integrate_complex,
+    integrate,
 )
 
 __all__ = [
@@ -100,8 +100,8 @@ def _upper_half(g: Callable[[complex], complex], delta: float, cfg: QuadratureCo
         return g(complex(-delta * r, delta)) * -delta
 
     parts = (
-        integrate_complex(arc, Interval(0.0, 1.0), cfg),
-        integrate_complex(upper_ray, Interval(0.0, math.inf), cfg),
+        integrate(arc, Interval(0.0, 1.0), cfg),
+        integrate(upper_ray, Interval(0.0, math.inf), cfg),
     )
     total = sum(res.value for res in parts)
     err = 2.0 * sum(res.error_estimate for res in parts)

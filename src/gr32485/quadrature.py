@@ -5,16 +5,18 @@ interval; the only admissible endpoint misbehaviour is an inverse square
 root blow-up, declared in advance through ``Interval`` flags. The engine
 therefore never detects singularities at run time. It
 
-* removes a flagged singular endpoint with the substitution
-  x = endpoint -/+ s**2, which maps smooth(x)/sqrt(|x - endpoint|)
-  integrands onto smooth ones. The engine hands the integrand ``x``,
-  not the offset s**2, and the integrand recomputes ``x - endpoint``;
-  next to a nonzero endpoint that difference carries the rounding error
-  of ``x``, so the result can be less accurate than its error estimate
-  claims (ROADMAP, honest error bars, item (b)),
-* compactifies a semi-infinite range with t = lower + s/(1 - s) and
-  treats the image of infinity as a sqrt-singular endpoint, which also
-  resolves the t**(-3/2) algebraic tails that occur here,
+* removes a singular lower endpoint, which must sit at 0, with the
+  substitution x = s**2. The integrand receives the exact offset from
+  the endpoint, so an integrand written in that offset keeps its full
+  relative precision next to the singularity,
+* removes a singular upper endpoint b with x = b - s**2. The integrand
+  receives ``x``, not the offset s**2; an integrand that recomputes
+  ``b - x`` loses the offset's relative precision, so the result can be
+  less accurate than its error estimate claims,
+* compactifies a semi-infinite range [a, inf) with t = a - 1 + 1/sigma**2
+  on sigma in (0, 1]. Its Jacobian 2/sigma**3 cancels the t**(-3/2)
+  algebraic tails that occur here, so the image of infinity is a regular
+  endpoint. A range [0, inf) singular at 0 is split once at 1,
 * integrates the resulting smooth pieces with adaptive Gauss-Kronrod
   (G7, K15) bisection until the summed |K15 - G7| error estimate meets
   ``abs_tol`` or the evaluation budget runs out.
@@ -40,7 +42,6 @@ __all__ = [
     "IntegrandError",
     "DEFAULT_CONFIG",
     "integrate",
-    "integrate_complex",
 ]
 
 
@@ -56,7 +57,8 @@ class _IntervalFields(NamedTuple):
 
 
 class Interval(_IntervalFields):
-    """An integration range with its inverse-square-root endpoints flagged."""
+    """An integration range with its inverse-square-root endpoint flagged:
+    a singular lower endpoint must be 0, and at most one end is singular."""
 
     __slots__ = ()
 
@@ -70,6 +72,10 @@ class Interval(_IntervalFields):
             raise ValueError(f"degenerate interval [{iv.lower}, {iv.upper}]")
         if iv.singular_upper and math.isinf(iv.upper):
             raise ValueError("a singular upper endpoint must be finite")
+        if iv.singular_lower and iv.lower != 0.0:
+            raise ValueError("a singular lower endpoint must be 0")
+        if iv.singular_lower and iv.singular_upper:
+            raise ValueError("at most one endpoint may be singular")
         return iv
 
     @classmethod
@@ -211,51 +217,41 @@ def _gk15(g: Callable, a: float, b: float):
     return resk * half, max(err, floor), floor
 
 
-def _sub_lower(f: Callable, a: float, b: float) -> Callable:
+def _sub(f: Callable, end: float, step: float) -> Callable:
+    """The integrand in s, where x = end + step * s**2 moves away from a
+    singular endpoint, which is never evaluated."""
+
     def g(s: float):
-        x = a + s * s
-        if x == a:
-            x = math.nextafter(a, b)
+        x = end + step * (s * s)
+        if x == end:
+            x = math.nextafter(end, end + step)
         return 2.0 * s * f(x)
 
     return g
 
 
-def _sub_upper(f: Callable, a: float, b: float) -> Callable:
-    def g(s: float):
-        x = b - s * s
-        if x == b:
-            x = math.nextafter(b, a)
-        return 2.0 * s * f(x)
+def _compact(f: Callable, a: float) -> Callable:
+    """The integrand on [a, inf) in sigma, where t = a - 1 + 1/sigma**2."""
+
+    def g(sigma: float):
+        s3 = sigma * sigma * sigma
+        # near the image of infinity a convergent improper integrand vanishes
+        if s3 == 0.0 or not math.isfinite(t := a - 1.0 + 1.0 / (sigma * sigma)):
+            return 0.0
+        return 2.0 * f(t) / s3
 
     return g
-
-
-def _finite_pieces(f: Callable, a: float, b: float, sing_lo: bool, sing_hi: bool) -> list:
-    if sing_lo and sing_hi:
-        mid = 0.5 * (a + b)
-        return _finite_pieces(f, a, mid, True, False) + _finite_pieces(f, mid, b, False, True)
-    if sing_lo:
-        return [(_sub_lower(f, a, b), 0.0, math.sqrt(b - a))]
-    if sing_hi:
-        return [(_sub_upper(f, a, b), 0.0, math.sqrt(b - a))]
-    return [(f, a, b)]
 
 
 def _pieces(f: Callable, iv: Interval) -> list:
-    if math.isinf(iv.upper):
-        a = iv.lower
-
-        def g(s: float, _f=f, _a=a):
-            u = 1.0 - s
-            t = _a + s / u
-            if not math.isfinite(t):
-                # image of infinity; a convergent improper integrand vanishes there
-                return 0.0
-            return _f(t) / (u * u)
-
-        return _finite_pieces(g, 0.0, 1.0, iv.singular_lower, True)
-    return _finite_pieces(f, iv.lower, iv.upper, iv.singular_lower, iv.singular_upper)
+    a, b = iv.lower, iv.upper
+    if iv.singular_upper:
+        return [(_sub(f, b, -1.0), 0.0, math.sqrt(b - a))]
+    if iv.singular_lower and math.isinf(b):
+        return _pieces(f, Interval(0.0, 1.0, True)) + _pieces(f, Interval(1.0, b))
+    if iv.singular_lower:
+        return [(_sub(f, 0.0, 1.0), 0.0, math.sqrt(b))]
+    return [(_compact(f, a), 0.0, 1.0)] if math.isinf(b) else [(f, a, b)]
 
 
 def _adaptive(pieces: list, cfg: QuadratureConfig):
@@ -310,24 +306,14 @@ def _adaptive(pieces: list, cfg: QuadratureConfig):
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[float], float | complex],
     iv: Interval,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Estimate:
     """Integrate f over iv to within cfg.abs_tol (absolute, with high confidence).
 
+    f may be real or complex valued; the value has the type of f's values.
     Endpoints flagged singular are never evaluated; integrands may blow up
     there no faster than the -1/2 power of the distance to the endpoint.
     """
-    value, err, evals, ok = _adaptive(_pieces(f, iv), cfg)
-    return Estimate(float(value), err, evals, ok)
-
-
-def integrate_complex(
-    f: Callable[[float], complex],
-    iv: Interval,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> Estimate:
-    """Same engine as :func:`integrate` for a complex-valued integrand of a real parameter."""
-    value, err, evals, ok = _adaptive(_pieces(f, iv), cfg)
-    return Estimate(complex(value), err, evals, ok)
+    return Estimate(*_adaptive(_pieces(f, iv), cfg))

@@ -47,7 +47,6 @@ __all__ = [
     "REPRESENTATIONS",
     "representation_ids",
     "eval_representation",
-    "delta_radicand",
     "DELTA_FORMS",
     "double_angle_form",
     "h1_integral",
@@ -152,28 +151,24 @@ def _integrand_r0(x: float) -> float:
     return 1.0 / ((1.0 + x * x) ** 1.5 * _sqrt_term(p))
 
 
-def delta_radicand(x: float) -> float:
-    """(x^2 - 1)(1 - k^2 x^2) with k = 2 - sqrt(3); vanishes at 1 and 1/k."""
-    k = CONSTANTS.k
-    return (x * x - 1.0) * (1.0 - k * k * x * x)
-
-
-def _inv_sqrt_delta(x: float) -> float:
-    return 1.0 / math.sqrt(delta_radicand(x))
-
-
-def _shifted_inv_sqrt_delta(x: float) -> float:
-    return _inv_sqrt_delta(x) / (x + 1.0 + _SQRT3)
+# x = 1 + L sin^2(theta) with L = 1/k - 1 makes x - 1 = L sin^2(theta) and
+# 1/k - x = L cos^2(theta) exact products, so with Delta = (x^2 - 1)(1 - k^2 x^2)
+# dx / sqrt(Delta) = 2 dtheta / (k sqrt((x + 1)(1/k + x))), regular on [0, pi/2].
+def _inv_sqrt_delta(theta: float, shifted: bool = False) -> float:
+    """dx / (sqrt(Delta) dtheta), divided by x + 1 + sqrt3 when shifted."""
+    x = 1.0 + (CONSTANTS.inv_k - 1.0) * math.sin(theta) ** 2
+    w = 2.0 / (CONSTANTS.k * math.sqrt((x + 1.0) * (CONSTANTS.inv_k + x)))
+    return w / (x + 1.0 + _SQRT3) if shifted else w
 
 
 # The three Delta-form integrals of the normal form, shared by R11 and the
 # Byrd-Friedman checks: over [1, 1/k] and [1, a] of 1/sqrt(Delta), and over
-# [1, 1/k] of 1/((x + 1 + sqrt3) sqrt(Delta)).
-_WHOLE_DELTA_RANGE = Interval(1.0, CONSTANTS.inv_k, singular_lower=True, singular_upper=True)
+# [1, 1/k] of 1/((x + 1 + sqrt3) sqrt(Delta)). In theta, x = 1/k is pi/2 and
+# x = a is arcsin(sqrt(k/2)).
 DELTA_FORMS = (
-    (_inv_sqrt_delta, _WHOLE_DELTA_RANGE),
-    (_inv_sqrt_delta, Interval(1.0, CONSTANTS.a_upper, singular_lower=True)),
-    (_shifted_inv_sqrt_delta, _WHOLE_DELTA_RANGE),
+    (_inv_sqrt_delta, Interval(0.0, 0.5 * math.pi)),
+    (_inv_sqrt_delta, Interval(0.0, math.asin(math.sqrt(0.5 * CONSTANTS.k)))),
+    (lambda theta: _inv_sqrt_delta(theta, True), Interval(0.0, 0.5 * math.pi)),
 )
 
 

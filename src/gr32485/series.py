@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 
 from .quadrature import DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, integrate
-from .special import central_binomial_ratio
 
 __all__ = [
     "TAIL_TOL",
@@ -40,6 +39,7 @@ __all__ = [
     "u_value",
     "U_RULE_ERROR",
     "hankel_series",
+    "central_binomial_ratio",
     "inner_k_sum",
     "double_series_I",
 ]
@@ -198,12 +198,19 @@ def hankel_series(t: float) -> float:
     raise ArithmeticError(f"hankel_series({t}) did not converge")
 
 
+def central_binomial_ratio(n: int) -> float:
+    """binom(2n, n) / 4**n, correctly rounded."""
+    if n < 0:
+        raise ValueError("central_binomial_ratio: n must be nonnegative")
+    return math.comb(2 * n, n) / 4**n
+
+
 def inner_k_sum(n: int) -> Estimate:
     """The absolutely convergent k-sum inner(n) to TAIL_TOL/16, the
     tolerance the double series needs; geometric tail bound from the
     eventual term ratio < 1/2."""
-    if not n >= 0:
-        raise ValueError(f"inner_k_sum: n must be >= 0, got {n!r}")
+    if not (n >= 0 and math.isfinite(n) and n == int(n)):
+        raise ValueError(f"inner_k_sum: n must be an integer >= 0, got {n!r}")
     total = 0.0
     term = 1.0
     half = 0.5 * (n + 1)

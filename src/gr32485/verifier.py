@@ -213,7 +213,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 lambda ctx, rep_id=rep.id: (ctx.representation(rep_id), ctx.representation("R0")),
             )
         )
-    # the Delta-form integrals of R11 by raw singular quadrature, each
+    # the Delta-form integrals of R11 by quadrature in theta, each
     # against its closed form through the elliptic module
     specs.extend(
         [

@@ -14,13 +14,13 @@ from gr32485.representations import (
     representation_ids,
 )
 from gr32485.series import (
+    central_binomial_ratio,
     double_series_I,
     hankel_series,
     inner_k_sum,
     u_integral,
     u_series,
 )
-from gr32485.special import central_binomial_ratio
 from gr32485.verifier import run_checks
 
 HEADLINE = 0.666377

@@ -7,6 +7,14 @@ import pytest
 
 from gr32485.contour import hankel_exp_integral, hankel_hyperbolic
 from gr32485.elliptic import carlson_rf
+from gr32485.quadrature import integrate
+from gr32485.representations import (
+    DELTA_FORMS,
+    h1_integral,
+    h2_integral,
+    j1_integral,
+    j2_integral,
+)
 from gr32485.series import u_value
 
 mpmath = pytest.importorskip("mpmath")
@@ -52,3 +60,73 @@ def test_u_value_against_quad():
 def test_exp_integral_within_its_claim(delta, t):
     res = hankel_exp_integral(t, delta)
     assert abs(res.value - s_reference(t)) <= res.error_estimate
+
+
+def _x_form(weight, lower, upper):
+    """int_lower^upper weight(x) dx / sqrt(Delta(x)) with k = 2 - sqrt(3), to 40 digits."""
+    with mpmath.workdps(40):
+        k = 2 - mpmath.sqrt(3)
+        return mpmath.quad(
+            lambda x: weight(x) / mpmath.sqrt((x * x - 1) * (1 - k * k * x * x)), [lower(), upper()]
+        )
+
+
+def _pre_normal_form(weight):
+    """int_4^{4(3 sqrt3 - 4)} weight(x) sqrt((8 - x)/(x^2 - 16)) / (2 (4(4 + 3 sqrt3) + x)) dx."""
+    with mpmath.workdps(40):
+        s3 = mpmath.sqrt(3)
+        return mpmath.quad(
+            lambda x: weight(x) * mpmath.sqrt((8 - x) / (x * x - 16)) / (2 * (4 * (4 + 3 * s3) + x)),
+            [4, 4 * (3 * s3 - 4)],
+        )
+
+
+def _one():
+    return mpmath.mpf(1)
+
+
+def _inv_k():
+    return 2 + mpmath.sqrt(3)
+
+
+def _a_upper():
+    return (1 + mpmath.sqrt(3)) / 2
+
+
+_PARTS = {
+    "delta-whole": (
+        lambda: integrate(*DELTA_FORMS[0]),
+        lambda: _x_form(lambda x: 1, _one, _inv_k),
+    ),
+    "delta-partial": (
+        lambda: integrate(*DELTA_FORMS[1]),
+        lambda: _x_form(lambda x: 1, _one, _a_upper),
+    ),
+    "delta-shifted": (
+        lambda: integrate(*DELTA_FORMS[2]),
+        lambda: _x_form(lambda x: 1 / (x + 1 + mpmath.sqrt(3)), _one, _inv_k),
+    ),
+    "j1": (
+        j1_integral,
+        lambda: _x_form(lambda x: (x + 1) / (x + 1 + mpmath.sqrt(3)), _a_upper, _inv_k),
+    ),
+    "j2": (
+        j2_integral,
+        lambda: _x_form(lambda x: (x - _inv_k()) / (x + 1 + mpmath.sqrt(3)), _one, _a_upper),
+    ),
+    "h1": (
+        h1_integral,
+        lambda: _pre_normal_form(lambda x: (3 + 2 * mpmath.sqrt(3)) / mpmath.sqrt(5 - x)),
+    ),
+    "h2": (h2_integral, lambda: _pre_normal_form(lambda x: 1)),
+}
+
+
+@pytest.mark.parametrize("part", list(_PARTS))
+def test_sub_integral_within_its_claim(part):
+    # the parts that R9, R10, R11 and the V0-V2 checks combine, each
+    # against its defining x-form integral
+    compute, reference = _PARTS[part]
+    res = compute()
+    assert res.converged
+    assert abs(res.value - float(reference())) <= res.error_estimate

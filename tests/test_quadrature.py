@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gr32485 import quadrature
 from gr32485.quadrature import (
     DEFAULT_CONFIG,
     Estimate,
@@ -9,7 +10,6 @@ from gr32485.quadrature import (
     Interval,
     QuadratureConfig,
     integrate,
-    integrate_complex,
 )
 from gr32485.representations import phi
 
@@ -27,6 +27,11 @@ def test_interval_validation():
         Interval(0.0, math.inf, singular_upper=True)
     with pytest.raises(ValueError):
         Interval(0.0, math.nan)
+    # a singular endpoint must be 0 when it is the lower one, and only one end is singular
+    with pytest.raises(ValueError):
+        Interval(0.0, 1.0, singular_lower=True, singular_upper=True)
+    with pytest.raises(ValueError):
+        Interval(1.0, 2.0, singular_lower=True)
 
 
 def test_config_validation():
@@ -82,6 +87,18 @@ def test_semi_infinite_with_singular_origin():
     )
     assert res.converged
     assert res.value == pytest.approx(math.sqrt(math.pi), abs=TOL)
+
+
+def test_compactified_range_at_infinity():
+    # t = a - 1 + 1/sigma**2 maps infinity to sigma = 0; where sigma**3
+    # underflows the integrand in sigma is 0, not 0 * inf or a division error
+    g = quadrature._compact(lambda t: t**-1.5, 0.0)
+    assert g(1e-120) == 0.0
+    assert g(5e-324) == 0.0
+    assert g(1e-100) == pytest.approx(2.0, rel=1e-15)
+    res = integrate(lambda t: t**-1.5, Interval(1.0, math.inf))
+    assert res.converged
+    assert res.value == pytest.approx(2.0, abs=TOL)
 
 
 def test_table_entry_integrand():
@@ -159,13 +176,13 @@ def test_budget_exhaustion_reports_nonconvergence():
 
 
 def test_complex_constant():
-    res = integrate_complex(lambda x: 1.0 + 0.0j, Interval(0.0, 1.0))
+    res = integrate(lambda x: 1.0 + 0.0j, Interval(0.0, 1.0))
     assert res.converged
     assert abs(res.value - 1.0) <= TOL
 
 
 def test_complex_full_period():
-    res = integrate_complex(
+    res = integrate(
         lambda x: complex(math.cos(math.pi * x), math.sin(math.pi * x)),
         Interval(0.0, 2.0),
     )

@@ -146,7 +146,9 @@ def test_unknown_representation_id():
 I_40 = 0.66637711426883385639865821078815900224
 
 
-@pytest.mark.parametrize("rid", ["R3", "R5", "R7", "R8", "R9", "R10", "R12"])
+@pytest.mark.parametrize(
+    "rid", ["R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12"]
+)
 def test_error_estimate_covers_true_error(rep_results, rid):
     res = rep_results[rid]
     assert abs(res.value - I_40) <= res.error_estimate

@@ -8,6 +8,7 @@ import gr32485.series as series
 from gr32485.contour import hankel_exp_integral, hankel_hyperbolic, hankel_resolvent_integral
 from gr32485.quadrature import Interval, integrate
 from gr32485.series import (
+    central_binomial_ratio,
     double_series_I,
     hankel_series,
     inner_k_sum,
@@ -110,6 +111,8 @@ def test_u_rejects_negative():
         (u_series, math.inf, "t"),
         (u_integral, math.nan, "t"),
         (inner_k_sum, math.nan, "n"),
+        (inner_k_sum, math.inf, "n"),
+        (inner_k_sum, 2.5, "n"),
         (hankel_resolvent_integral, math.nan, "c"),
         (hankel_resolvent_integral, math.inf, "c"),
         (hankel_exp_integral, math.inf, "t"),
@@ -217,8 +220,6 @@ def test_inner_sum_ratio_eventually_below_half():
 
 def test_double_series_outer_term_zero():
     # binom(0,0)/4^0 = 1, so the n = 0 outer term is inner(0) itself
-    from gr32485.special import central_binomial_ratio
-
     assert central_binomial_ratio(0) * inner_k_sum(0).value == inner_k_sum(0).value
 
 
@@ -237,8 +238,6 @@ def test_double_series_evals_count_every_term():
 
 def test_double_series_bracketed_by_partial_sums():
     accelerated = double_series_I().value
-    from gr32485.special import central_binomial_ratio
-
     partial = 0.0
     sign = 1.0
     history = []
@@ -256,3 +255,20 @@ def test_double_series_needs_positive_coefficients(monkeypatch):
     monkeypatch.setattr(series, "central_binomial_ratio", lambda n: -1.0 if n == 7 else 1.0)
     with pytest.raises(ArithmeticError, match="not positive"):
         double_series_I()
+
+
+def test_central_binomial_examples():
+    assert central_binomial_ratio(0) == 1.0
+    assert central_binomial_ratio(1) == 0.5
+
+
+def test_central_binomial_against_exact_rational():
+    for n in (2, 7, 30, 64):
+        exact = Fraction(math.comb(2 * n, n), 4**n)
+        assert central_binomial_ratio(n) == pytest.approx(float(exact), rel=1e-14)
+
+
+def test_central_binomial_asymptote_ratio():
+    for n in range(30, 201, 10):
+        ratio = central_binomial_ratio(n) * math.sqrt(math.pi * n)
+        assert 0.9 < ratio < 1.0
