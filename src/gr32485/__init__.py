@@ -25,17 +25,9 @@ from .quadrature import (
     QuadratureConfig,
     integrate,
 )
-from .representations import (
-    CONSTANTS,
-    REPRESENTATIONS,
-    Constants,
-    constant_residuals,
-    eval_representation,
-    representation_ids,
-)
+from .representations import eval_representation
 from .series import (
     TAIL_TOL,
-    central_binomial_ratio,
     double_series_I,
     hankel_series,
     inner_k_sum,
@@ -62,12 +54,7 @@ __all__ = [
     "Interval",
     "QuadratureConfig",
     "integrate",
-    "CONSTANTS",
-    "REPRESENTATIONS",
-    "Constants",
-    "constant_residuals",
     "eval_representation",
-    "representation_ids",
     "TAIL_TOL",
     "double_series_I",
     "hankel_series",
@@ -75,5 +62,4 @@ __all__ = [
     "u_integral",
     "u_series",
     "u_value",
-    "central_binomial_ratio",
 ]

@@ -45,7 +45,7 @@ from .quadrature import (
     Estimate,
     Interval,
     QuadratureConfig,
-    _combined,
+    _linear,
     integrate,
 )
 
@@ -99,13 +99,13 @@ def _upper_half(g: Callable[[complex], complex], delta: float, cfg: QuadratureCo
     def upper_ray(r: float) -> complex:
         return g(complex(-delta * r, delta)) * -delta
 
-    parts = (
-        integrate(arc, Interval(0.0, 1.0), cfg),
-        integrate(upper_ray, Interval(0.0, math.inf), cfg),
+    arc_part = integrate(arc, Interval(0.0, 1.0), cfg)
+    ray_part = integrate(upper_ray, Interval(0.0, math.inf), cfg)
+    half = _linear(((1.0, arc_part), (1.0, ray_part)))
+    # twice the half's error, divided by 2 pi
+    return half._replace(
+        value=half.value.imag / math.pi, error_estimate=half.error_estimate / math.pi
     )
-    total = sum(res.value for res in parts)
-    err = 2.0 * sum(res.error_estimate for res in parts)
-    return _combined(total.imag / math.pi, err / (2.0 * math.pi), parts)
 
 
 def hankel_exp_integral(

@@ -125,15 +125,20 @@ class Estimate(NamedTuple):
     converged: bool
 
 
-def _combined(value: float, err: float, parts) -> Estimate:
-    """An estimate built from the estimates it was computed from: their
-    evals summed, converged when all of them are."""
-    return Estimate(value, err, sum(p.evals for p in parts), all(p.converged for p in parts))
+def _linear(terms, const: float = 0.0, extra_err: float = 0.0) -> Estimate:
+    """const + sum(c * est) over the (c, est) pairs in terms.
 
-
-def _scaled(c: float, est: Estimate) -> Estimate:
-    """c times the estimated quantity."""
-    return Estimate(c * est.value, abs(c) * est.error_estimate, est.evals, est.converged)
+    Its error bound is sum(|c| * est.error_estimate) plus extra_err, the
+    bound on whatever else the combination leaves out; its evals are the
+    parts' evals summed, and it converged when every part did.
+    """
+    terms = list(terms)
+    return Estimate(
+        const + sum(c * est.value for c, est in terms),
+        sum(abs(c) * est.error_estimate for c, est in terms) + extra_err,
+        sum(est.evals for _, est in terms),
+        all(est.converged for _, est in terms),
+    )
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].

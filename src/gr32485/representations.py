@@ -30,8 +30,7 @@ from .quadrature import (
     Estimate,
     Interval,
     QuadratureConfig,
-    _combined,
-    _scaled,
+    _linear,
     integrate,
 )
 from .series import TAIL_TOL, U_RULE_ERROR, double_series_I, hankel_series, u_value
@@ -222,8 +221,7 @@ def _eval_r3(cfg: QuadratureConfig) -> Estimate:
     tail = math.exp(-_R3_CUTOFF_T) / math.sqrt(_R3_CUTOFF_T)
     s_err = TAIL_TOL + _HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
     u_err = math.sqrt(math.pi) * U_RULE_ERROR
-    err = low.error_estimate + high.error_estimate + s_err + u_err + tail
-    return _combined(low.value + high.value, err, (low, high))
+    return _linear(((1.0, low), (1.0, high)), extra_err=s_err + u_err + tail)
 
 
 def _eval_r4(cfg: QuadratureConfig) -> Estimate:
@@ -250,7 +248,7 @@ def _eval_r6(cfg: QuadratureConfig) -> Estimate:
         return math.sqrt((1.0 - x + x * x) / (x * (1.0 - x * x) * (2.0 - x))) / (c.inv_k - x)
 
     res = integrate(f, Interval(0.0, c.k, singular_lower=True), cfg)
-    return _scaled(_SQRT3 / math.sqrt(c.k), res)
+    return _linear([(_SQRT3 / math.sqrt(c.k), res)])
 
 
 def _eval_r7(cfg: QuadratureConfig) -> Estimate:
@@ -263,7 +261,7 @@ def _eval_r7(cfg: QuadratureConfig) -> Estimate:
         return math.sqrt((1.0 - x + x * x) / (x * d * (1.0 + d) * (3.0 + d))) / (x - c.k)
 
     res = integrate(f, Interval(0.0, c.inv_k - 2.0, singular_lower=True), cfg)
-    return _scaled(_SQRT3 / math.sqrt(c.inv_k), res)
+    return _linear([(_SQRT3 / math.sqrt(c.inv_k), res)])
 
 
 _LOG_T0 = (2.0 + _SQRT3) / 8.0  # where sqrt(B) reaches sqrt(3) - 3/2
@@ -280,9 +278,7 @@ def _eval_r8(cfg: QuadratureConfig) -> Estimate:
         return -math.log1p(-h / c.inv_k) / (2.0 * math.sqrt(t))
 
     res = integrate(f, Interval(_LOG_T0, math.inf), cfg)
-    return _combined(
-        c.c0 + NORMAL_FORM_COEFF * res.value, NORMAL_FORM_COEFF * res.error_estimate, (res,)
-    )
+    return _linear([(NORMAL_FORM_COEFF, res)], const=c.c0)
 
 
 _M_UPPER = 4.0 * (3.0 * _SQRT3 - 4.0)
@@ -314,13 +310,7 @@ def h2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
 
 
 def _eval_r9(cfg: QuadratureConfig) -> Estimate:
-    r1 = h1_integral(cfg)
-    r2 = h2_integral(cfg)
-    return _combined(
-        NORMAL_FORM_COEFF * (r1.value - r2.value),
-        NORMAL_FORM_COEFF * (r1.error_estimate + r2.error_estimate),
-        (r1, r2),
-    )
+    return _linear(((NORMAL_FORM_COEFF, h1_integral(cfg)), (-NORMAL_FORM_COEFF, h2_integral(cfg))))
 
 
 def j1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
@@ -351,26 +341,13 @@ def j2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
 
 def _eval_r10(cfg: QuadratureConfig) -> Estimate:
     c = CONSTANTS
-    r1 = j1_integral(cfg)
-    r2 = j2_integral(cfg)
-    return _combined(
-        c.coeff_a * r1.value + c.coeff_b * r2.value,
-        c.coeff_a * r1.error_estimate + c.coeff_b * r2.error_estimate,
-        (r1, r2),
-    )
+    return _linear(((c.coeff_a, j1_integral(cfg)), (c.coeff_b, j2_integral(cfg))))
 
 
 def _eval_r11(cfg: QuadratureConfig) -> Estimate:
-    whole, partial, shifted = (integrate(f, iv, cfg) for f, iv in DELTA_FORMS)
-    value = (
-        _SQRT3 * whole.value + (_SQRT3 - 3.0) * partial.value - 3.0 * shifted.value
-    ) / (2.0 * _SQRT2)
-    err = (
-        _SQRT3 * whole.error_estimate
-        + (3.0 - _SQRT3) * partial.error_estimate
-        + 3.0 * shifted.error_estimate
-    ) / (2.0 * _SQRT2)
-    return _combined(value, err, (whole, partial, shifted))
+    # (sqrt3 whole + (sqrt3 - 3) partial - 3 shifted) / (2 sqrt2)
+    coeffs = (_SQRT3 / (2.0 * _SQRT2), (_SQRT3 - 3.0) / (2.0 * _SQRT2), -3.0 / (2.0 * _SQRT2))
+    return _linear((c, integrate(f, iv, cfg)) for c, (f, iv) in zip(coeffs, DELTA_FORMS))
 
 
 def _eval_r12(cfg: QuadratureConfig) -> Estimate:

@@ -35,8 +35,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     Estimate,
     QuadratureConfig,
-    _combined,
-    _scaled,
+    _linear,
     integrate,
 )
 from .representations import (
@@ -130,7 +129,7 @@ class _Context:
 def _worst(gaps: list[float], parts: list[Estimate]) -> Estimate:
     """The largest of gaps computed from the estimates in parts; their
     summed error estimates bound the error of any one gap."""
-    return _combined(max(gaps), sum(p.error_estimate for p in parts), parts)
+    return _linear((1.0, p) for p in parts)._replace(value=max(gaps))
 
 
 _LEMMA_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -146,7 +145,7 @@ def _check_lemma_pair(ctx: _Context):
 def _check_lemma_decay(ctx: _Context):
     # U(t) <= sqrt(3 pi) / (2 sqrt(t)): the proof bound with the factor
     # from the symmetry of u(1-u) about 1/2 made explicit
-    scaled = [_scaled(math.sqrt(t), _u_quadrature(t, ctx.cfg)) for t in (2.0, 10.0, 100.0)]
+    scaled = [_linear([(math.sqrt(t), _u_quadrature(t, ctx.cfg))]) for t in (2.0, 10.0, 100.0)]
     return _worst([s.value for s in scaled], scaled), _SQRT_3PI / 2.0
 
 
@@ -321,8 +320,8 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "match",
                 1e-9,
                 lambda ctx: (
-                    _scaled(NORMAL_FORM_COEFF, h1_integral(ctx.cfg)),
-                    _scaled(CONSTANTS.coeff_a, j1_integral(ctx.cfg)),
+                    _linear([(NORMAL_FORM_COEFF, h1_integral(ctx.cfg))]),
+                    _linear([(CONSTANTS.coeff_a, j1_integral(ctx.cfg))]),
                 ),
             ),
             CheckSpec(
@@ -332,8 +331,8 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "match",
                 1e-9,
                 lambda ctx: (
-                    _scaled(NORMAL_FORM_COEFF, h2_integral(ctx.cfg)),
-                    _scaled(-CONSTANTS.coeff_b, j2_integral(ctx.cfg)),
+                    _linear([(NORMAL_FORM_COEFF, h2_integral(ctx.cfg))]),
+                    _linear([(-CONSTANTS.coeff_b, j2_integral(ctx.cfg))]),
                 ),
             ),
             CheckSpec(
@@ -377,7 +376,8 @@ def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, timeout_secs: flo
         estimates = {n: s for n, s in zip(("lhs", "rhs"), sides) if isinstance(s, Estimate)}
         evals = sum(e.evals for e in estimates.values())
         lhs, rhs = (s.value if isinstance(s, Estimate) else s for s in sides)
-        abs_diff = max(0.0, lhs - rhs) if spec.kind == "bound" else abs(lhs - rhs)
+        # max keeps a NaN in first place, so a NaN side reaches _status
+        abs_diff = max(lhs - rhs, 0.0) if spec.kind == "bound" else abs(lhs - rhs)
         status = _status(spec.kind, abs_diff, tolerance)
         reason = "the difference is NaN" if status == "no-converge" else None
         unconverged = [n for n, e in estimates.items() if not e.converged]

@@ -136,6 +136,19 @@ def test_linearity():
     assert abs(combo.value - separate) <= 2.0 * TOL
 
 
+def test_linear_combination_propagates_error():
+    a = Estimate(1.0, 0.25, 15, True)
+    b = Estimate(2.0, 0.5, 30, True)
+    combo = quadrature._linear(((2.0, a), (-0.5, b)), const=4.0, extra_err=0.125)
+    # value const + sum(c v); error sum(|c| err) + extra_err, so the
+    # negative coefficient adds, and const moves the value only
+    assert combo == Estimate(4.0 + 2.0 - 1.0, 0.5 + 0.25 + 0.125, 45, True)
+    assert quadrature._linear([(1.0, a), (1.0, b._replace(converged=False))]).converged is False
+    # complex values pass through, as the contour's upper half needs
+    z = quadrature._linear([(1.0, Estimate(1.0 + 2.0j, 0.5, 15, True)), (1.0, a)])
+    assert z.value == 2.0 + 2.0j and z.error_estimate == 0.75
+
+
 def test_interval_additivity():
     f = lambda x: math.sin(3.0 * x) ** 2 * math.exp(-0.3 * x)
     whole = integrate(f, Interval(0.0, 4.0)).value

@@ -148,6 +148,8 @@ def test_failures_say_why(monkeypatch):
         CheckSpec("off", "fails", "none", "match", 1.0, lambda ctx: (3.0, 1.0)),
         CheckSpec("unconverged", "rhs did not converge", "none", "match", 1.0, unconverged),
         CheckSpec("both", "two estimates", "none", "match", None, both_converged),
+        CheckSpec("nan-lhs", "NaN lhs", "none", "bound", 1.0, lambda ctx: (math.nan, 1.0)),
+        CheckSpec("nan-rhs", "NaN rhs", "none", "bound", 1.0, lambda ctx: (0.5, math.nan)),
     )
     monkeypatch.setattr(verifier, "_CATALOG", specs)
     report = run_checks()
@@ -158,10 +160,12 @@ def test_failures_say_why(monkeypatch):
         ("fail", None),
         ("no-converge", "rhs did not converge"),
         ("pass", None),
+        ("no-converge", "the difference is NaN"),
+        ("no-converge", "the difference is NaN"),
     ]
     assert math.isnan(report.records[1].lhs)
     # the runner sums the cost of the Estimate sides; a None tolerance is the run's tol
-    assert [r.evals for r in report.records[2:]] == [0, 0, 30, 75]
+    assert [r.evals for r in report.records[2:6]] == [0, 0, 30, 75]
     assert report.records[5].tolerance == 1e-9
     assert report.overall == "fail"
 
