@@ -1,8 +1,9 @@
 """Command line front end: run the check suite, print a table or JSON.
 
 Exit codes: 0 when every selected check passes, 1 on any fail,
-no-converge or error, 2 on a usage error. No environment variables are
-consulted; behaviour is a function of the flags alone.
+no-converge or error, 2 on a usage error. Check tolerances are not a
+flag (see gr32485.verifier). No environment variables are consulted;
+behaviour is a function of the flags alone.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--only",
         metavar="ID[,ID...]",
         help="comma-separated check ids to run (default: the whole catalog)",
-    )
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        metavar="X",
-        help="tolerance for the checks of routes R1-R12 against R0 (default 1e-9)",
     )
     parser.add_argument(
         "--max-evals",
@@ -79,11 +73,10 @@ def main(argv: list[str] | None = None) -> int:
         report = run_checks(
             selection,
             QuadratureConfig(abs_tol=1e-12, max_evals=args.max_evals),
-            tol=args.tol,
             timeout_secs=args.timeout_secs,
         )
     except ValueError as exc:
-        # unknown ids, and budgets or tolerances that are not positive and finite
+        # unknown ids, and budgets that are not positive and finite
         sys.stderr.write(f"verify: {exc}\n")
         return 2
 

@@ -8,6 +8,11 @@ absolute difference, and a pass/fail status. Record kinds:
             check: the integral must NOT equal the tabulated value)
     bound   pass when lhs <= rhs + tolerance
 
+A spec's tolerance of None is derived from the sides, err(lhs) + err(rhs)
++ 4 eps max(|lhs|, |rhs|), where err is an Estimate's error_estimate and 0
+for a float: the sides must agree within the error bars they claim. A
+check that raised records a derived tolerance as NaN.
+
 A check is a function of the run context that returns its two sides,
 each a float or an Estimate. The runner unwraps them: an Estimate side
 that did not converge makes the record no-converge, and the record's
@@ -52,7 +57,7 @@ from .representations import (
     j1_integral,
     j2_integral,
 )
-from .series import _u_quadrature, hankel_series, u_series
+from .series import TAIL_TOL, _u_quadrature, hankel_series, u_series
 
 __all__ = [
     "CheckRecord",
@@ -105,7 +110,7 @@ class CheckSpec(NamedTuple):
     description: str
     anchor: str
     kind: str  # "match" | "differ" | "bound"
-    tolerance: float | None  # None: the run's tol
+    tolerance: float | None  # None: err(lhs) + err(rhs) + 4 eps max(|lhs|, |rhs|)
     fn: Callable  # ctx -> (lhs, rhs), each a float or an Estimate
 
 
@@ -126,10 +131,11 @@ class _Context:
         return res
 
 
-def _worst(gaps: list[float], parts: list[Estimate]) -> Estimate:
+def _worst(gaps: list[float], parts: list[Estimate], extra_err: float = 0.0) -> Estimate:
     """The largest of gaps computed from the estimates in parts; their
-    summed error estimates bound the error of any one gap."""
-    return _linear((1.0, p) for p in parts)._replace(value=max(gaps))
+    summed error estimates, plus extra_err for the error of any other
+    side, bound the error of any one gap."""
+    return _linear(((1.0, p) for p in parts), extra_err=extra_err)._replace(value=max(gaps))
 
 
 _LEMMA_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -155,7 +161,8 @@ _HANKEL_T_GRID = (0.5, 1.0, 2.0, 5.0)
 def _check_hankel_series(ctx: _Context):
     contour = [hankel_exp_integral(t, cfg=ctx.cfg) for t in _HANKEL_T_GRID]
     gaps = [abs(c.value - hankel_series(t)) for c, t in zip(contour, _HANKEL_T_GRID)]
-    return _worst(gaps, contour), 0.0
+    # each Hankel sum stops once its tail is below TAIL_TOL
+    return _worst(gaps, contour, TAIL_TOL), 0.0
 
 
 # the pole offsets c = (16/3) u^2 (1-u)^2 on the 20-point u grid j/19; c is
@@ -221,7 +228,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "int_1^{1/k} dx/sqrt(Delta) = K(k')",
                 "Whittaker-Watson p.501",
                 "match",
-                1e-10,
+                None,
                 lambda ctx: (integrate(*DELTA_FORMS[0], ctx.cfg), complete_K(CONSTANTS.k_prime)),
             ),
             CheckSpec(
@@ -229,7 +236,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "int_1^a dx/sqrt(Delta) = (3+sqrt3)/3 F(arcsin sqrt(k), 1/sqrt3)",
                 "Byrd-Friedman 256.00",
                 "match",
-                1e-10,
+                None,
                 lambda ctx: (
                     integrate(*DELTA_FORMS[1], ctx.cfg),
                     (3.0 + _SQRT3) / 3.0 * incomplete_F(CONSTANTS.alpha, _K1),
@@ -241,7 +248,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "(1+sqrt3)/3 K(1/sqrt3) - 2(sqrt3-1)/3 Pi(2-sqrt3, 1/sqrt3)",
                 "Byrd-Friedman 256.39 with 340.01",
                 "match",
-                1e-10,
+                None,
                 lambda ctx: (
                     integrate(*DELTA_FORMS[2], ctx.cfg),
                     (1.0 + _SQRT3) / 3.0 * complete_K(_K1)
@@ -261,7 +268,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "series and integral forms of U(t) agree on the t grid",
                 "alternating kernel sum vs its Gaussian-type integral",
                 "match",
-                1e-11,
+                None,
                 _check_lemma_pair,
             ),
             CheckSpec(
@@ -277,7 +284,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "Hankel contour integral equals the Hankel sum at t = 0.5, 1, 2, 5",
                 "reciprocal-gamma contour representation",
                 "match",
-                1e-8,
+                None,
                 _check_hankel_series,
             ),
             CheckSpec(
@@ -286,7 +293,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "offsets of a 20-point u grid",
                 "simple pole at z = 1 + (16/3) u^2 (1-u)^2",
                 "match",
-                1e-9,
+                None,
                 _check_residue,
             ),
             CheckSpec(
@@ -302,7 +309,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "Hankel integral is independent of the contour distance delta",
                 "Cauchy deformation invariance",
                 "match",
-                1e-10,
+                None,
                 _check_delta_independence,
             ),
             CheckSpec(
@@ -310,7 +317,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "double-angle intermediate form agrees with R0",
                 "x = sin^2(theta) substitution",
                 "match",
-                1e-10,
+                None,
                 lambda ctx: (double_angle_form(ctx.cfg), ctx.representation("R0")),
             ),
             CheckSpec(
@@ -318,7 +325,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "bilinear map sends the first pre-normal integral to a J1",
                 "x = L(t) with L(-1/k,-1,1,1/k) = (5,4,-4,8)",
                 "match",
-                1e-9,
+                None,
                 lambda ctx: (
                     _linear([(NORMAL_FORM_COEFF, h1_integral(ctx.cfg))]),
                     _linear([(CONSTANTS.coeff_a, j1_integral(ctx.cfg))]),
@@ -329,7 +336,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "bilinear map sends the second pre-normal integral to -b J2",
                 "x = L(t) with L(-1/k,-1,1,1/k) = (8,4,-4,inf)",
                 "match",
-                1e-9,
+                None,
                 lambda ctx: (
                     _linear([(NORMAL_FORM_COEFF, h2_integral(ctx.cfg))]),
                     _linear([(-CONSTANTS.coeff_b, j2_integral(ctx.cfg))]),
@@ -367,8 +374,9 @@ def _status(kind: str, abs_diff: float, tolerance: float) -> str:
     return "pass" if abs_diff <= tolerance else "fail"
 
 
-def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, timeout_secs: float) -> CheckRecord:
+def _execute(spec: CheckSpec, ctx: _Context, timeout_secs: float) -> CheckRecord:
     timeout = f"timeout after {timeout_secs:g} s"
+    tolerance = math.nan if spec.tolerance is None else spec.tolerance
     t0 = time.monotonic()
     token = _DEADLINE.set(t0 + timeout_secs)
     try:
@@ -376,6 +384,9 @@ def _execute(spec: CheckSpec, ctx: _Context, tolerance: float, timeout_secs: flo
         estimates = {n: s for n, s in zip(("lhs", "rhs"), sides) if isinstance(s, Estimate)}
         evals = sum(e.evals for e in estimates.values())
         lhs, rhs = (s.value if isinstance(s, Estimate) else s for s in sides)
+        if spec.tolerance is None:
+            errors = sum(e.error_estimate for e in estimates.values())
+            tolerance = errors + 4.0 * math.ulp(1.0) * max(abs(lhs), abs(rhs))
         # max keeps a NaN in first place, so a NaN side reaches _status
         abs_diff = max(lhs - rhs, 0.0) if spec.kind == "bound" else abs(lhs - rhs)
         status = _status(spec.kind, abs_diff, tolerance)
@@ -419,21 +430,19 @@ def run_checks(
     selection: list[str] | None = None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
-    tol: float = 1e-9,
     timeout_secs: float = 30.0,
 ) -> Report:
     """Run the selected checks (all of them when selection is falsy), one
     after another in catalog order.
 
-    Unknown ids raise UnknownCheckError, and a tolerance or timeout that
-    is not a positive finite number raises ValueError. A failing check
-    never prevents later checks from running. Each check has timeout_secs
-    of wall time: quadrature stops at its next bisection once that is
-    spent, and a check that overruns it is recorded as no-converge.
+    Unknown ids raise UnknownCheckError, and a timeout that is not a
+    positive finite number raises ValueError. A failing check never
+    prevents later checks from running. Each check has timeout_secs of
+    wall time: quadrature stops at its next bisection once that is spent,
+    and a check that overruns it is recorded as no-converge.
     """
-    for name, value in (("tol", tol), ("timeout_secs", timeout_secs)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    if not (math.isfinite(timeout_secs) and timeout_secs > 0.0):
+        raise ValueError(f"timeout_secs must be a positive finite number, got {timeout_secs!r}")
     known = {spec.id: spec for spec in _CATALOG}
     if selection:
         missing = [cid for cid in selection if cid not in known]
@@ -444,14 +453,10 @@ def run_checks(
         chosen = list(_CATALOG)
 
     ctx = _Context(cfg)
-    records = [
-        _execute(spec, ctx, tol if spec.tolerance is None else spec.tolerance, timeout_secs)
-        for spec in chosen
-    ]
+    records = [_execute(spec, ctx, timeout_secs) for spec in chosen]
     overall = "pass" if all(r.status == "pass" for r in records) else "fail"
     echo = (
-        f"tol={tol:g} abs_tol={cfg.abs_tol:g} "
-        f"max_evals={cfg.max_evals} timeout_secs={timeout_secs:g} "
+        f"abs_tol={cfg.abs_tol:g} max_evals={cfg.max_evals} timeout_secs={timeout_secs:g} "
         f"only={','.join(selection) if selection else '-'}"
     )
     return Report(records=records, tool_version=__version__, config_echo=echo, overall=overall)
@@ -469,7 +474,7 @@ def _sig12(x: float) -> str:
 
 def render_table(report: Report) -> str:
     header = (
-        f"{'ID':<14} {'LHS':>18} {'RHS':>18} {'|DIFF|':>10} {'TOL':>8} "
+        f"{'ID':<14} {'LHS':>18} {'RHS':>18} {'|DIFF|':>10} {'TOL':>10} "
         f"{'STATUS':<11} ANCHOR"
     )
     lines = [header, "-" * len(header)]
@@ -477,7 +482,7 @@ def render_table(report: Report) -> str:
         diff = "n/a" if math.isnan(r.abs_diff) else f"{r.abs_diff:.2e}"
         lines.append(
             f"{r.id:<14} {_sig12(r.lhs):>18} {_sig12(r.rhs):>18} {diff:>10} "
-            f"{r.tolerance:>8.0e} {r.status:<11} {r.paper_anchor}"
+            f"{r.tolerance:>10.2e} {r.status:<11} {r.paper_anchor}"
             + (f"  reason: {r.reason}" if r.reason else "")
         )
     lines.append("-" * len(header))

@@ -11,8 +11,9 @@ import pytest
 import gr32485
 import gr32485.verifier as verifier
 from gr32485.cli import main
+from gr32485.contour import hankel_exp_integral
 from gr32485.quadrature import Estimate, Interval, QuadratureConfig, integrate
-from gr32485.series import _u_quadrature, u_series
+from gr32485.series import TAIL_TOL, _u_quadrature, u_series
 from gr32485.verifier import (
     CheckSpec,
     Report,
@@ -24,6 +25,9 @@ from gr32485.verifier import (
 )
 
 FAST_SELECTION = ["constants", "V7-threshold", "landen"]
+EPS = math.ulp(1.0)
+# a check that always fails, for the runner and the exit code
+OFF_PROBE = CheckSpec("off-probe", "fails", "none", "match", 1e-18, lambda ctx: (1.0, 1.5))
 
 
 def test_catalog_covers_all_representations():
@@ -84,12 +88,14 @@ def test_full_suite_passes():
     assert all(r.status == "pass" for r in report.records)
 
 
-def test_failing_check_does_not_stop_later_ones():
-    # an impossible tolerance forces fails, but every record must exist
-    report = run_checks(["R1", "R4", "R5"], tol=1e-18)
-    assert [r.id for r in report.records] == ["R1", "R4", "R5"]
+def test_failing_check_does_not_stop_later_ones(monkeypatch):
+    # a failing check between passing ones: every record must exist
+    specs = tuple(spec for spec in verifier._CATALOG if spec.id in ("R1", "R4"))
+    monkeypatch.setattr(verifier, "_CATALOG", (specs[0], OFF_PROBE, specs[1]))
+    report = run_checks()
+    assert [r.id for r in report.records] == ["R1", "off-probe", "R4"]
+    assert [r.status for r in report.records] == ["pass", "fail", "pass"]
     assert report.overall == "fail"
-    assert all(r.status in ("pass", "fail") for r in report.records)
 
 
 def test_timeout_marks_no_converge(monkeypatch):
@@ -164,9 +170,10 @@ def test_failures_say_why(monkeypatch):
         ("no-converge", "the difference is NaN"),
     ]
     assert math.isnan(report.records[1].lhs)
-    # the runner sums the cost of the Estimate sides; a None tolerance is the run's tol
+    # the runner sums the cost of the Estimate sides; a None tolerance is
+    # derived from their error bars, here 0, plus rounding
     assert [r.evals for r in report.records[2:6]] == [0, 0, 30, 75]
-    assert report.records[5].tolerance == 1e-9
+    assert report.records[5].tolerance == 0.0 + 0.0 + 4.0 * EPS * 1.0
     assert report.overall == "fail"
 
     doc = json.loads(render_json(report))
@@ -176,6 +183,44 @@ def test_failures_say_why(monkeypatch):
     assert rows[1].endswith("reason: TypeError: unsupported operand type(s) for -: 'str' and 'float'")
     assert "reason" not in rows[2] and "reason" not in rows[3]
     assert rows[4].endswith("reason: rhs did not converge")
+
+
+def test_tolerance_from_claimed_error_bars(monkeypatch):
+    # sides 1e-12 apart that each claim 1e-15 disagree, however small
+    # the gap: a flat 1e-9 tolerance would have passed them
+    def close(ctx):
+        return Estimate(1.0, 1e-15, 15, True), Estimate(1.0 + 1e-12, 1e-15, 15, True)
+
+    def broken(ctx):
+        raise ValueError("no sides")
+
+    specs = (
+        CheckSpec("close", "two estimates", "none", "match", None, close),
+        CheckSpec("exact", "two ulps apart", "none", "match", None, lambda ctx: (1.0, 1.0 + 2 * EPS)),
+        CheckSpec("inexact", "1e-14 apart", "none", "match", None, lambda ctx: (1.0, 1.0 + 1e-14)),
+        CheckSpec("broken", "raises", "none", "match", None, broken),
+    )
+    monkeypatch.setattr(verifier, "_CATALOG", specs)
+    report = run_checks()
+    assert [r.status for r in report.records] == ["fail", "pass", "fail", "no-converge"]
+    assert report.records[0].tolerance == 1e-15 + 1e-15 + 4.0 * EPS * (1.0 + 1e-12)
+    # float sides count as exact: only rounding is allowed
+    assert report.records[2].tolerance == 4.0 * EPS * (1.0 + 1e-14)
+    assert math.isnan(report.records[3].tolerance)
+    assert json.loads(render_json(report))["records"][3]["tolerance"] is None
+    with pytest.raises(TypeError):
+        run_checks(["close"], tol=1e-9)
+
+
+def test_catalog_checks_at_achieved_accuracy():
+    derived = {spec.id for spec in verifier._CATALOG if spec.tolerance is None}
+    assert len(derived) == 22
+    records = {r.id: r for r in run_checks().records}
+    assert all(records[cid].tolerance < 1e-11 for cid in derived)
+    # V5 counts the Hankel sums' error as well as the contours'
+    contour_err = sum(hankel_exp_integral(t).error_estimate for t in verifier._HANKEL_T_GRID)
+    v5 = records["V5-hankel"]
+    assert v5.tolerance == contour_err + TAIL_TOL + 4.0 * EPS * v5.lhs
 
 
 def test_unconverged_route_is_evaluated_once(monkeypatch):
@@ -201,7 +246,7 @@ def test_lemma_checks_count_their_quadratures():
     assert [r.evals for r in report.records] == [pair, decay]
 
 
-@pytest.mark.parametrize("name", ["tol", "timeout_secs"])
+@pytest.mark.parametrize("name", ["timeout_secs"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_run_checks_rejects_bad_limits(name, value):
     with pytest.raises(ValueError, match=name):
@@ -305,7 +350,7 @@ def test_nan_serializes_as_null():
     assert rec["lhs"] is None and rec["rhs"] is None and rec["abs_diff"] is None
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(monkeypatch, capsys):
     assert main(["--only", "constants,landen"]) == 0
     out = capsys.readouterr().out
     assert "overall: pass" in out
@@ -313,16 +358,12 @@ def test_cli_exit_codes(capsys):
     assert main(["--only", "nonsense"]) == 2
     assert "unknown check id" in capsys.readouterr().err
 
-    # R3's Laplace form sits about 7e-15 from R0; R5 now matches R0 exactly
-    assert main(["--only", "R3", "--tol", "1e-18"]) == 1
+    monkeypatch.setattr(verifier, "_CATALOG", verifier._CATALOG + (OFF_PROBE,))
+    assert main(["--only", "off-probe"]) == 1
     assert "overall: fail" in capsys.readouterr().out
-
-    assert main(["--tol", "-1"]) == 2
 
     # non-finite limits are usage errors, not a pass or a switched-off timeout
     for argv in (
-        ["--tol", "inf", "--only", "R1"],
-        ["--tol", "nan", "--only", "R1"],
         ["--timeout-secs", "nan", "--only", "constants"],
         ["--timeout-secs", "inf", "--only", "constants"],
         ["--timeout-secs", "0", "--only", "constants"],
@@ -336,11 +377,12 @@ def test_cli_exit_codes(capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("verify: "), argv
 
-    # R2 and R3 are checked at --tol; the flag that loosened them is gone
-    with pytest.raises(SystemExit) as exc:
-        main(["--series-tol", "1e-5", "--only", "R2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --series-tol" in capsys.readouterr().err
+    # tolerances come from the catalog; the flags that set them are gone
+    for flag, value in (("--series-tol", "1e-5"), ("--tol", "1e-9")):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, value, "--only", "R2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_cli_list(capsys):
