@@ -46,6 +46,7 @@ from .quadrature import (
     Interval,
     QuadratureConfig,
     _linear,
+    _once,
     integrate,
 )
 
@@ -108,6 +109,7 @@ def _upper_half(g: Callable[[complex], complex], delta: float, cfg: QuadratureCo
     )
 
 
+@_once
 def hankel_exp_integral(
     t: float,
     delta: float = 0.5,

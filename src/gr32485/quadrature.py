@@ -24,12 +24,16 @@ therefore never detects singularities at run time. It
 Results are deterministic functions of (integrand, interval, config).
 The check runner may also set a wall-clock deadline for the current
 context; bisection past it raises ``TimeoutError`` instead of returning.
+It also sets a memo for its run, in which the functions marked ``_once``
+keep their values, so that a quantity several checks share is computed
+once per run; outside a run every call computes.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextvars
+import functools
 import heapq
 import math
 import time
@@ -176,6 +180,29 @@ _EPS = 2.220446049250313e-16
 # check runner sets it around each check; elsewhere it stays infinite and
 # the engine never reads the clock.
 _DEADLINE: contextvars.ContextVar[float] = contextvars.ContextVar("deadline", default=math.inf)
+
+# Values of the _once functions, keyed on (function, arguments). The check
+# runner sets a fresh dict for its run and resets it when the run ends;
+# elsewhere it stays None and every call computes.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("memo", default=None)
+
+
+def _once(fn: Callable) -> Callable:
+    """fn, computed at most once per argument tuple within a run of the
+    check runner. Values are kept and exceptions are not, so a call that
+    raised, a timeout among them, computes again when it is repeated."""
+
+    @functools.wraps(fn)
+    def once(*args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None:
+            return fn(*args, **kwargs)
+        key = (fn, args, tuple(kwargs.items()))
+        if key not in memo:
+            memo[key] = fn(*args, **kwargs)
+        return memo[key]
+
+    return once
 
 
 def _node(g: Callable, x: float):

@@ -31,6 +31,7 @@ from .quadrature import (
     Interval,
     QuadratureConfig,
     _linear,
+    _once,
     integrate,
 )
 from .series import TAIL_TOL, U_RULE_ERROR, double_series_I, hankel_series, u_value
@@ -47,6 +48,7 @@ __all__ = [
     "representation_ids",
     "eval_representation",
     "DELTA_FORMS",
+    "delta_form",
     "double_angle_form",
     "h1_integral",
     "h2_integral",
@@ -169,6 +171,13 @@ DELTA_FORMS = (
     (_inv_sqrt_delta, Interval(0.0, math.asin(math.sqrt(0.5 * CONSTANTS.k)))),
     (lambda theta: _inv_sqrt_delta(theta, True), Interval(0.0, 0.5 * math.pi)),
 )
+
+
+@_once
+def delta_form(i: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
+    """The integral of DELTA_FORMS[i]."""
+    f, iv = DELTA_FORMS[i]
+    return integrate(f, iv, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +304,7 @@ def _pre_normal_root(d: float) -> float:
     return 0.5 * math.sqrt((4.0 - d) / (d * (8.0 + d))) / (_M_SHIFT + 4.0 + d)
 
 
+@_once
 def h1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """First half of the pre-normal-form pair on [4, 4(3 sqrt(3) - 4)]."""
 
@@ -304,6 +314,7 @@ def h1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     return integrate(f, _PRE_NORMAL_RANGE, cfg)
 
 
+@_once
 def h2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """Second half of the pre-normal-form pair."""
     return integrate(_pre_normal_root, _PRE_NORMAL_RANGE, cfg)
@@ -313,6 +324,7 @@ def _eval_r9(cfg: QuadratureConfig) -> Estimate:
     return _linear(((NORMAL_FORM_COEFF, h1_integral(cfg)), (-NORMAL_FORM_COEFF, h2_integral(cfg))))
 
 
+@_once
 def j1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """int_{(1+sqrt3)/2}^{2+sqrt3} (x+1)/(x+1+sqrt3) dx/sqrt(Delta), in the
     offset d = 1/k - x from the singular endpoint, where 1 - k x = k d."""
@@ -326,6 +338,7 @@ def j1_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     return integrate(f, Interval(0.0, c.inv_k - c.a_upper, singular_lower=True), cfg)
 
 
+@_once
 def j2_integral(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """int_1^{(1+sqrt3)/2} (x-2-sqrt3)/(x+1+sqrt3) dx/sqrt(Delta), negative,
     in the offset d = x - 1 from the singular endpoint, where x^2 - 1 = d (2 + d)."""
@@ -347,7 +360,7 @@ def _eval_r10(cfg: QuadratureConfig) -> Estimate:
 def _eval_r11(cfg: QuadratureConfig) -> Estimate:
     # (sqrt3 whole + (sqrt3 - 3) partial - 3 shifted) / (2 sqrt2)
     coeffs = (_SQRT3 / (2.0 * _SQRT2), (_SQRT3 - 3.0) / (2.0 * _SQRT2), -3.0 / (2.0 * _SQRT2))
-    return _linear((c, integrate(f, iv, cfg)) for c, (f, iv) in zip(coeffs, DELTA_FORMS))
+    return _linear((c, delta_form(i, cfg)) for i, c in enumerate(coeffs))
 
 
 def _eval_r12(cfg: QuadratureConfig) -> Estimate:
@@ -401,6 +414,7 @@ def representation_ids() -> list[str]:
     return [rep.id for rep in REPRESENTATIONS]
 
 
+@_once
 def eval_representation(rep_id: str, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """Evaluate one representation of I; every id returns an estimate of
     the same number."""

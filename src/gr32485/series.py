@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .quadrature import DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, _once, integrate
 
 __all__ = [
     "TAIL_TOL",
@@ -80,11 +80,12 @@ def u_series(t: float) -> Estimate:
     return Estimate(total, abs(term), MAX_TERMS, False)
 
 
+@_once
 def _u_quadrature(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """U(t) by quadrature of exp(-(16/3) u^2 (1-u)^2 t) over [0, 1], with
     the engine's error estimate and evaluation count."""
-    if not t >= 0.0:
-        raise ValueError(f"u_integral: t must be >= 0, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"u_integral: t must be finite and >= 0, got {t!r}")
 
     def f(u: float) -> float:
         w = u * (1.0 - u)
@@ -156,11 +157,11 @@ U_RULE_ERROR = 1e-15
 
 
 def u_value(t: float) -> float:
-    """U(t) for any t >= 0: the fixed 24-node Gauss-Legendre rule in
+    """U(t) for any finite t >= 0: the fixed 24-node Gauss-Legendre rule in
     v = u - 1/2 on [0, 1/2] for t <= 50, within ``U_RULE_ERROR``, and
     ``u_integral`` above."""
-    if not t >= 0.0:
-        raise ValueError(f"u_value: t must be >= 0, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"u_value: t must be finite and >= 0, got {t!r}")
     if t > _U_RULE_T_MAX:
         return u_integral(t)
     return 2.0 * sum(w * math.exp(c * t) for w, c in zip(_U_WEIGHTS, _U_EXPONENTS))
@@ -175,8 +176,8 @@ def hankel_series(t: float) -> float:
     estimate; for large t it dominates and the sum raises ArithmeticError
     instead of returning (the contour route takes over there).
     """
-    if not t > 0.0:
-        raise ValueError("hankel_series: t must be > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"hankel_series: t must be finite and > 0, got {t!r}")
     if t > 600.0:
         raise OverflowError("hankel_series: term peak exp(t)/(2 pi t) overflows")
     sqrt_t = math.sqrt(t)
@@ -187,12 +188,12 @@ def hankel_series(t: float) -> float:
     peak = 0.0
     for n in range(MAX_TERMS):
         total += sign * b
-        peak = max(peak, b)
+        if b > peak:
+            peak = b
         nxt = b * (2 * n + 1) / (2 * n + 2) * sqrt_t / g
         g = 0.5 * (n + 1) / g
         sign = -sign
-        tail = nxt + 2.0 * peak * _EPS
-        if n + 1 >= 2.0 * t and tail <= TAIL_TOL:
+        if n + 1 >= 2.0 * t and nxt + 2.0 * peak * _EPS <= TAIL_TOL:
             return total
         b = nxt
     raise ArithmeticError(f"hankel_series({t}) did not converge")

@@ -23,6 +23,13 @@ deterministic for a fixed configuration (wall times aside). Each check
 gets a time budget: quadrature inside it stops at the next bisection once
 the budget is spent, and a check that overruns it is reported as
 no-converge. A record that did not pass or fail says why in ``reason``.
+
+Within one run every shared quantity (a route, S(t), h1, h2, J1, J2, a
+Delta-form, U(t) by quadrature) is computed once: the runner sets a fresh
+memo for the run (``quadrature._MEMO``) and drops it when the run ends,
+so nothing is cached across runs. A computation that raised is not kept.
+A record's evals still sum the evals of the Estimates it uses, so work
+that two checks share counts in both records.
 """
 
 from __future__ import annotations
@@ -37,19 +44,19 @@ from .contour import hankel_exp_integral, hankel_resolvent_integral, nested_radi
 from .elliptic import complete_K, complete_Pi, incomplete_F, landen_residual
 from .quadrature import (
     _DEADLINE,
+    _MEMO,
     DEFAULT_CONFIG,
     Estimate,
     QuadratureConfig,
     _linear,
-    integrate,
 )
 from .representations import (
     CONSTANTS,
-    DELTA_FORMS,
     NORMAL_FORM_COEFF,
     REPRESENTATIONS,
     B,
     constant_residuals,
+    delta_form,
     double_angle_form,
     eval_representation,
     h1_integral,
@@ -115,17 +122,13 @@ class CheckSpec(NamedTuple):
 
 
 class _Context:
-    """Per-run cache so shared quantities (the R0 baseline above all) are
-    computed once, whether or not they converged."""
+    """The configuration of a run, and its routes as check sides."""
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
-        self._values: dict[str, Estimate] = {}
 
     def representation(self, rep_id: str) -> Estimate:
-        res = self._values.get(rep_id)
-        if res is None:
-            res = self._values[rep_id] = eval_representation(rep_id, self.cfg)
+        res = eval_representation(rep_id, self.cfg)
         if not res.converged:
             raise ArithmeticError(f"{rep_id} did not converge")
         return res
@@ -229,7 +232,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "Whittaker-Watson p.501",
                 "match",
                 None,
-                lambda ctx: (integrate(*DELTA_FORMS[0], ctx.cfg), complete_K(CONSTANTS.k_prime)),
+                lambda ctx: (delta_form(0, ctx.cfg), complete_K(CONSTANTS.k_prime)),
             ),
             CheckSpec(
                 "V1-bf25600",
@@ -238,7 +241,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "match",
                 None,
                 lambda ctx: (
-                    integrate(*DELTA_FORMS[1], ctx.cfg),
+                    delta_form(1, ctx.cfg),
                     (3.0 + _SQRT3) / 3.0 * incomplete_F(CONSTANTS.alpha, _K1),
                 ),
             ),
@@ -250,7 +253,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "match",
                 None,
                 lambda ctx: (
-                    integrate(*DELTA_FORMS[2], ctx.cfg),
+                    delta_form(2, ctx.cfg),
                     (1.0 + _SQRT3) / 3.0 * complete_K(_K1)
                     - 2.0 * (_SQRT3 - 1.0) / 3.0 * complete_Pi(CONSTANTS.k, _K1),
                 ),
@@ -453,7 +456,11 @@ def run_checks(
         chosen = list(_CATALOG)
 
     ctx = _Context(cfg)
-    records = [_execute(spec, ctx, timeout_secs) for spec in chosen]
+    token = _MEMO.set({})
+    try:
+        records = [_execute(spec, ctx, timeout_secs) for spec in chosen]
+    finally:
+        _MEMO.reset(token)
     overall = "pass" if all(r.status == "pass" for r in records) else "fail"
     echo = (
         f"abs_tol={cfg.abs_tol:g} max_evals={cfg.max_evals} timeout_secs={timeout_secs:g} "
@@ -472,6 +479,12 @@ def _sig12(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _sci(x: float) -> str:
+    if math.isnan(x):
+        return "n/a"
+    return f"{x:.2e}"
+
+
 def render_table(report: Report) -> str:
     header = (
         f"{'ID':<14} {'LHS':>18} {'RHS':>18} {'|DIFF|':>10} {'TOL':>10} "
@@ -479,10 +492,9 @@ def render_table(report: Report) -> str:
     )
     lines = [header, "-" * len(header)]
     for r in report.records:
-        diff = "n/a" if math.isnan(r.abs_diff) else f"{r.abs_diff:.2e}"
         lines.append(
-            f"{r.id:<14} {_sig12(r.lhs):>18} {_sig12(r.rhs):>18} {diff:>10} "
-            f"{r.tolerance:>10.2e} {r.status:<11} {r.paper_anchor}"
+            f"{r.id:<14} {_sig12(r.lhs):>18} {_sig12(r.rhs):>18} {_sci(r.abs_diff):>10} "
+            f"{_sci(r.tolerance):>10} {r.status:<11} {r.paper_anchor}"
             + (f"  reason: {r.reason}" if r.reason else "")
         )
     lines.append("-" * len(header))

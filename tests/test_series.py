@@ -107,9 +107,12 @@ def test_u_rejects_negative():
     "fn, arg, name",
     [
         (u_value, math.nan, "t"),
+        (u_value, math.inf, "t"),
         (u_series, math.nan, "t"),
         (u_series, math.inf, "t"),
         (u_integral, math.nan, "t"),
+        (u_integral, math.inf, "t"),
+        (hankel_series, math.inf, "t"),
         (inner_k_sum, math.nan, "n"),
         (inner_k_sum, math.inf, "n"),
         (inner_k_sum, 2.5, "n"),

@@ -9,10 +9,13 @@ import time
 import pytest
 
 import gr32485
+import gr32485.contour as contour
+import gr32485.quadrature as quadrature
+import gr32485.representations as representations
 import gr32485.verifier as verifier
 from gr32485.cli import main
 from gr32485.contour import hankel_exp_integral
-from gr32485.quadrature import Estimate, Interval, QuadratureConfig, integrate
+from gr32485.quadrature import _MEMO, Estimate, Interval, QuadratureConfig, _once, integrate
 from gr32485.series import TAIL_TOL, _u_quadrature, u_series
 from gr32485.verifier import (
     CheckSpec,
@@ -208,6 +211,8 @@ def test_tolerance_from_claimed_error_bars(monkeypatch):
     assert report.records[2].tolerance == 4.0 * EPS * (1.0 + 1e-14)
     assert math.isnan(report.records[3].tolerance)
     assert json.loads(render_json(report))["records"][3]["tolerance"] is None
+    # LHS, RHS, |DIFF| and TOL of the check that raised
+    assert render_table(report).splitlines()[2 + 3].split()[1:5] == ["n/a"] * 4
     with pytest.raises(TypeError):
         run_checks(["close"], tol=1e-9)
 
@@ -225,18 +230,95 @@ def test_catalog_checks_at_achieved_accuracy():
 
 def test_unconverged_route_is_evaluated_once(monkeypatch):
     # with a tiny budget R0 does not converge; every check comparing against
-    # it must reuse the failed result instead of recomputing it
+    # it must reuse the failed result instead of recomputing it. The counter
+    # sits below the run's memo, so it sees each computation, not each use.
     calls = []
 
-    def counting(*args):
-        calls.append(args[0])
-        return evaluate(*args)
+    def counting(rep):
+        def evaluate(cfg):
+            calls.append(rep.id)
+            return rep.evaluate(cfg)
 
-    evaluate = verifier.eval_representation
-    monkeypatch.setattr(verifier, "eval_representation", counting)
+        return rep._replace(evaluate=evaluate)
+
+    reps = tuple(counting(rep) for rep in representations.REPRESENTATIONS)
+    monkeypatch.setattr(representations, "REPRESENTATIONS", reps)
     report = run_checks(cfg=QuadratureConfig(max_evals=100))
     assert len(calls) == len(set(calls)) == 13
     assert report.records[0].reason == "R0 did not converge"
+
+
+def test_run_computes_shared_quantities_once(monkeypatch):
+    # V8 takes V5's delta = 0.5 contours, H1-vs-J1 and H2-vs-J2 take R9's and
+    # R10's parts, V0-V2 take R11's Delta-forms and lemma-decay takes V4's U(2)
+    current = [None]
+    quadratures = {}
+    contours = []
+    execute, adaptive, upper_half = verifier._execute, quadrature._adaptive, contour._upper_half
+
+    def tracking(spec, ctx, timeout_secs):
+        current[0] = spec.id
+        return execute(spec, ctx, timeout_secs)
+
+    def counting(pieces, cfg):
+        quadratures[current[0]] = quadratures.get(current[0], 0) + 1
+        return adaptive(pieces, cfg)
+
+    def recording(g, delta, cfg):
+        contours.append((current[0], delta))
+        return upper_half(g, delta, cfg)
+
+    monkeypatch.setattr(verifier, "_execute", tracking)
+    monkeypatch.setattr(quadrature, "_adaptive", counting)
+    monkeypatch.setattr(contour, "_upper_half", recording)
+    assert run_checks().overall == "pass"
+    assert sorted(d for cid, d in contours if cid == "V8-delta") == [0.25, 0.25, 1.0, 1.0]
+    for cid in ("V0-kprime", "V1-bf25600", "V2-bf25639", "H1-vs-J1", "H2-vs-J2"):
+        assert cid not in quadratures, cid
+    # only U(10) and U(100) are lemma-decay's own
+    assert quadratures["lemma-decay"] == 2
+
+
+def test_run_memo_keeps_values_for_one_run(monkeypatch):
+    calls = []
+
+    @_once
+    def flaky(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise ArithmeticError("first call fails")
+        return x
+
+    probe = CheckSpec("probe", "memoized", "none", "match", 0.0, lambda ctx: (flaky(1.0), 1.0))
+    monkeypatch.setattr(verifier, "_CATALOG", (probe,) * 3)
+    # the check that raised cached nothing, so the second computes
+    # again and the third takes its value
+    assert [r.status for r in run_checks().records] == ["no-converge", "pass", "pass"]
+    assert len(calls) == 2
+    assert _MEMO.get() is None
+    # outside a run, and in the next run, every call computes
+    flaky(1.0)
+    run_checks()
+    assert len(calls) == 4
+
+    class Stop(BaseException):
+        pass
+
+    def interrupted(ctx):
+        raise Stop
+
+    stop = CheckSpec("stop", "raises past the runner", "none", "match", 0.0, interrupted)
+    monkeypatch.setattr(verifier, "_CATALOG", (stop,))
+    with pytest.raises(Stop):
+        run_checks()
+    assert _MEMO.get() is None
+
+
+def test_full_run_records_equal_single_check_runs():
+    # sharing a quantity within a run changes no reported number
+    for rec in run_checks().records:
+        (alone,) = run_checks([rec.id]).records
+        assert alone._replace(wall_time_ms=0) == rec._replace(wall_time_ms=0), rec.id
 
 
 def test_lemma_checks_count_their_quadratures():
