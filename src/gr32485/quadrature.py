@@ -205,44 +205,57 @@ def _once(fn: Callable) -> Callable:
     return once
 
 
-def _node(g: Callable, x: float):
-    try:
-        v = g(x)
-    except ZeroDivisionError:
-        raise IntegrandError(f"integrand division by zero at node {x!r}") from None
-    if not cmath.isfinite(v):
-        raise IntegrandError(f"non-finite integrand value at node {x!r}")
-    return v
-
-
 def _gk15(g: Callable, a: float, b: float):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = _node(g, mid)
-    pairs = []
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        dx = half * _XGK[j]
-        f1 = _node(g, mid - dx)
-        f2 = _node(g, mid + dx)
-        pairs.append((f1, f2))
-        resk += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:
-            resg += _WG[j // 2] * (f1 + f2)
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    d0, d1, d2, d3 = half * x0, half * x1, half * x2, half * x3
+    d4, d5, d6 = half * x4, half * x5, half * x6
+    # the centre first, then the nodes pair by pair; a bad value stops
+    # the panel before the next node is evaluated
+    isfinite = cmath.isfinite
+    f = []
+    for x in (
+        mid,
+        mid - d0, mid + d0, mid - d1, mid + d1, mid - d2, mid + d2, mid - d3,
+        mid + d3, mid - d4, mid + d4, mid - d5, mid + d5, mid - d6, mid + d6,
+    ):
+        try:
+            v = g(x)
+        except ZeroDivisionError:
+            raise IntegrandError(f"integrand division by zero at node {x!r}") from None
+        if not isfinite(v):
+            raise IntegrandError(f"non-finite integrand value at node {x!r}")
+        f.append(v)
+    fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = f
+    # the sums are written out term by term, in the order of a loop from
+    # the centre outwards: for a cheap integrand the panel's arithmetic
+    # outweighs its 15 evaluations, and a loop would cost more again
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    s1, s3, s5 = a1 + b1, a3 + b3, a5 + b5
+    resk = (
+        w7 * fc + w0 * (a0 + b0) + w1 * s1 + w2 * (a2 + b2)
+        + w3 * s3 + w4 * (a4 + b4) + w5 * s5 + w6 * (a6 + b6)
+    )
+    resg = _WG[3] * fc + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5
     err = abs((resk - resg) * half)
     # QUADPACK-style sharpening: rescale the raw |K15 - G7| gap by the
     # panel's own variation (so smooth panels are not re-split forever)
     # and floor it at the panel's roundoff level
     mean = resk * 0.5
-    resasc = _WGK[7] * abs(fc - mean)
-    resabs = _WGK[7] * abs(fc)
-    for j in range(7):
-        f1, f2 = pairs[j]
-        resasc += _WGK[j] * (abs(f1 - mean) + abs(f2 - mean))
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-    resasc *= abs(half)
-    resabs *= abs(half)
+    resasc = (
+        w7 * abs(fc - mean)
+        + w0 * (abs(a0 - mean) + abs(b0 - mean)) + w1 * (abs(a1 - mean) + abs(b1 - mean))
+        + w2 * (abs(a2 - mean) + abs(b2 - mean)) + w3 * (abs(a3 - mean) + abs(b3 - mean))
+        + w4 * (abs(a4 - mean) + abs(b4 - mean)) + w5 * (abs(a5 - mean) + abs(b5 - mean))
+        + w6 * (abs(a6 - mean) + abs(b6 - mean))
+    ) * abs(half)
+    resabs = (
+        w7 * abs(fc)
+        + w0 * (abs(a0) + abs(b0)) + w1 * (abs(a1) + abs(b1)) + w2 * (abs(a2) + abs(b2))
+        + w3 * (abs(a3) + abs(b3)) + w4 * (abs(a4) + abs(b4)) + w5 * (abs(a5) + abs(b5))
+        + w6 * (abs(a6) + abs(b6))
+    ) * abs(half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     floor = 50.0 * _EPS * resabs

@@ -59,14 +59,20 @@ TAIL_TOL = 1e-13
 
 
 def u_series(t: float) -> Estimate:
-    """U(t) by its alternating power series; truncation bound from the
-    first omitted term once the terms decay."""
+    """U(t) by its alternating power series. The error bound is the first
+    omitted term, once the terms decay, plus the roundoff floor
+    2 * max_term * eps. The terms peak near k ~ t/3 and grow with t, so
+    from t ~ 25 on the bound exceeds TAIL_TOL and the sum reports
+    non-convergence."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"u_series: t must be finite and >= 0, got {t!r}")
     total = 0.0
     term = 1.0
+    peak = 0.0
     for k in range(MAX_TERMS):
         total += term
+        if abs(term) > peak:
+            peak = abs(term)
         ratio = (
             -4.0
             * ((2 * k + 1) * (2 * k + 2)) ** 2
@@ -75,9 +81,10 @@ def u_series(t: float) -> Estimate:
         )
         nxt = term * ratio
         if abs(nxt) <= abs(term) and abs(nxt) <= 0.5 * TAIL_TOL:
-            return Estimate(total, abs(nxt), k + 1, True)
+            err = abs(nxt) + 2.0 * peak * _EPS
+            return Estimate(total, err, k + 1, err <= TAIL_TOL)
         term = nxt
-    return Estimate(total, abs(term), MAX_TERMS, False)
+    return Estimate(total, abs(term) + 2.0 * peak * _EPS, MAX_TERMS, False)
 
 
 @_once
@@ -146,6 +153,7 @@ def _u_rule() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
 
 
 _U_NODES, _U_WEIGHTS, _U_EXPONENTS = _u_rule()
+_U_PAIRS = tuple(zip(_U_WEIGHTS, _U_EXPONENTS))
 
 # The rule matches U(t) to rounding up to here; beyond, the integrand
 # narrows towards v = 1/2 and the adaptive route takes over.
@@ -164,7 +172,14 @@ def u_value(t: float) -> float:
         raise ValueError(f"u_value: t must be finite and >= 0, got {t!r}")
     if t > _U_RULE_T_MAX:
         return u_integral(t)
-    return 2.0 * sum(w * math.exp(c * t) for w, c in zip(_U_WEIGHTS, _U_EXPONENTS))
+    return 2.0 * sum([w * math.exp(c * t) for w, c in _U_PAIRS])
+
+
+# (n + 1, 2n + 1, 2n + 2, (n + 1)/2) for each step n of hankel_series,
+# each exact, so reading them gives the bits of computing them in place
+_HANKEL_STEPS = tuple(
+    (n + 1, float(2 * n + 1), float(2 * n + 2), 0.5 * (n + 1)) for n in range(MAX_TERMS)
+)
 
 
 def hankel_series(t: float) -> float:
@@ -181,19 +196,20 @@ def hankel_series(t: float) -> float:
     if t > 600.0:
         raise OverflowError("hankel_series: term peak exp(t)/(2 pi t) overflows")
     sqrt_t = math.sqrt(t)
+    two_t = 2.0 * t
     b = 1.0 / math.sqrt(math.pi * t)  # n = 0 magnitude
     g = 1.0 / math.sqrt(math.pi)  # Gamma((n+2)/2)/Gamma((n+1)/2) at n = 0
     sign = 1.0
     total = 0.0
     peak = 0.0
-    for n in range(MAX_TERMS):
+    for m, odd, even, half_m in _HANKEL_STEPS:
         total += sign * b
         if b > peak:
             peak = b
-        nxt = b * (2 * n + 1) / (2 * n + 2) * sqrt_t / g
-        g = 0.5 * (n + 1) / g
+        nxt = b * odd / even * sqrt_t / g
+        g = half_m / g
         sign = -sign
-        if n + 1 >= 2.0 * t and nxt + 2.0 * peak * _EPS <= TAIL_TOL:
+        if m >= two_t and nxt + 2.0 * peak * _EPS <= TAIL_TOL:
             return total
         b = nxt
     raise ArithmeticError(f"hankel_series({t}) did not converge")
@@ -206,6 +222,19 @@ def central_binomial_ratio(n: int) -> float:
     return math.comb(2 * n, n) / 4**n
 
 
+# (k, ((2k+1)(2k+2))^2, (4k+2)(4k+3)(4k+4)(4k+5)) for each step k of
+# inner_k_sum; both products stay below 2^53 for k < MAX_TERMS, so their
+# floats are exact and the loop's arithmetic is unchanged
+_INNER_STEPS = tuple(
+    (
+        k,
+        float(((2 * k + 1) * (2 * k + 2)) ** 2),
+        float((4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5)),
+    )
+    for k in range(MAX_TERMS)
+)
+
+
 def inner_k_sum(n: int) -> Estimate:
     """The absolutely convergent k-sum inner(n) to TAIL_TOL/16, the
     tolerance the double series needs; geometric tail bound from the
@@ -215,17 +244,12 @@ def inner_k_sum(n: int) -> Estimate:
     total = 0.0
     term = 1.0
     half = 0.5 * (n + 1)
-    for k in range(MAX_TERMS):
+    tail_tol = TAIL_TOL / 16.0
+    for k, num, den in _INNER_STEPS:
         total += term
-        ratio = (
-            -(half + k)
-            / (k + 1)
-            * (16.0 / 3.0)
-            * ((2 * k + 1) * (2 * k + 2)) ** 2
-            / ((4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5))
-        )
+        ratio = -(half + k) / (k + 1) * (16.0 / 3.0) * num / den
         nxt = term * ratio
-        if abs(ratio) <= 0.5 and abs(nxt) <= TAIL_TOL / 16.0:
+        if abs(ratio) <= 0.5 and abs(nxt) <= tail_tol:
             return Estimate(total, 2.0 * abs(nxt), k + 1, True)
         term = nxt
     return Estimate(total, 2.0 * abs(term), MAX_TERMS, False)

@@ -15,7 +15,7 @@ from gr32485.representations import (
     j1_integral,
     j2_integral,
 )
-from gr32485.series import u_value
+from gr32485.series import u_series, u_value
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -43,16 +43,27 @@ def test_carlson_rf_against_elliprf():
     assert worst <= 4.0
 
 
-def test_u_value_against_quad():
-    # U(t) = 2 int_0^(1/2) exp(-(16t/3)(1/4 - v^2)^2) dv, the rule's own form
-    worst = 0.0
+def u_reference(t: float):
+    """U(t) = 2 int_0^(1/2) exp(-(16t/3)(1/4 - v^2)^2) dv at 30 digits."""
     with mpmath.workdps(30):
-        for t in (0.0, 0.1, 1.0, 2.0, 5.0, 10.0, 20.0, 36.8, 50.0):
-            c = mpmath.mpf(16) * t / 3
-            quarter = mpmath.mpf(1) / 4
-            ref = 2 * mpmath.quad(lambda v: mpmath.exp(-c * (quarter - v * v) ** 2), [0, 0.25, 0.5])
-            worst = max(worst, float(abs(u_value(t) - ref) / ref) / sys.float_info.epsilon)
+        c = mpmath.mpf(16) * t / 3
+        quarter = mpmath.mpf(1) / 4
+        return 2 * mpmath.quad(lambda v: mpmath.exp(-c * (quarter - v * v) ** 2), [0, 0.25, 0.5])
+
+
+def test_u_value_against_quad():
+    worst = 0.0
+    for t in (0.0, 0.1, 1.0, 2.0, 5.0, 10.0, 20.0, 36.8, 50.0):
+        ref = u_reference(t)
+        worst = max(worst, float(abs(u_value(t) - ref) / ref) / sys.float_info.epsilon)
     assert worst <= 4.0
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 20.0, 30.0, 40.0, 60.0, 100.0])
+def test_u_series_within_its_claim(t):
+    # past t ~ 25 rounding in the growing terms dominates the claim
+    res = u_series(t)
+    assert abs(res.value - u_reference(t)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])

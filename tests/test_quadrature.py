@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -174,6 +175,127 @@ def test_interior_division_by_zero_raises():
     # the integrand returns inf or raises
     with pytest.raises(IntegrandError):
         integrate(lambda x: 1.0 / (x - 0.5), Interval(0.0, 1.0))
+
+
+# Bits of one panel's (value, err, floor) for arithmetic-only integrands,
+# so no libm function sits in the integrand; err still passes through
+# the C library's pow, and a complex panel's sizes through its hypot.
+_PANEL_PINS = [
+    (
+        lambda x: 1.0 / (1.0 + x * x),
+        (0.0, 1.0),
+        ("0x1.921fb54442d18p-1", "0x1.1b6e617d9635fp-33", "0x1.3a28c59d5433bp-47"),
+    ),
+    (
+        lambda x: 1.0 / (1.0 + x * x),
+        (-3.0, 4.0),
+        ("0x1.497e21664cfe4p+1", "0x1.be958a42417a0p+0", "0x1.016a8a17ec26ap-45"),
+    ),
+    (
+        lambda x: (1.0 + 2.0j) / (x + 3.0j),
+        (0.0, 2.0),
+        (
+            ("0x1.5c204868aecdcp+0", "-0x1.c32104fd0f9efp-3"),
+            "0x1.9dbb0250bfc93p-43",
+            "0x1.1792ca0dbf57fp-46",
+        ),
+    ),
+    (
+        lambda x: (1.0 + 2.0j) / (x + 3.0j),
+        (-1.0, 5.0),
+        (
+            ("0x1.a8775b51329e8p+1", "-0x1.06dd6305386d8p-3"),
+            "0x1.8f2f8535dabbfp-15",
+            "0x1.6849179e2692ap-45",
+        ),
+    ),
+]
+
+
+def _hex(v):
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
+
+
+@pytest.mark.parametrize("f, ab, pin", _PANEL_PINS)
+def test_gk15_panel_bits_are_pinned(f, ab, pin):
+    assert tuple(_hex(v) for v in quadrature._gk15(f, *ab)) == pin
+
+
+def _gk15_loop(g, a, b):
+    """The panel with its sums as loops over the nodes, the reference for
+    the written-out sums of quadrature._gk15 (finite values only)."""
+    xgk, wgk, wg = quadrature._XGK, quadrature._WGK, quadrature._WG
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = g(mid)
+    pairs = [(g(mid - half * x), g(mid + half * x)) for x in xgk[:7]]
+    resk = wgk[7] * fc
+    resg = wg[3] * fc
+    for j, (f1, f2) in enumerate(pairs):
+        resk += wgk[j] * (f1 + f2)
+        if j % 2 == 1:
+            resg += wg[j // 2] * (f1 + f2)
+    err = abs((resk - resg) * half)
+    mean = resk * 0.5
+    resasc = wgk[7] * abs(fc - mean)
+    resabs = wgk[7] * abs(fc)
+    for j, (f1, f2) in enumerate(pairs):
+        resasc += wgk[j] * (abs(f1 - mean) + abs(f2 - mean))
+        resabs += wgk[j] * (abs(f1) + abs(f2))
+    resasc *= abs(half)
+    resabs *= abs(half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 50.0 * quadrature._EPS * resabs
+    return resk * half, max(err, floor), floor
+
+
+def test_gk15_panel_equals_its_loop_form():
+    rng = random.Random(20181015)
+    integrands = (
+        lambda x: 1.0 / (1.0 + x * x),
+        math.exp,
+        lambda x: (1.0 + 2.0j) / (x + 3.0j),
+        lambda x: complex(math.cos(3.0 * x), math.sin(2.0 * x)) * math.exp(-x),
+        lambda x: 0.0,
+    )
+    for f in integrands:
+        for _ in range(200):
+            a = rng.uniform(-5.0, 5.0)
+            b = a + 10.0 ** rng.uniform(-9.0, 1.0)
+            got = [_hex(v) for v in quadrature._gk15(f, a, b)]
+            assert got == [_hex(v) for v in _gk15_loop(f, a, b)], (a, b)
+
+
+def test_panel_stops_at_the_first_non_finite_node():
+    # the centre first, then mid - dx and mid + dx for the outermost
+    # node: the NaN at the third node ends the panel there
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return math.nan if len(calls) == 3 else 1.0
+
+    with pytest.raises(IntegrandError) as info:
+        quadrature._gk15(g, 0.0, 1.0)
+    dx = 0.5 * quadrature._XGK[0]
+    assert calls == [0.5, 0.5 - dx, 0.5 + dx]
+    assert str(info.value) == f"non-finite integrand value at node {calls[2]!r}"
+
+
+def test_panel_division_by_zero_names_the_node():
+    node = 0.5 + 0.5 * quadrature._XGK[1]
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return 1.0 / (x - node)
+
+    with pytest.raises(IntegrandError) as info:
+        quadrature._gk15(g, 0.0, 1.0)
+    assert calls[-1] == node and len(calls) == 5
+    assert str(info.value) == f"integrand division by zero at node {node!r}"
+    assert info.value.__suppress_context__
 
 
 def test_budget_exhaustion_reports_nonconvergence():

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -48,6 +49,45 @@ def inner_term_exact(n: int, k: int) -> Fraction:
     )
 
 
+def hankel_series_loop(t: float) -> float:
+    """S(t) with each step's factors computed in the loop, the reference
+    for the step table of series.hankel_series."""
+    sqrt_t = math.sqrt(t)
+    b = 1.0 / math.sqrt(math.pi * t)
+    g = 1.0 / math.sqrt(math.pi)
+    sign, total, peak = 1.0, 0.0, 0.0
+    for n in range(series.MAX_TERMS):
+        total += sign * b
+        peak = max(peak, b)
+        nxt = b * (2 * n + 1) / (2 * n + 2) * sqrt_t / g
+        g = 0.5 * (n + 1) / g
+        sign = -sign
+        if n + 1 >= 2.0 * t and nxt + 2.0 * peak * sys.float_info.epsilon <= series.TAIL_TOL:
+            return total
+        b = nxt
+    raise ArithmeticError(t)
+
+
+def inner_k_sum_loop(n: int) -> tuple[float, float, int]:
+    """(value, error, terms) of inner(n) with the integer factors computed
+    in the loop, the reference for the step table of series.inner_k_sum."""
+    total, term, half = 0.0, 1.0, 0.5 * (n + 1)
+    for k in range(series.MAX_TERMS):
+        total += term
+        ratio = (
+            -(half + k)
+            / (k + 1)
+            * (16.0 / 3.0)
+            * ((2 * k + 1) * (2 * k + 2)) ** 2
+            / ((4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5))
+        )
+        nxt = term * ratio
+        if abs(ratio) <= 0.5 and abs(nxt) <= series.TAIL_TOL / 16.0:
+            return total, 2.0 * abs(nxt), k + 1
+        term = nxt
+    raise ArithmeticError(n)
+
+
 def hankel_term(n: int, t: float) -> float:
     """Magnitude of the n-th term of S(t), straight from its definition."""
     return math.comb(2 * n, n) / 4**n * t ** ((n - 1) / 2) / math.gamma((n + 1) / 2)
@@ -77,6 +117,16 @@ def test_u_series_equals_u_integral(t):
     res = u_series(t)
     assert res.converged
     assert abs(res.value - u_integral(t)) < 1e-11
+
+
+@pytest.mark.parametrize("t", [5.0, 20.0, 30.0, 40.0, 60.0, 100.0])
+def test_u_series_claim_covers_rounding(t):
+    # the terms peak near 2.3e12 at t = 100, so rounding, not the tail,
+    # sets the error there; the claim must cover it and say when it
+    # exceeds the series tolerance
+    res = u_series(t)
+    assert abs(res.value - u_integral(t)) <= res.error_estimate
+    assert res.converged == (t < 30.0)
 
 
 def test_u_integral_basics():
@@ -164,6 +214,49 @@ def test_hankel_term_monotonicity(t):
         assert hankel_term(n, t) <= hankel_term(n + 1, t) * (1 + 1e-12)
     for n in range(math.ceil(2.0 * t), 120):
         assert hankel_term(n, t) >= hankel_term(n + 1, t) * (1 - 1e-12)
+
+
+# Bits of S(t) and of inner(n) as their loops compute them. Both kernels
+# use only arithmetic and math.sqrt, which IEEE 754 rounds correctly, so
+# the pins hold on any conforming platform, and a cheaper loop has to
+# reproduce them exactly.
+_HANKEL_PINS = {
+    0.1: "0x1.64636aa14726cp+0",
+    0.5: "0x1.f75c3c400b012p-2",
+    1.0: "0x1.353764c58c15ap-2",
+    2.0: "0x1.740d0daf756e0p-3",
+    5.0: "0x1.738d1e02f2afap-4",
+    8.0: "0x1.02bcf2911ac79p-4",
+}
+
+
+@pytest.mark.parametrize("t, pin", _HANKEL_PINS.items())
+def test_hankel_series_bits_are_pinned(t, pin):
+    assert hankel_series(t).hex() == pin
+
+
+_INNER_PINS = {
+    0: ("0x1.d98b8d4fcbbd3p-1", "0x1.7ce5f336a0ddep-47", 26),
+    1: ("0x1.b715db8d3193ep-1", "0x1.728c4ca7104efp-47", 28),
+    10: ("0x1.f1f1144f13aa2p-2", "0x1.e6c6c9da79e06p-48", 40),
+    47: ("0x1.756ef648c6f4cp-3", "0x1.227b9e62e303bp-47", 74),
+}
+
+
+@pytest.mark.parametrize("n, pin", _INNER_PINS.items())
+def test_inner_k_sum_bits_are_pinned(n, pin):
+    res = inner_k_sum(n)
+    assert (res.value.hex(), res.error_estimate.hex(), res.evals) == pin
+    assert res.converged
+
+
+def test_sums_equal_their_loop_forms():
+    rng = random.Random(20181015)
+    for t in [rng.uniform(0.05, 8.0) for _ in range(300)] + [8.0]:
+        assert hankel_series(t).hex() == hankel_series_loop(t).hex(), t
+    for n in range(200):
+        res = inner_k_sum(n)
+        assert (res.value, res.error_estimate, res.evals) == inner_k_sum_loop(n), n
 
 
 def test_hankel_series_guards():
