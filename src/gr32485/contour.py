@@ -19,11 +19,15 @@ The adaptive contour integrals therefore integrate only the upper half,
 parametrized as
 
     gamma(xi) = delta * exp(i pi xi / 2)    for 0 <= xi <= 1   (arc)
-    gamma(r)  = delta * (-r + i)            for r >= 0         (upper ray)
+    gamma(x)  = delta * (-x + i)            for x >= 0         (upper ray)
 
 and count its error estimate twice. The ray is compactified onto a
 finite range (see ``quadrature``), whether the integrand decays
 exponentially or only algebraically along it, so no tail is discarded.
+A node's z and sqrt(z + sqrt(z)), and on the arc its factor gamma'(xi),
+sit in node tables, one per delta and part, keyed on xi or x. Within a
+run of the check runner they last for the run, so every contour
+integral at one delta reads its nodes from one dyadic tree.
 
 For S(t) = (1/(2 pi i)) int_H exp(t z) / sqrt(z + sqrt(z)) dz at larger t
 there is also a fixed-node rule, :func:`hankel_hyperbolic`: the trapezoid
@@ -41,6 +45,7 @@ import math
 from typing import Callable
 
 from .quadrature import (
+    _MEMO,
     DEFAULT_CONFIG,
     Estimate,
     Interval,
@@ -85,20 +90,35 @@ def nested_radical(z: complex) -> complex:
 _ARC = 0.5j * math.pi
 
 
-def _upper_half(g: Callable[[complex], complex], delta: float, cfg: QuadratureConfig) -> Estimate:
-    """(1/(2 pi i)) int_H g(z) dz on the contour at distance ``delta``, from
-    its upper half: the lower half cancels the upper half's real part and
-    doubles its imaginary part, so the half's error estimate counts twice."""
+def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: QuadratureConfig) -> Estimate:
+    """(1/(2 pi i)) int_H g(z, nested_radical(z)) dz on the contour at distance
+    ``delta``, from its upper half: the lower half cancels the upper half's
+    real part and doubles its imaginary part, so the half's error estimate
+    counts twice. A node's z, nested_radical(z) and, on the arc, gamma'(xi)
+    come from a node table per part and delta, keyed on xi or x, that the
+    run's memo keeps for one run of the check runner; elsewhere each call
+    fills a fresh one."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
+    memo = _MEMO.get()
+    tables = {} if memo is None else memo
+    # an entry depends on (delta, node) alone, so a partial fill stays valid
+    arc_nodes = tables.setdefault(("contour arc", delta), {})
+    ray_nodes = tables.setdefault(("contour ray", delta), {})
     d_arc = delta * _ARC
 
     def arc(xi: float) -> complex:
-        w = cmath.exp(_ARC * xi)
-        return g(delta * w) * (d_arc * w)
+        if (node := arc_nodes.get(xi)) is None:
+            w = cmath.exp(_ARC * xi)
+            z = delta * w
+            node = arc_nodes[xi] = (z, nested_radical(z), d_arc * w)
+        return g(node[0], node[1]) * node[2]
 
-    def upper_ray(r: float) -> complex:
-        return g(complex(-delta * r, delta)) * -delta
+    def upper_ray(x: float) -> complex:
+        if (node := ray_nodes.get(x)) is None:
+            z = complex(-delta * x, delta)
+            node = ray_nodes[x] = (z, nested_radical(z))
+        return g(*node) * -delta
 
     arc_part = integrate(arc, Interval(0.0, 1.0), cfg)
     ray_part = integrate(upper_ray, Interval(0.0, math.inf), cfg)
@@ -117,13 +137,13 @@ def hankel_exp_integral(
 ) -> Estimate:
     """(1/(2 pi i)) * int_H exp(t z) / sqrt(z + sqrt(z)) dz for finite t > 0.
 
-    On the upper ray |exp(t z)| = exp(-t * delta * r), and on the arc
+    On the upper ray |exp(t z)| = exp(-t * delta * x), and on the arc
     the integrand reaches exp(t * delta), which sets the roundoff floor:
     once t * delta reaches about 10 the result stops converging.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_exp_integral: t must be finite and > 0, got {t!r}")
-    return _upper_half(lambda z: cmath.exp(t * z) / nested_radical(z), delta, cfg)
+    return _upper_half(lambda z, r: cmath.exp(t * z) / r, delta, cfg)
 
 
 def hankel_resolvent_integral(
@@ -142,7 +162,7 @@ def hankel_resolvent_integral(
         raise ValueError(f"hankel_resolvent_integral: c must be finite and >= 0, got {c!r}")
     if delta >= 1.0 + c:
         raise ValueError("delta must keep the pole right of the contour")
-    return _upper_half(lambda z: 1.0 / (nested_radical(z) * (1.0 - z + c)), delta, cfg)
+    return _upper_half(lambda z, r: 1.0 / (r * (1.0 - z + c)), delta, cfg)
 
 
 # Weideman-Trefethen hyperbola z(u) = mu * (1 + sin(i u - alpha)) with

@@ -25,8 +25,9 @@ Results are deterministic functions of (integrand, interval, config).
 The check runner may also set a wall-clock deadline for the current
 context; bisection past it raises ``TimeoutError`` instead of returning.
 It also sets a memo for its run, in which the functions marked ``_once``
-keep their values, so that a quantity several checks share is computed
-once per run; outside a run every call computes.
+keep their values and the contour integrals their node tables, so that a
+quantity or a contour node several checks share is computed once per
+run; outside a run every call computes.
 """
 
 from __future__ import annotations
@@ -224,6 +225,8 @@ def _gk15(g: Callable, a: float, b: float):
             v = g(x)
         except ZeroDivisionError:
             raise IntegrandError(f"integrand division by zero at node {x!r}") from None
+        except OverflowError as exc:
+            raise IntegrandError(f"integrand overflow at node {x!r}: {exc}") from None
         if not isfinite(v):
             raise IntegrandError(f"non-finite integrand value at node {x!r}")
         f.append(v)

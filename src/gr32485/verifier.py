@@ -25,11 +25,12 @@ the budget is spent, and a check that overruns it is reported as
 no-converge. A record that did not pass or fail says why in ``reason``.
 
 Within one run every shared quantity (a route, S(t), h1, h2, J1, J2, a
-Delta-form, U(t) by quadrature) is computed once: the runner sets a fresh
-memo for the run (``quadrature._MEMO``) and drops it when the run ends,
-so nothing is cached across runs. A computation that raised is not kept.
-A record's evals still sum the evals of the Estimates it uses, so work
-that two checks share counts in both records.
+Delta-form, U(t) by quadrature, a Hankel-contour node) is computed once:
+the runner sets a fresh memo for the run (``quadrature._MEMO``) and
+drops it when the run ends, so nothing is cached across runs. A
+computation that raised is not kept, but the contour nodes it evaluated
+are. A record's evals still sum the evals of the Estimates it uses, so
+work that two checks share counts in both records.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from gr32485.contour import (
     nested_radical,
     principal_sqrt,
 )
-from gr32485.quadrature import QuadratureConfig
+from gr32485.quadrature import IntegrandError, QuadratureConfig
 from gr32485.series import TAIL_TOL, hankel_series
 
 
@@ -88,6 +88,26 @@ def test_nested_radical_is_the_principal_sqrt_composition(monkeypatch):
     assert len(seen) > 500
     for z in points + seen:
         assert _bits(nested_radical(z)) == _bits(principal_sqrt(z + principal_sqrt(z))), z
+
+
+def test_integrand_overflow_names_the_node():
+    with pytest.raises(IntegrandError, match=r"^integrand overflow at node .+: math range error$"):
+        hankel_exp_integral(1e308)
+
+
+def test_calls_outside_a_run_fill_fresh_node_tables(monkeypatch):
+    # outside a run of the check runner nothing is kept between calls
+    seen = []
+
+    def recording(z):
+        seen.append(z)
+        return nested_radical(z)
+
+    monkeypatch.setattr(contour, "nested_radical", recording)
+    first = hankel_exp_integral(1.0)
+    assert len(seen) == len(set(seen)) == first.evals
+    assert hankel_exp_integral(1.0) == first
+    assert len(seen) == 2 * first.evals
 
 
 def test_path_validation():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -296,6 +297,25 @@ def test_panel_division_by_zero_names_the_node():
     assert calls[-1] == node and len(calls) == 5
     assert str(info.value) == f"integrand division by zero at node {node!r}"
     assert info.value.__suppress_context__
+
+
+def test_overflow_names_the_node():
+    # exp overflows on the compactified ray; the error names the node
+    # in sigma and keeps the library's message
+    with pytest.raises(IntegrandError) as info:
+        integrate(math.exp, Interval(0.0, math.inf))
+    match = re.fullmatch(r"integrand overflow at node (\S+): math range error", str(info.value))
+    assert match and 0.0 < float(match[1]) < 1.0
+    assert info.value.__suppress_context__
+
+
+def test_other_arithmetic_errors_propagate_unchanged():
+    def g(x):
+        raise ArithmeticError("did not converge")
+
+    with pytest.raises(ArithmeticError) as info:
+        quadrature._gk15(g, 0.0, 1.0)
+    assert type(info.value) is ArithmeticError and str(info.value) == "did not converge"
 
 
 def test_budget_exhaustion_reports_nonconvergence():

@@ -321,6 +321,93 @@ def test_full_run_records_equal_single_check_runs():
         assert alone._replace(wall_time_ms=0) == rec._replace(wall_time_ms=0), rec.id
 
 
+def _record_bits(rec):
+    # every float as its hex digits, so equal means equal in every bit
+    return tuple(v.hex() if isinstance(v, float) else v for v in rec._replace(wall_time_ms=0))
+
+
+def _estimate_bits(est):
+    value = complex(est.value)
+    return value.real.hex(), value.imag.hex(), est.error_estimate.hex(), est.evals, est.converged
+
+
+def _recording_nested_radical(monkeypatch):
+    calls = []
+    nested_radical = contour.nested_radical
+
+    def recording(z):
+        calls.append(z)
+        return nested_radical(z)
+
+    monkeypatch.setattr(contour, "nested_radical", recording)
+    return calls
+
+
+def test_run_evaluates_each_contour_node_once(monkeypatch):
+    # the contour integrals at one delta read their nodes from one table
+    # per run, and the next run starts from empty tables
+    calls = _recording_nested_radical(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run_checks().overall == "pass"
+        assert _MEMO.get() is None
+        assert len(calls) == len(set(calls)) > 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_node_tables_left_by_a_failed_check_stay_valid(monkeypatch):
+    # V5's first contour integrand raises at its 100th node, after the
+    # tables at delta = 0.5 have taken that node and the ones before it.
+    # An entry is a function of (delta, node) alone, so V6 may read what
+    # the failed check left and still reports its cold record
+    calls = _recording_nested_radical(monkeypatch)
+    (cold,) = run_checks(["V6-residue"]).records
+    cold_nodes = set(calls)
+    upper_half = contour._upper_half
+    seen = [0]
+
+    def failing(g, delta, cfg):
+        def g_failing(z, r):
+            seen[0] += 1
+            if seen[0] == 100:
+                raise ArithmeticError("integrand failed on purpose")
+            return g(z, r)
+
+        return upper_half(g_failing, delta, cfg)
+
+    monkeypatch.setattr(contour, "_upper_half", failing)
+    calls.clear()
+    v5, v6 = run_checks(["V5-hankel", "V6-residue"]).records
+    assert (v5.status, v5.reason) == ("no-converge", "integrand failed on purpose")
+    assert _record_bits(v6) == _record_bits(cold)
+    # V5 filled 100 entries, the last for the node whose integrand raised,
+    # and V6 computed only the nodes of its own that V5 had not reached
+    v5_nodes, v6_nodes = calls[:100], calls[100:]
+    assert len(set(calls)) == len(calls)
+    assert set(v6_nodes) <= cold_nodes
+    assert cold_nodes - set(v6_nodes) == cold_nodes & set(v5_nodes) != set()
+
+
+def test_resolvent_in_a_run_equals_a_fresh_call(monkeypatch):
+    # V6's ten resolvent integrals read V5's nodes within a full run, and
+    # give the Estimates that a call outside any run computes
+    resolvent = verifier.hankel_resolvent_integral
+    inside = []
+
+    def recording(*args, **kwargs):
+        est = resolvent(*args, **kwargs)
+        inside.append((args, kwargs, est))
+        return est
+
+    monkeypatch.setattr(verifier, "hankel_resolvent_integral", recording)
+    assert run_checks().overall == "pass"
+    assert len(inside) == len(verifier._RESIDUE_C) == 10
+    for args, kwargs, est in inside:
+        assert _estimate_bits(est) == _estimate_bits(resolvent(*args, **kwargs)), args
+
+
 def test_lemma_checks_count_their_quadratures():
     report = run_checks(["V4-lemma", "lemma-decay"])
     pair = sum(u_series(t).evals + _u_quadrature(t).evals for t in verifier._LEMMA_T_GRID)
