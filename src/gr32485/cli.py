@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG
 from .verifier import (
+    DEFAULT_TIMEOUT_SECS,
     catalog,
     render_json,
     render_table,
@@ -38,16 +39,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-evals",
         type=int,
-        default=200_000,
+        default=DEFAULT_CONFIG.max_evals,
         metavar="N",
-        help="integrand evaluation budget per quadrature (default 200000)",
+        help="integrand evaluation budget per quadrature (default %(default)s)",
     )
     parser.add_argument(
         "--timeout-secs",
         type=float,
-        default=30.0,
+        default=DEFAULT_TIMEOUT_SECS,
         metavar="N",
-        help="per-check time budget; slower checks report no-converge (default 30)",
+        help="per-check time budget; slower checks report no-converge (default %(default)s)",
     )
     parser.add_argument("--json", action="store_true", help="emit the machine-readable report")
     parser.add_argument("--list", action="store_true", help="print the check catalog and exit")
@@ -72,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = run_checks(
             selection,
-            QuadratureConfig(abs_tol=1e-12, max_evals=args.max_evals),
+            DEFAULT_CONFIG._replace(max_evals=args.max_evals),
             timeout_secs=args.timeout_secs,
         )
     except ValueError as exc:

@@ -6,9 +6,10 @@ combination z + sqrt(z) never meets the cut, so sqrt(z + sqrt(z)) is
 analytic there.
 
 The contour H encircles the negative real axis counterclockwise at
-distance delta: two horizontal rays at Im z = -/+ delta joined by the
-right half of the circle |z| = delta. Every integrand here is real on
-the positive real axis, so its value at conj(z) is the conjugate of its
+distance delta, 0.5 unless a caller of the exponential integral picks
+another: two horizontal rays at Im z = -/+ delta joined by the right
+half of the circle |z| = delta. Every integrand here is real on the
+positive real axis, so its value at conj(z) is the conjugate of its
 value at z. The lower half of H is the mirror image of the upper half
 run backwards, so it contributes the negated conjugate of the upper
 half, and
@@ -61,6 +62,7 @@ __all__ = [
     "hankel_exp_integral",
     "hankel_resolvent_integral",
     "hankel_hyperbolic",
+    "HYPERBOLIC_ERROR",
 ]
 
 
@@ -88,6 +90,7 @@ def nested_radical(z: complex) -> complex:
 
 # gamma(xi) = delta * exp(_ARC * xi) on the arc, so gamma'(xi) = delta * _ARC * exp(_ARC * xi)
 _ARC = 0.5j * math.pi
+_DELTA = 0.5  # the resolvent's contour distance and the exponential integral's default
 
 
 def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: QuadratureConfig) -> Estimate:
@@ -132,7 +135,7 @@ def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: Qua
 @_once
 def hankel_exp_integral(
     t: float,
-    delta: float = 0.5,
+    delta: float = _DELTA,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Estimate:
     """(1/(2 pi i)) * int_H exp(t z) / sqrt(z + sqrt(z)) dz for finite t > 0.
@@ -146,23 +149,17 @@ def hankel_exp_integral(
     return _upper_half(lambda z, r: cmath.exp(t * z) / r, delta, cfg)
 
 
-def hankel_resolvent_integral(
-    c: float,
-    delta: float = 0.5,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> Estimate:
+def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
     """(1/(2 pi i)) * int_H dz / (sqrt(z + sqrt(z)) * (1 - z + c)) for finite c >= 0.
 
-    The integrand has a simple pole at z = 1 + c to the right of the
-    contour; closing H through the right half plane shows the value equals
+    The integrand has a simple pole at z = 1 + c >= 1, right of H at distance
+    0.5; closing H through the right half plane shows the value equals
     1 / sqrt((1+c) + sqrt(1+c)). The integrand decays only like |z|**(-3/2)
     on the ray.
     """
     if not 0.0 <= c < math.inf:
         raise ValueError(f"hankel_resolvent_integral: c must be finite and >= 0, got {c!r}")
-    if delta >= 1.0 + c:
-        raise ValueError("delta must keep the pole right of the contour")
-    return _upper_half(lambda z, r: 1.0 / (r * (1.0 - z + c)), delta, cfg)
+    return _upper_half(lambda z, r: 1.0 / (r * (1.0 - z + c)), _DELTA, cfg)
 
 
 # Weideman-Trefethen hyperbola z(u) = mu * (1 + sin(i u - alpha)) with
@@ -189,6 +186,7 @@ def _hyperbola_rule() -> tuple[tuple[complex, complex], ...]:
 
 
 _HYP_RULE = _hyperbola_rule()
+HYPERBOLIC_ERROR = 1e-13  # bound on |hankel_hyperbolic(t) - S(t)| for t >= 8
 
 
 def hankel_hyperbolic(t: float) -> float:
@@ -198,8 +196,8 @@ def hankel_hyperbolic(t: float) -> float:
     The rule evaluates the integrand at the N+1 nodes u_k = k h >= 0 (the
     others are their conjugates) and returns a plain float, like
     ``hankel_series``. Its absolute error is below 1e-12 for
-    0.25 <= t <= 50 and below 1e-13 for t >= 8, where the rounding of the
-    terms, not the rule, sets it.
+    0.25 <= t <= 50 and below ``HYPERBOLIC_ERROR`` for t >= 8, where the
+    rounding of the terms, not the rule, sets it.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_hyperbolic: t must be finite and > 0, got {t!r}")

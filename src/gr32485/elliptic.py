@@ -194,10 +194,7 @@ def complete_Pi(n: float, k: float) -> float:
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
     kc2 = (1.0 - k) * (1.0 + k)
-    base = carlson_rf(0.0, kc2, 1.0)
-    if n == 0.0:
-        return base
-    return base + n / 3.0 * carlson_rj(0.0, kc2, 1.0, 1.0 - n)
+    return carlson_rf(0.0, kc2, 1.0) + n / 3.0 * carlson_rj(0.0, kc2, 1.0, 1.0 - n)
 
 
 def landen_residual(k: float) -> float:

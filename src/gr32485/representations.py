@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .contour import hankel_hyperbolic
+from .contour import HYPERBOLIC_ERROR, hankel_hyperbolic
 from .elliptic import complete_Pi, incomplete_F
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -198,7 +198,6 @@ def _eval_r2(cfg: QuadratureConfig) -> Estimate:
 
 _R3_SWITCH_T = 8.0  # Hankel sum up to here, hyperbolic contour rule above
 _R3_CUTOFF_T = 50.0
-_HYPERBOLIC_ERROR = 1e-13  # hankel_hyperbolic's bound for t >= 8
 
 
 def _eval_r3(cfg: QuadratureConfig) -> Estimate:
@@ -228,7 +227,7 @@ def _eval_r3(cfg: QuadratureConfig) -> Estimate:
     # integral of exp(-t) over its range, the rule's error in U(t) at most
     # sqrt(pi) U_RULE_ERROR, and the discarded tail exp(-T)/sqrt(T).
     tail = math.exp(-_R3_CUTOFF_T) / math.sqrt(_R3_CUTOFF_T)
-    s_err = TAIL_TOL + _HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
+    s_err = TAIL_TOL + HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
     u_err = math.sqrt(math.pi) * U_RULE_ERROR
     return _linear(((1.0, low), (1.0, high)), extra_err=s_err + u_err + tail)
 

@@ -18,7 +18,7 @@ U(t) has three routes: the series ``u_series``, the adaptive quadrature
 ``u_integral``, and ``u_value``, a fixed 24-node Gauss-Legendre rule in
 v on [0, 1/2]. The v-form integrand is entire, so the rule converges
 geometrically (Trefethen 2008, SIAM Rev. 50:67) and is accurate to
-rounding for t <= 50.
+rounding for t <= 50; ``u_value`` takes no larger t.
 
 The outer n-sum converges only conditionally (terms ~ 1/n); inner(n) is
 absolutely convergent with term ratio -> -1/3. The outer coefficients
@@ -156,7 +156,7 @@ _U_NODES, _U_WEIGHTS, _U_EXPONENTS = _u_rule()
 _U_PAIRS = tuple(zip(_U_WEIGHTS, _U_EXPONENTS))
 
 # The rule matches U(t) to rounding up to here; beyond, the integrand
-# narrows towards v = 1/2 and the adaptive route takes over.
+# narrows towards v = 1/2 and 24 nodes no longer resolve it.
 _U_RULE_T_MAX = 50.0
 
 # bound on |u_value(t) - U(t)| for 0 <= t <= _U_RULE_T_MAX (at most
@@ -165,13 +165,10 @@ U_RULE_ERROR = 1e-15
 
 
 def u_value(t: float) -> float:
-    """U(t) for any finite t >= 0: the fixed 24-node Gauss-Legendre rule in
-    v = u - 1/2 on [0, 1/2] for t <= 50, within ``U_RULE_ERROR``, and
-    ``u_integral`` above."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"u_value: t must be finite and >= 0, got {t!r}")
-    if t > _U_RULE_T_MAX:
-        return u_integral(t)
+    """U(t) for 0 <= t <= 50 by the fixed 24-node Gauss-Legendre rule in
+    v = u - 1/2 on [0, 1/2], within ``U_RULE_ERROR``."""
+    if not 0.0 <= t <= _U_RULE_T_MAX:
+        raise ValueError(f"u_value: t must be in [0, {_U_RULE_T_MAX:g}], got {t!r}")
     return 2.0 * sum([w * math.exp(c * t) for w, c in _U_PAIRS])
 
 

@@ -13,10 +13,10 @@ A spec's tolerance of None is derived from the sides, err(lhs) + err(rhs)
 for a float: the sides must agree within the error bars they claim. A
 check that raised records a derived tolerance as NaN.
 
-A check is a function of the run context that returns its two sides,
-each a float or an Estimate. The runner unwraps them: an Estimate side
-that did not converge makes the record no-converge, and the record's
-evals sum the Estimate sides' evals.
+A check is a function of the run's configuration that returns its two
+sides, each a float or an Estimate. The runner unwraps them: a side that
+did not converge keeps its value and evals and makes the record
+no-converge, naming the side in ``reason``; evals sum the Estimates'.
 
 Checks run one after another in catalog order, so a report is
 deterministic for a fixed configuration (wall times aside). Each check
@@ -77,12 +77,14 @@ __all__ = [
     "render_table",
     "render_json",
     "UnknownCheckError",
+    "DEFAULT_TIMEOUT_SECS",
 ]
 
 # the left side of 3.248.5 prints as 0.666377 to the six figures usually quoted
 HEADLINE_VALUE = 0.666377
 HEADLINE_TOL = 5e-7
 
+DEFAULT_TIMEOUT_SECS = 30.0  # each check's default time budget
 _SQRT3 = math.sqrt(3.0)
 _SQRT_3PI = math.sqrt(3.0 * math.pi)
 
@@ -119,20 +121,7 @@ class CheckSpec(NamedTuple):
     anchor: str
     kind: str  # "match" | "differ" | "bound"
     tolerance: float | None  # None: err(lhs) + err(rhs) + 4 eps max(|lhs|, |rhs|)
-    fn: Callable  # ctx -> (lhs, rhs), each a float or an Estimate
-
-
-class _Context:
-    """The configuration of a run, and its routes as check sides."""
-
-    def __init__(self, cfg: QuadratureConfig):
-        self.cfg = cfg
-
-    def representation(self, rep_id: str) -> Estimate:
-        res = eval_representation(rep_id, self.cfg)
-        if not res.converged:
-            raise ArithmeticError(f"{rep_id} did not converge")
-        return res
+    fn: Callable  # cfg -> (lhs, rhs), each a float or an Estimate
 
 
 def _worst(gaps: list[float], parts: list[Estimate], extra_err: float = 0.0) -> Estimate:
@@ -145,25 +134,25 @@ def _worst(gaps: list[float], parts: list[Estimate], extra_err: float = 0.0) -> 
 _LEMMA_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 
-def _check_lemma_pair(ctx: _Context):
+def _check_lemma_pair(cfg: QuadratureConfig):
     sums = [u_series(t) for t in _LEMMA_T_GRID]
-    quads = [_u_quadrature(t, ctx.cfg) for t in _LEMMA_T_GRID]
+    quads = [_u_quadrature(t, cfg) for t in _LEMMA_T_GRID]
     gaps = [abs(s.value - q.value) for s, q in zip(sums, quads)]
     return _worst(gaps, sums + quads), 0.0
 
 
-def _check_lemma_decay(ctx: _Context):
+def _check_lemma_decay(cfg: QuadratureConfig):
     # U(t) <= sqrt(3 pi) / (2 sqrt(t)): the proof bound with the factor
     # from the symmetry of u(1-u) about 1/2 made explicit
-    scaled = [_linear([(math.sqrt(t), _u_quadrature(t, ctx.cfg))]) for t in (2.0, 10.0, 100.0)]
+    scaled = [_linear([(math.sqrt(t), _u_quadrature(t, cfg))]) for t in (2.0, 10.0, 100.0)]
     return _worst([s.value for s in scaled], scaled), _SQRT_3PI / 2.0
 
 
 _HANKEL_T_GRID = (0.5, 1.0, 2.0, 5.0)
 
 
-def _check_hankel_series(ctx: _Context):
-    contour = [hankel_exp_integral(t, cfg=ctx.cfg) for t in _HANKEL_T_GRID]
+def _check_hankel_series(cfg: QuadratureConfig):
+    contour = [hankel_exp_integral(t, cfg=cfg) for t in _HANKEL_T_GRID]
     gaps = [abs(c.value - hankel_series(t)) for c, t in zip(contour, _HANKEL_T_GRID)]
     # each Hankel sum stops once its tail is below TAIL_TOL
     return _worst(gaps, contour, TAIL_TOL), 0.0
@@ -174,17 +163,17 @@ def _check_hankel_series(ctx: _Context):
 _RESIDUE_C = tuple(16.0 / 3.0 * u * u * (1.0 - u) ** 2 for u in (j / 19.0 for j in range(10)))
 
 
-def _check_residue(ctx: _Context):
-    contour = [hankel_resolvent_integral(c, cfg=ctx.cfg) for c in _RESIDUE_C]
+def _check_residue(cfg: QuadratureConfig):
+    contour = [hankel_resolvent_integral(c, cfg=cfg) for c in _RESIDUE_C]
     residues = [(1.0 / nested_radical(complex(1.0 + c, 0.0))).real for c in _RESIDUE_C]
     return _worst([abs(r.value - v) for r, v in zip(contour, residues)], contour), 0.0
 
 
-def _check_delta_independence(ctx: _Context):
+def _check_delta_independence(cfg: QuadratureConfig):
     parts, gaps = [], []
     for t in (1.0, 2.0):
-        base = hankel_exp_integral(t, cfg=ctx.cfg)
-        others = [hankel_exp_integral(t, d, ctx.cfg) for d in (0.25, 1.0)]
+        base = hankel_exp_integral(t, cfg=cfg)
+        others = [hankel_exp_integral(t, d, cfg) for d in (0.25, 1.0)]
         parts += [base, *others]
         gaps += [abs(o.value - base.value) for o in others]
     return _worst(gaps, parts), 0.0
@@ -201,7 +190,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
             "GR 3.248.5 left side, usually quoted as 0.666377",
             "match",
             HEADLINE_TOL,
-            lambda ctx: (ctx.representation("R0"), HEADLINE_VALUE),
+            lambda cfg: (eval_representation("R0", cfg), HEADLINE_VALUE),
         ),
         CheckSpec(
             "R0-vs-wrong",
@@ -209,7 +198,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
             "GR 3.248.5 right side (erroneous)",
             "differ",
             0.02,
-            lambda ctx: (ctx.representation("R0"), CONSTANTS.wrong_value),
+            lambda cfg: (eval_representation("R0", cfg), CONSTANTS.wrong_value),
         ),
     ]
     for rep in REPRESENTATIONS[1:]:
@@ -220,7 +209,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 rep.anchor,
                 "match",
                 None,
-                lambda ctx, rep_id=rep.id: (ctx.representation(rep_id), ctx.representation("R0")),
+                lambda cfg, rep_id=rep.id: (eval_representation(rep_id, cfg), eval_representation("R0", cfg)),
             )
         )
     # the Delta-form integrals of R11 by quadrature in theta, each
@@ -233,7 +222,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "Whittaker-Watson p.501",
                 "match",
                 None,
-                lambda ctx: (delta_form(0, ctx.cfg), complete_K(CONSTANTS.k_prime)),
+                lambda cfg: (delta_form(0, cfg), complete_K(CONSTANTS.k_prime)),
             ),
             CheckSpec(
                 "V1-bf25600",
@@ -241,8 +230,8 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "Byrd-Friedman 256.00",
                 "match",
                 None,
-                lambda ctx: (
-                    delta_form(1, ctx.cfg),
+                lambda cfg: (
+                    delta_form(1, cfg),
                     (3.0 + _SQRT3) / 3.0 * incomplete_F(CONSTANTS.alpha, _K1),
                 ),
             ),
@@ -253,8 +242,8 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "Byrd-Friedman 256.39 with 340.01",
                 "match",
                 None,
-                lambda ctx: (
-                    delta_form(2, ctx.cfg),
+                lambda cfg: (
+                    delta_form(2, cfg),
                     (1.0 + _SQRT3) / 3.0 * complete_K(_K1)
                     - 2.0 * (_SQRT3 - 1.0) / 3.0 * complete_Pi(CONSTANTS.k, _K1),
                 ),
@@ -265,7 +254,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "DLMF 19.8.12",
                 "match",
                 1e-12,
-                lambda ctx: (max(abs(landen_residual(k)) for k in (CONSTANTS.k, 0.5, 0.9)), 0.0),
+                lambda cfg: (max(abs(landen_residual(k)) for k in (CONSTANTS.k, 0.5, 0.9)), 0.0),
             ),
             CheckSpec(
                 "V4-lemma",
@@ -306,7 +295,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "order-swap threshold of the indicator bracket",
                 "match",
                 1e-12,
-                lambda ctx: (math.sqrt(B((2.0 + _SQRT3) / 8.0)), _SQRT3 - 1.5),
+                lambda cfg: (math.sqrt(B((2.0 + _SQRT3) / 8.0)), _SQRT3 - 1.5),
             ),
             CheckSpec(
                 "V8-delta",
@@ -322,7 +311,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "x = sin^2(theta) substitution",
                 "match",
                 None,
-                lambda ctx: (double_angle_form(ctx.cfg), ctx.representation("R0")),
+                lambda cfg: (double_angle_form(cfg), eval_representation("R0", cfg)),
             ),
             CheckSpec(
                 "H1-vs-J1",
@@ -330,9 +319,9 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "x = L(t) with L(-1/k,-1,1,1/k) = (5,4,-4,8)",
                 "match",
                 None,
-                lambda ctx: (
-                    _linear([(NORMAL_FORM_COEFF, h1_integral(ctx.cfg))]),
-                    _linear([(CONSTANTS.coeff_a, j1_integral(ctx.cfg))]),
+                lambda cfg: (
+                    _linear([(NORMAL_FORM_COEFF, h1_integral(cfg))]),
+                    _linear([(CONSTANTS.coeff_a, j1_integral(cfg))]),
                 ),
             ),
             CheckSpec(
@@ -341,9 +330,9 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "x = L(t) with L(-1/k,-1,1,1/k) = (8,4,-4,inf)",
                 "match",
                 None,
-                lambda ctx: (
-                    _linear([(NORMAL_FORM_COEFF, h2_integral(ctx.cfg))]),
-                    _linear([(-CONSTANTS.coeff_b, j2_integral(ctx.cfg))]),
+                lambda cfg: (
+                    _linear([(NORMAL_FORM_COEFF, h2_integral(cfg))]),
+                    _linear([(-CONSTANTS.coeff_b, j2_integral(cfg))]),
                 ),
             ),
             CheckSpec(
@@ -352,7 +341,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "surd identities of the evaluation",
                 "match",
                 1e-14,
-                lambda ctx: (max(abs(v) for v in constant_residuals().values()), 0.0),
+                lambda cfg: (max(abs(v) for v in constant_residuals().values()), 0.0),
             ),
         ]
     )
@@ -378,13 +367,13 @@ def _status(kind: str, abs_diff: float, tolerance: float) -> str:
     return "pass" if abs_diff <= tolerance else "fail"
 
 
-def _execute(spec: CheckSpec, ctx: _Context, timeout_secs: float) -> CheckRecord:
+def _execute(spec: CheckSpec, cfg: QuadratureConfig, timeout_secs: float) -> CheckRecord:
     timeout = f"timeout after {timeout_secs:g} s"
     tolerance = math.nan if spec.tolerance is None else spec.tolerance
     t0 = time.monotonic()
     token = _DEADLINE.set(t0 + timeout_secs)
     try:
-        sides = spec.fn(ctx)
+        sides = spec.fn(cfg)
         estimates = {n: s for n, s in zip(("lhs", "rhs"), sides) if isinstance(s, Estimate)}
         evals = sum(e.evals for e in estimates.values())
         lhs, rhs = (s.value if isinstance(s, Estimate) else s for s in sides)
@@ -397,7 +386,7 @@ def _execute(spec: CheckSpec, ctx: _Context, timeout_secs: float) -> CheckRecord
         reason = "the difference is NaN" if status == "no-converge" else None
         unconverged = [n for n, e in estimates.items() if not e.converged]
         if unconverged:
-            status, reason = "no-converge", f"{unconverged[0]} did not converge"
+            status, reason = "no-converge", f"{' and '.join(unconverged)} did not converge"
     except Exception as exc:
         # isolation: a broken or non-convergent check must not stop the run
         lhs = rhs = abs_diff = math.nan
@@ -434,7 +423,7 @@ def run_checks(
     selection: list[str] | None = None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
-    timeout_secs: float = 30.0,
+    timeout_secs: float = DEFAULT_TIMEOUT_SECS,
 ) -> Report:
     """Run the selected checks (all of them when selection is falsy), one
     after another in catalog order.
@@ -456,10 +445,9 @@ def run_checks(
     else:
         chosen = list(_CATALOG)
 
-    ctx = _Context(cfg)
     token = _MEMO.set({})
     try:
-        records = [_execute(spec, ctx, timeout_secs) for spec in chosen]
+        records = [_execute(spec, cfg, timeout_secs) for spec in chosen]
     finally:
         _MEMO.reset(token)
     overall = "pass" if all(r.status == "pass" for r in records) else "fail"

@@ -156,7 +156,7 @@ def test_error_estimate_covers_true_error(rep_results, rid):
 
 def test_r3_makes_no_adaptive_u_calls(monkeypatch):
     # R3 takes U(t) from the fixed Gauss-Legendre rule; the adaptive
-    # u_integral is left to the lemma checks, and to t > 50
+    # u_integral is left to the lemma checks
     calls = []
     adaptive = series.u_integral
 
@@ -167,5 +167,3 @@ def test_r3_makes_no_adaptive_u_calls(monkeypatch):
     monkeypatch.setattr(series, "u_integral", counting)
     assert eval_representation("R3").converged
     assert calls == []
-    series.u_value(60.0)
-    assert len(calls) == 1

@@ -195,9 +195,16 @@ def test_u_rule_integrates_even_moments_exactly():
 
 
 def test_u_value_matches_u_integral():
-    # across the rule's upper limit t = 50, where u_value hands over
-    for t in (0.5, 2.0, 10.0, 49.99, 50.0, 50.01):
+    # up to the rule's upper limit t = 50
+    for t in (0.5, 2.0, 10.0, 49.99, 50.0):
         assert u_value(t) == pytest.approx(u_integral(t), abs=1e-13), t
+
+
+def test_u_value_rejects_t_above_the_rule():
+    # beyond t = 50 the 24 nodes no longer resolve U(t) to U_RULE_ERROR
+    for t in (50.01, 60.0, 1e6):
+        with pytest.raises(ValueError, match="t must be"):
+            u_value(t)
 
 
 def test_hankel_peak_magnitude():
@@ -286,9 +293,11 @@ def test_inner_sum_matches_exact_rational():
 
 
 def test_inner_sum_zero_against_quadrature_oracle():
+    # u_value stops at t = 50; the dropped tail is below
+    # exp(-50)/sqrt(50) ~ 3e-23, far under the 1e-9 bound
     res = integrate(
         lambda t: u_value(t) * math.exp(-t) / math.sqrt(t),
-        Interval(0.0, math.inf, singular_lower=True),
+        Interval(0.0, 50.0, singular_lower=True),
     )
     assert res.converged
     oracle = res.value / math.gamma(0.5)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import gr32485
+import gr32485.cli as cli
 import gr32485.contour as contour
 import gr32485.quadrature as quadrature
 import gr32485.representations as representations
@@ -245,7 +246,36 @@ def test_unconverged_route_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(representations, "REPRESENTATIONS", reps)
     report = run_checks(cfg=QuadratureConfig(max_evals=100))
     assert len(calls) == len(set(calls)) == 13
-    assert report.records[0].reason == "R0 did not converge"
+    assert report.records[0].reason == "lhs did not converge"
+
+
+def test_unconverged_side_keeps_its_value_and_evals():
+    # R1 converges on 100 evals and R0 does not: the record keeps both
+    # values and their evals, and names the side that did not converge
+    cfg = QuadratureConfig(max_evals=100)
+    (rec,) = run_checks(["R1"], cfg).records
+    r1, r0 = (representations.eval_representation(rid, cfg) for rid in ("R1", "R0"))
+    assert r1.converged and not r0.converged
+    assert (rec.lhs, rec.rhs, rec.evals) == (r1.value, r0.value, r1.evals + r0.evals)
+    assert math.isfinite(rec.lhs) and math.isfinite(rec.rhs) and rec.evals > 0
+    assert (rec.status, rec.reason) == ("no-converge", "rhs did not converge")
+
+
+def test_record_names_both_unconverged_sides(monkeypatch):
+    def neither(cfg):
+        return Estimate(1.0, 0.5, 30, False), Estimate(1.0, 0.5, 45, False)
+
+    probe = CheckSpec("neither", "two unconverged sides", "none", "match", None, neither)
+    monkeypatch.setattr(verifier, "_CATALOG", (probe,))
+    (rec,) = run_checks().records
+    assert (rec.lhs, rec.rhs, rec.evals) == (1.0, 1.0, 75)
+    assert (rec.status, rec.reason) == ("no-converge", "lhs and rhs did not converge")
+
+
+def test_cli_defaults_come_from_the_api():
+    args = cli._build_parser().parse_args([])
+    assert args.max_evals == gr32485.DEFAULT_CONFIG.max_evals
+    assert args.timeout_secs == run_checks.__kwdefaults__["timeout_secs"]
 
 
 def test_run_computes_shared_quantities_once(monkeypatch):
