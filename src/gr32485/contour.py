@@ -16,19 +16,20 @@ half, and
 
     (1/(2 pi i)) int_H = Im(int over the upper half) / pi.
 
-The adaptive contour integrals therefore integrate only the upper half,
-parametrized as
+The adaptive contour integrals therefore integrate only the imaginary
+part of the integrand times gamma' on the upper half, parametrized as
 
     gamma(xi) = delta * exp(i pi xi / 2)    for 0 <= xi <= 1   (arc)
     gamma(x)  = delta * (-x + i)            for x >= 0         (upper ray)
 
-and count its error estimate twice. The ray is compactified onto a
-finite range (see ``quadrature``), whether the integrand decays
-exponentially or only algebraically along it, so no tail is discarded.
-A node's z and sqrt(z + sqrt(z)), and on the arc its factor gamma'(xi),
-sit in node tables, one per delta and part, keyed on xi or x. Within a
-run of the check runner they last for the run, so every contour
-integral at one delta reads its nodes from one dyadic tree.
+as real functions, and count its error estimate twice. The ray runs
+over the engine's compact variable sigma in (0, 1], x = -1 + 1/sigma**2
+(see ``quadrature``), whether the integrand decays exponentially or only
+algebraically along it, so no tail is discarded. A node's z and
+sqrt(z + sqrt(z)), with gamma'(xi) or sigma**3, sit in node tables, one
+per delta and part, keyed on xi or sigma. Within a run of the check
+runner they last for the run, so every contour integral at one delta
+reads its nodes from one dyadic tree.
 
 For S(t) = (1/(2 pi i)) int_H exp(t z) / sqrt(z + sqrt(z)) dz at larger t
 there is also a fixed-node rule, :func:`hankel_hyperbolic`: the trapezoid
@@ -36,7 +37,7 @@ rule on the hyperbola z(u) = mu (1 + sin(i u - alpha)) with the
 parameters Weideman and Trefethen (2007, Math. Comp. 76:1341) optimized
 for a transform analytic off the negative real axis. Its error decays
 like exp(-1.358 N) in the node count N; by the same symmetry only the
-nodes u >= 0 are evaluated.
+nodes u >= 0 are evaluated, and they lie off the cut.
 """
 
 from __future__ import annotations
@@ -95,12 +96,13 @@ _DELTA = 0.5  # the resolvent's contour distance and the exponential integral's 
 
 def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: QuadratureConfig) -> Estimate:
     """(1/(2 pi i)) int_H g(z, nested_radical(z)) dz on the contour at distance
-    ``delta``, from its upper half: the lower half cancels the upper half's
-    real part and doubles its imaginary part, so the half's error estimate
-    counts twice. A node's z, nested_radical(z) and, on the arc, gamma'(xi)
-    come from a node table per part and delta, keyed on xi or x, that the
-    run's memo keeps for one run of the check runner; elsewhere each call
-    fills a fresh one."""
+    ``delta``: the lower half cancels the upper half's real part and doubles
+    its imaginary part, so only Im(g(z, r) gamma') on the upper half is
+    integrated and its error estimate counts twice. The ray runs over sigma,
+    x = -1 + 1/sigma**2, as in ``quadrature._compact``. A node's z,
+    nested_radical(z) and gamma'(xi) or sigma**3 come from a node table per
+    part and delta, keyed on xi or sigma, that the run's memo keeps for one
+    run of the check runner; elsewhere each call fills a fresh one."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
     memo = _MEMO.get()
@@ -110,26 +112,28 @@ def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: Qua
     ray_nodes = tables.setdefault(("contour ray", delta), {})
     d_arc = delta * _ARC
 
-    def arc(xi: float) -> complex:
+    def arc(xi: float) -> float:
         if (node := arc_nodes.get(xi)) is None:
             w = cmath.exp(_ARC * xi)
             z = delta * w
             node = arc_nodes[xi] = (z, nested_radical(z), d_arc * w)
-        return g(node[0], node[1]) * node[2]
+        return (g(node[0], node[1]) * node[2]).imag
 
-    def upper_ray(x: float) -> complex:
-        if (node := ray_nodes.get(x)) is None:
+    def upper_ray(sigma: float) -> float:
+        if (node := ray_nodes.get(sigma)) is None:
+            s3 = sigma * sigma * sigma
+            # near the image of infinity a convergent improper integrand vanishes
+            if s3 == 0.0 or not math.isfinite(x := -1.0 + 1.0 / (sigma * sigma)):
+                return 0.0
             z = complex(-delta * x, delta)
-            node = ray_nodes[x] = (z, nested_radical(z))
-        return g(*node) * -delta
+            node = ray_nodes[sigma] = (z, nested_radical(z), s3)
+        return 2.0 * (g(node[0], node[1]) * -delta).imag / node[2]
 
     arc_part = integrate(arc, Interval(0.0, 1.0), cfg)
-    ray_part = integrate(upper_ray, Interval(0.0, math.inf), cfg)
+    ray_part = integrate(upper_ray, Interval(0.0, 1.0), cfg)
     half = _linear(((1.0, arc_part), (1.0, ray_part)))
     # twice the half's error, divided by 2 pi
-    return half._replace(
-        value=half.value.imag / math.pi, error_estimate=half.error_estimate / math.pi
-    )
+    return half._replace(value=half.value / math.pi, error_estimate=half.error_estimate / math.pi)
 
 
 @_once
@@ -195,7 +199,9 @@ def hankel_hyperbolic(t: float) -> float:
 
     The rule evaluates the integrand at the N+1 nodes u_k = k h >= 0 (the
     others are their conjugates) and returns a plain float, like
-    ``hankel_series``. Its absolute error is below 1e-12 for
+    ``hankel_series``. Its nodes mu w_k lie on the positive axis (k = 0)
+    or in the open upper half plane, so it takes sqrt(z + sqrt(z)) without
+    ``nested_radical``'s cut checks. Its absolute error is below 1e-12 for
     0.25 <= t <= 50 and below ``HYPERBOLIC_ERROR`` for t >= 8, where the
     rounding of the terms, not the rule, sets it.
     """
@@ -204,5 +210,6 @@ def hankel_hyperbolic(t: float) -> float:
     mu = _HYP_MU_T / t
     total = 0j
     for w, c in _HYP_RULE:
-        total += c / nested_radical(mu * w)
+        z = mu * w
+        total += c / cmath.sqrt(z + cmath.sqrt(z))
     return mu * total.imag

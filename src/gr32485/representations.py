@@ -212,16 +212,16 @@ def _eval_r3(cfg: QuadratureConfig) -> Estimate:
     """
     outer_cfg = QuadratureConfig(max(cfg.abs_tol * 10.0, 1e-11), cfg.max_evals)
 
-    def s_factor(t: float) -> float:
-        if t <= _R3_SWITCH_T:
-            return hankel_series(t)
-        return hankel_hyperbolic(t)
-
-    def f(t: float) -> float:
-        return s_factor(t) * u_value(t) * math.exp(-t)
-
-    low = integrate(f, Interval(0.0, _R3_SWITCH_T, singular_lower=True), outer_cfg)
-    high = integrate(f, Interval(_R3_SWITCH_T, _R3_CUTOFF_T), outer_cfg)
+    low = integrate(
+        lambda t: hankel_series(t) * u_value(t) * math.exp(-t),
+        Interval(0.0, _R3_SWITCH_T, singular_lower=True),
+        outer_cfg,
+    )
+    high = integrate(
+        lambda t: hankel_hyperbolic(t) * u_value(t) * math.exp(-t),
+        Interval(_R3_SWITCH_T, _R3_CUTOFF_T),
+        outer_cfg,
+    )
     # 0 < U <= 1 and |S(t)| <= 1/sqrt(t), whose integral against exp(-t)
     # is sqrt(pi). So an error e_S in S(t) costs at most e_S times the
     # integral of exp(-t) over its range, the rule's error in U(t) at most

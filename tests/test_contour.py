@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -11,7 +12,7 @@ from gr32485.contour import (
     nested_radical,
     principal_sqrt,
 )
-from gr32485.quadrature import IntegrandError, QuadratureConfig
+from gr32485.quadrature import IntegrandError, QuadratureConfig, _compact
 from gr32485.series import TAIL_TOL, hankel_series
 
 
@@ -73,7 +74,7 @@ def test_nested_radical_is_the_principal_sqrt_composition(monkeypatch):
     points = [complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)) for _ in range(400)]
     points += [complex(-rng.uniform(0.0, 8.0), s * 1e-300) for s in (1.0, -1.0) for _ in range(20)]
     points += [complex(rng.uniform(0.0, 8.0), z) for z in (0.0, -0.0) for _ in range(20)]
-    # every node the contour integrals and the hyperbolic rule evaluate
+    # every node the contour integrals evaluate
     seen = []
 
     def recording(z):
@@ -84,7 +85,6 @@ def test_nested_radical_is_the_principal_sqrt_composition(monkeypatch):
     hankel_exp_integral(1.0)
     hankel_exp_integral(2.0, 0.25)
     hankel_resolvent_integral(1.0)
-    hankel_hyperbolic(10.0)
     assert len(seen) > 500
     for z in points + seen:
         assert _bits(nested_radical(z)) == _bits(principal_sqrt(z + principal_sqrt(z))), z
@@ -108,6 +108,96 @@ def test_calls_outside_a_run_fill_fresh_node_tables(monkeypatch):
     assert len(seen) == len(set(seen)) == first.evals
     assert hankel_exp_integral(1.0) == first
     assert len(seen) == 2 * first.evals
+
+
+def test_ray_sigma_map_is_the_engines_compact_map(monkeypatch):
+    # the ray is integrated over sigma in (0, 1] with x = -1 + 1/sigma**2:
+    # its integrand equals, bit for bit, quadrature._compact applied to the
+    # integrand in x, tiny-sigma guard and 2 f / sigma**3 order included
+    delta = 0.5
+    seen = []
+
+    def g(z, r):
+        seen.append(z)
+        return cmath.exp(z) / r
+
+    handed = []
+    integrate = contour.integrate
+
+    def capturing(f, iv, cfg):
+        handed.append((f, iv))
+        return integrate(f, iv, cfg)
+
+    monkeypatch.setattr(contour, "integrate", capturing)
+    contour._upper_half(g, delta, QuadratureConfig(max_evals=15))
+    (_, arc_iv), (ray, ray_iv) = handed
+    assert arc_iv == ray_iv == (0.0, 1.0, False, False)
+    xs = []
+
+    def in_x(x):
+        xs.append(x)
+        z = complex(-delta * x, delta)
+        return (g(z, nested_radical(z)) * -delta).imag
+
+    reference = _compact(in_x, 0.0)
+    rng = random.Random(20181019)
+    sigmas = [1.0 - rng.random() for _ in range(200)] + [1.0, 1e-3, 1e-100, 1e-105, 1e-120, 1e-200]
+    for sigma in sigmas:
+        seen.clear()
+        got = ray(sigma)
+        ray_z = list(seen)
+        xs.clear()
+        assert got.hex() == reference(sigma).hex(), sigma
+        assert ray_z == [complex(-delta * x, delta) for x in xs], sigma
+    assert ray(1e-200) == 0.0 and seen == []
+
+
+_EXP_PINS = {
+    (0.5, 0.5): ("0x1.f75c3c400acb1p-2", "0x1.5458b628319f6p-44", 270),
+    (1.0, 0.5): ("0x1.353764c58bd01p-2", "0x1.1540a9f82609dp-46", 240),
+    (2.0, 0.5): ("0x1.740d0daf752d0p-3", "0x1.f396ff69f8194p-47", 240),
+    (5.0, 0.5): ("0x1.738d1e02f22cep-4", "0x1.e09c7f815e02dp-45", 240),
+    (1.0, 0.25): ("0x1.353764c58bcffp-2", "0x1.c9385d8e55cd5p-45", 270),
+    (1.0, 1.0): ("0x1.353764c58bd01p-2", "0x1.99f9b1d50cbd0p-46", 240),
+    (2.0, 0.25): ("0x1.740d0daf752d1p-3", "0x1.50d8451bd79d5p-47", 240),
+    (2.0, 1.0): ("0x1.740d0daf752cfp-3", "0x1.f8f4c8fbd072fp-43", 210),
+}
+
+# the resolvent at the offsets c = (16/3) u^2 (1-u)^2, u = j/19, j = 0..9
+_RESOLVENT_PINS = (
+    ("0x1.6a09e667f3bcdp-1", "0x1.3652222e08ab9p-46", 180),
+    ("0x1.6840f6343ec98p-1", "0x1.25716bbebdc2dp-46", 180),
+    ("0x1.63ce28f8acd6dp-1", "0x1.021a198303098p-46", 180),
+    ("0x1.5df727df91935p-1", "0x1.c99679096e528p-47", 180),
+    ("0x1.57c03d72b4cb3p-1", "0x1.b9ed7f02d4ec9p-47", 180),
+    ("0x1.51e177da3efe2p-1", "0x1.ab96a3e291692p-47", 180),
+    ("0x1.4cd22cea2aa93p-1", "0x1.9f92449be8e97p-47", 180),
+    ("0x1.48dab41be590ep-1", "0x1.9660b6a263e42p-47", 180),
+    ("0x1.462445708925ap-1", "0x1.903046ea8af96p-47", 180),
+    ("0x1.44c47d3dc32f2p-1", "0x1.5d571b4d77733p-42", 150),
+)
+
+# Bits of the contour checks' integrals (V5's and V8's (t, delta) pairs,
+# V6's offsets). Every value, and every evals but the resolvent's at
+# j = 0 (150 with a complex integrand) and j = 9 (180), is what the
+# complex-valued half-contour integration gave; the error estimates are
+# those of the imaginary part alone. The arc's nodes go through
+# cmath.exp, so the bits assume the platform libm the suite runs on.
+
+
+@pytest.mark.parametrize("t, delta", _EXP_PINS)
+def test_exp_integral_bits_are_pinned(t, delta):
+    res = hankel_exp_integral(t, delta)
+    assert (res.value.hex(), res.error_estimate.hex(), res.evals) == _EXP_PINS[t, delta]
+    assert res.converged
+
+
+@pytest.mark.parametrize("j", range(10))
+def test_resolvent_bits_are_pinned(j):
+    u = j / 19.0
+    res = hankel_resolvent_integral(16.0 / 3.0 * u * u * (1.0 - u) ** 2)
+    assert (res.value.hex(), res.error_estimate.hex(), res.evals) == _RESOLVENT_PINS[j]
+    assert res.converged
 
 
 def test_path_validation():
@@ -212,3 +302,27 @@ def test_hyperbolic_requires_positive_t():
     for t in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             hankel_hyperbolic(t)
+
+
+def test_hyperbola_nodes_lie_off_the_cut():
+    # z_k = mu w_k with mu > 0: w_0 is real and positive and every other
+    # node lies in the open upper half plane, so sqrt(z + sqrt(z)) never
+    # meets the cut there and needs no cut checks
+    (w0, _), *others = contour._HYP_RULE
+    assert w0.imag == 0.0 and w0.real > 0.0
+    assert all(w.imag > 0.0 for w, _ in others)
+
+
+def _hyperbolic_loop(t):
+    """hankel_hyperbolic with the cut-checked nested_radical, its reference."""
+    mu = contour._HYP_MU_T / t
+    total = 0j
+    for w, c in contour._HYP_RULE:
+        total += c / nested_radical(mu * w)
+    return mu * total.imag
+
+
+def test_hyperbolic_equals_its_cut_checked_form():
+    rng = random.Random(20181019)
+    for t in [50.0 * (1.0 - rng.random()) for _ in range(240)] + [1e-3, 8.0, 50.0]:
+        assert hankel_hyperbolic(t).hex() == _hyperbolic_loop(t).hex(), t
