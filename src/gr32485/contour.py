@@ -25,11 +25,11 @@ part of the integrand times gamma' on the upper half, parametrized as
 as real functions, and count its error estimate twice. The ray runs
 over the engine's compact variable sigma in (0, 1], x = -1 + 1/sigma**2
 (see ``quadrature``), whether the integrand decays exponentially or only
-algebraically along it, so no tail is discarded. A node's z and
-sqrt(z + sqrt(z)), with gamma'(xi) or sigma**3, sit in node tables, one
-per delta and part, keyed on xi or sigma. Within a run of the check
-runner they last for the run, so every contour integral at one delta
-reads its nodes from one dyadic tree.
+algebraically along it, so no tail is discarded. A GK15 panel's nodes,
+z with sqrt(z + sqrt(z)) and gamma'(xi) or sigma**3, sit in node tables
+keyed on the panel, one per delta and part, that last for a run of the
+check runner, so every contour integral at one delta reads its panels
+from one dyadic tree; elsewhere each call fills fresh ones.
 
 For S(t) = (1/(2 pi i)) int_H exp(t z) / sqrt(z + sqrt(z)) dz at larger t
 there is also a fixed-node rule, :func:`hankel_hyperbolic`: the trapezoid
@@ -50,11 +50,13 @@ from .quadrature import (
     _MEMO,
     DEFAULT_CONFIG,
     Estimate,
-    Interval,
     QuadratureConfig,
+    _adaptive,
+    _gk15,
     _linear,
+    _nodes,
     _once,
-    integrate,
+    _rule,
 )
 
 __all__ = [
@@ -80,13 +82,7 @@ def nested_radical(z: complex) -> complex:
     """sqrt(z + sqrt(z)) with principal branches; well defined on all of
     Omega because z + sqrt(z) never meets the cut there. Both square
     roots reject the cut as :func:`principal_sqrt` does."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise ValueError(f"principal_sqrt: {z!r} lies on the branch cut")
-    v = z + cmath.sqrt(z)
-    if v.imag == 0.0 and v.real <= 0.0:
-        raise ValueError(f"principal_sqrt: {v!r} lies on the branch cut")
-    return cmath.sqrt(v)
+    return principal_sqrt(z + principal_sqrt(z))
 
 
 # gamma(xi) = delta * exp(_ARC * xi) on the arc, so gamma'(xi) = delta * _ARC * exp(_ARC * xi)
@@ -95,43 +91,54 @@ _DELTA = 0.5  # the resolvent's contour distance and the exponential integral's 
 
 
 def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: QuadratureConfig) -> Estimate:
-    """(1/(2 pi i)) int_H g(z, nested_radical(z)) dz on the contour at distance
-    ``delta``: the lower half cancels the upper half's real part and doubles
-    its imaginary part, so only Im(g(z, r) gamma') on the upper half is
-    integrated and its error estimate counts twice. The ray runs over sigma,
-    x = -1 + 1/sigma**2, as in ``quadrature._compact``. A node's z,
-    nested_radical(z) and gamma'(xi) or sigma**3 come from a node table per
-    part and delta, keyed on xi or sigma, that the run's memo keeps for one
-    run of the check runner; elsewhere each call fills a fresh one."""
+    """(1/(2 pi i)) int_H g(z, sqrt(z + sqrt(z))) dz on the contour at distance
+    ``delta``, as Im of the upper half's integral over pi, its error counted
+    twice. A panel's values go straight to ``quadrature._rule``; a panel with
+    a ray node past the tiny-sigma guard, or whose values fail or are not
+    finite, goes node by node through ``quadrature._gk15``, naming the node."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
-    memo = _MEMO.get()
-    tables = {} if memo is None else memo
-    # an entry depends on (delta, node) alone, so a partial fill stays valid
-    arc_nodes = tables.setdefault(("contour arc", delta), {})
-    ray_nodes = tables.setdefault(("contour ray", delta), {})
-    d_arc = delta * _ARC
 
-    def arc(xi: float) -> float:
-        if (node := arc_nodes.get(xi)) is None:
-            w = cmath.exp(_ARC * xi)
-            z = delta * w
-            node = arc_nodes[xi] = (z, nested_radical(z), d_arc * w)
-        return (g(node[0], node[1]) * node[2]).imag
+    # nodes lie in the upper half plane, where sqrt(z + sqrt(z)) needs no cut checks
+    def arc_node(xi: float):
+        w = cmath.exp(_ARC * xi)
+        z = delta * w
+        return z, cmath.sqrt(z + cmath.sqrt(z)), delta * _ARC * w
 
-    def upper_ray(sigma: float) -> float:
-        if (node := ray_nodes.get(sigma)) is None:
-            s3 = sigma * sigma * sigma
-            # near the image of infinity a convergent improper integrand vanishes
-            if s3 == 0.0 or not math.isfinite(x := -1.0 + 1.0 / (sigma * sigma)):
-                return 0.0
-            z = complex(-delta * x, delta)
-            node = ray_nodes[sigma] = (z, nested_radical(z), s3)
-        return 2.0 * (g(node[0], node[1]) * -delta).imag / node[2]
+    def ray_node(sigma: float):
+        s3 = sigma * sigma * sigma
+        # near the image of infinity a convergent improper integrand vanishes
+        if s3 == 0.0 or not math.isfinite(x := -1.0 + 1.0 / (sigma * sigma)):
+            return None
+        z = complex(-delta * x, delta)
+        return z, cmath.sqrt(z + cmath.sqrt(z)), s3
 
-    arc_part = integrate(arc, Interval(0.0, 1.0), cfg)
-    ray_part = integrate(upper_ray, Interval(0.0, 1.0), cfg)
-    half = _linear(((1.0, arc_part), (1.0, ray_part)))
+    def part(name: str, node: Callable, values: Callable) -> Estimate:
+        # an entry depends on (delta, panel) alone, so a partial fill stays valid
+        table = {} if (memo := _MEMO.get()) is None else memo.setdefault((name, delta), {})
+
+        def at(s: float) -> float:  # one node, for the engine's node loop
+            return 0.0 if (n := node(s)) is None else values((n,))[0]
+
+        def panel(f: Callable, a: float, b: float):
+            if (entry := table.get((a, b))) is None:
+                half, xs = _nodes(a, b)
+                if None in (nodes := tuple(map(node, xs))):
+                    return _gk15(f, a, b)
+                entry = table[a, b] = half, nodes
+            try:
+                est = _rule(values(entry[1]), entry[0])
+                if est[0] - est[0] == 0.0:
+                    return est
+            except (ZeroDivisionError, OverflowError):
+                pass
+            return _gk15(f, a, b)
+
+        return Estimate(*_adaptive([(at, 0.0, 1.0)], cfg, panel))
+
+    arc = part("contour arc", arc_node, lambda nodes: [(g(z, r) * dz).imag for z, r, dz in nodes])
+    ray = part("contour ray", ray_node, lambda nodes: [2.0 * (g(z, r) * -delta).imag / s3 for z, r, s3 in nodes])
+    half = _linear(((1.0, arc), (1.0, ray)))
     # twice the half's error, divided by 2 pi
     return half._replace(value=half.value / math.pi, error_estimate=half.error_estimate / math.pi)
 
@@ -146,7 +153,7 @@ def hankel_exp_integral(
 
     On the upper ray |exp(t z)| = exp(-t * delta * x), and on the arc
     the integrand reaches exp(t * delta), which sets the roundoff floor:
-    once t * delta reaches about 10 the result stops converging.
+    from t * delta of about 10 the error bar is that floor, not abs_tol.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_exp_integral: t must be finite and > 0, got {t!r}")

@@ -1,6 +1,6 @@
 """Adaptive one-dimensional quadrature for the integral representations.
 
-Every integrand in this project is analytic on the open integration
+Every integrand in this project is real and analytic on the open
 interval; the only admissible endpoint misbehaviour is an inverse square
 root blow-up, declared in advance through ``Interval`` flags. The engine
 therefore never detects singularities at run time. It
@@ -19,20 +19,21 @@ therefore never detects singularities at run time. It
   endpoint. A range [0, inf) singular at 0 is split once at 1,
 * integrates the resulting smooth pieces with adaptive Gauss-Kronrod
   (G7, K15) bisection until the summed |K15 - G7| error estimate meets
-  ``abs_tol`` or the evaluation budget runs out.
+  ``abs_tol``, or every panel left is exact or parked at its roundoff
+  floor, which its error bar then holds; never once the budget runs out
+  or while a panel too narrow to split sits above its floor.
 
 Results are deterministic functions of (integrand, interval, config).
 The check runner may also set a wall-clock deadline for the current
 context; bisection past it raises ``TimeoutError`` instead of returning.
 It also sets a memo for its run, in which the functions marked ``_once``
-keep their values and the contour integrals their node tables, so that a
-quantity or a contour node several checks share is computed once per
-run; outside a run every call computes.
+keep their values and the contour integrals their panels' node tables,
+so that a quantity or a contour panel several checks share is computed
+once per run; outside a run every call computes.
 """
 
 from __future__ import annotations
 
-import cmath
 import contextvars
 import functools
 import heapq
@@ -124,7 +125,7 @@ class Estimate(NamedTuple):
     integrals, and terms for series.
     """
 
-    value: float | complex
+    value: float
     error_estimate: float
     evals: int
     converged: bool
@@ -206,30 +207,40 @@ def _once(fn: Callable) -> Callable:
     return once
 
 
-def _gk15(g: Callable, a: float, b: float):
+def _nodes(a: float, b: float) -> tuple[float, tuple[float, ...]]:
+    """Half the width of [a, b] and its nodes, the centre first, then pair by pair."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x0, x1, x2, x3, x4, x5, x6, _ = _XGK
     d0, d1, d2, d3 = half * x0, half * x1, half * x2, half * x3
     d4, d5, d6 = half * x4, half * x5, half * x6
-    # the centre first, then the nodes pair by pair; a bad value stops
-    # the panel before the next node is evaluated
-    isfinite = cmath.isfinite
-    f = []
-    for x in (
+    return half, (
         mid,
         mid - d0, mid + d0, mid - d1, mid + d1, mid - d2, mid + d2, mid - d3,
         mid + d3, mid - d4, mid + d4, mid - d5, mid + d5, mid - d6, mid + d6,
-    ):
+    )
+
+
+def _gk15(g: Callable, a: float, b: float):
+    """The GK15 panel (value, error estimate, roundoff floor) of g on [a, b]."""
+    half, xs = _nodes(a, b)
+    # a bad value stops the panel before the next node is evaluated
+    f = []
+    for x in xs:
         try:
             v = g(x)
         except ZeroDivisionError:
             raise IntegrandError(f"integrand division by zero at node {x!r}") from None
         except OverflowError as exc:
             raise IntegrandError(f"integrand overflow at node {x!r}: {exc}") from None
-        if not isfinite(v):
+        if v - v != 0.0:  # inf or nan
             raise IntegrandError(f"non-finite integrand value at node {x!r}")
         f.append(v)
+    return _rule(f, half)
+
+
+def _rule(f, half: float):
+    """The panel from its 15 values f, in the order of ``_nodes``."""
     fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = f
     # the sums are written out term by term, in the order of a loop from
     # the centre outwards: for a cheap integrand the panel's arithmetic
@@ -302,16 +313,16 @@ def _pieces(f: Callable, iv: Interval) -> list:
     return [(_compact(f, a), 0.0, 1.0)] if math.isinf(b) else [(f, a, b)]
 
 
-def _adaptive(pieces: list, cfg: QuadratureConfig):
+def _adaptive(pieces: list, cfg: QuadratureConfig, panel: Callable = _gk15):
     if 15 * len(pieces) > cfg.max_evals:
         raise ValueError("max_evals too small for the interval decomposition")
     deadline = _DEADLINE.get()
     heap = []
-    parked = []  # panels too narrow to bisect further
+    parked = []  # panels too narrow to bisect, or at their roundoff floor
     seq = 0
     evals = 0
     for idx, (g, a, b) in enumerate(pieces):
-        val, err, floor = _gk15(g, a, b)
+        val, err, floor = panel(g, a, b)
         evals += 15
         seq += 1
         heapq.heappush(heap, (-err, seq, idx, a, b, val, err, floor))
@@ -319,9 +330,7 @@ def _adaptive(pieces: list, cfg: QuadratureConfig):
     err_total = math.fsum(item[6] for item in heap)
     while err_total > cfg.abs_tol and heap:
         worst = heap[0]
-        if worst[6] <= 0.0:
-            break
-        if evals + 30 > cfg.max_evals:
+        if worst[6] <= 0.0 or evals + 30 > cfg.max_evals:
             break
         if deadline != math.inf and time.monotonic() > deadline:
             raise TimeoutError(f"deadline passed after {evals} integrand evaluations")
@@ -335,33 +344,31 @@ def _adaptive(pieces: list, cfg: QuadratureConfig):
         g = pieces[idx][0]
         err_total -= old_err
         for lo, hi in ((a, mid), (mid, b)):
-            val, err, floor = _gk15(g, lo, hi)
+            val, err, floor = panel(g, lo, hi)
             evals += 15
             seq += 1
             err_total += err
             heapq.heappush(heap, (-err, seq, idx, lo, hi, val, err, floor))
 
+    floored = (not heap or heap[0][6] <= 0.0) and all(p[6] <= 1.05 * p[7] for p in parked)
     panels = sorted(heap + parked, key=lambda item: (item[2], item[3]))
-    values = [item[5] for item in panels]
-    if values and isinstance(values[0], complex):
-        value = complex(
-            math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
-        )
-    else:
-        value = math.fsum(values)
+    try:
+        value = math.fsum(item[5] for item in panels)
+    except TypeError:
+        raise IntegrandError("complex integrand values; integrate takes real integrands") from None
     err_total = math.fsum(item[6] for item in panels)
-    return value, err_total, evals, err_total <= cfg.abs_tol
+    return value, err_total, evals, err_total <= cfg.abs_tol or floored
 
 
 def integrate(
-    f: Callable[[float], float | complex],
+    f: Callable[[float], float],
     iv: Interval,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Estimate:
     """Integrate f over iv to within cfg.abs_tol (absolute, with high confidence).
 
-    f may be real or complex valued; the value has the type of f's values.
-    Endpoints flagged singular are never evaluated; integrands may blow up
-    there no faster than the -1/2 power of the distance to the endpoint.
+    f must be real valued and is never evaluated at an endpoint flagged
+    singular, where it may blow up no faster than the -1/2 power of the
+    distance to the endpoint.
     """
     return Estimate(*_adaptive(_pieces(f, iv), cfg))

@@ -9,8 +9,9 @@ absolute difference, and a pass/fail status. Record kinds:
     bound   pass when lhs <= rhs + tolerance
 
 A spec's tolerance of None is derived from the sides, err(lhs) + err(rhs)
-+ 4 eps max(|lhs|, |rhs|), where err is an Estimate's error_estimate and 0
-for a float: the sides must agree within the error bars they claim. A
++ 4 eps max(|lhs|, |rhs|), where err is an Estimate's error_estimate and
+0 for a float: the sides must agree within the error bars they claim,
+which hold the engine's rounding floor when abs_tol lies below it. A
 check that raised records a derived tolerance as NaN.
 
 A check is a function of the run's configuration that returns its two
@@ -25,10 +26,10 @@ the budget is spent, and a check that overruns it is reported as
 no-converge. A record that did not pass or fail says why in ``reason``.
 
 Within one run every shared quantity (a route, S(t), h1, h2, J1, J2, a
-Delta-form, U(t) by quadrature, a Hankel-contour node) is computed once:
-the runner sets a fresh memo for the run (``quadrature._MEMO``) and
-drops it when the run ends, so nothing is cached across runs. A
-computation that raised is not kept, but the contour nodes it evaluated
+Delta-form, U(t) by quadrature, a contour panel's nodes) is computed
+once: the runner sets a fresh memo for the run (``quadrature._MEMO``)
+and drops it when the run ends, so nothing is cached across runs. A
+computation that raised is not kept, but the contour panels it reached
 are. A record's evals still sum the evals of the Estimates it uses, so
 work that two checks share counts in both records.
 """

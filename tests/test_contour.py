@@ -5,6 +5,7 @@ import random
 import pytest
 
 import gr32485.contour as contour
+from gr32485 import quadrature
 from gr32485.contour import (
     hankel_exp_integral,
     hankel_hyperbolic,
@@ -12,7 +13,7 @@ from gr32485.contour import (
     nested_radical,
     principal_sqrt,
 )
-from gr32485.quadrature import IntegrandError, QuadratureConfig, _compact
+from gr32485.quadrature import _MEMO, IntegrandError, QuadratureConfig, _compact
 from gr32485.series import TAIL_TOL, hankel_series
 
 
@@ -69,25 +70,43 @@ def _bits(w: complex) -> tuple[str, str]:
     return w.real.hex(), w.imag.hex()
 
 
-def test_nested_radical_is_the_principal_sqrt_composition(monkeypatch):
+def _table_nodes(memo):
+    """Every node in the contour node tables of a run memo."""
+    return [
+        node
+        for key, table in memo.items()
+        if key[0] in ("contour arc", "contour ray")
+        for _, nodes in table.values()
+        for node in nodes
+    ]
+
+
+def test_nested_radical_is_the_principal_sqrt_composition():
     rng = random.Random(20181018)
     points = [complex(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)) for _ in range(400)]
     points += [complex(-rng.uniform(0.0, 8.0), s * 1e-300) for s in (1.0, -1.0) for _ in range(20)]
     points += [complex(rng.uniform(0.0, 8.0), z) for z in (0.0, -0.0) for _ in range(20)]
-    # every node the contour integrals evaluate
-    seen = []
-
-    def recording(z):
-        seen.append(z)
-        return nested_radical(z)
-
-    monkeypatch.setattr(contour, "nested_radical", recording)
-    hankel_exp_integral(1.0)
-    hankel_exp_integral(2.0, 0.25)
-    hankel_resolvent_integral(1.0)
-    assert len(seen) > 500
-    for z in points + seen:
+    for z in points:
         assert _bits(nested_radical(z)) == _bits(principal_sqrt(z + principal_sqrt(z))), z
+    # every node the contour integrals evaluate lies in the open upper half
+    # plane, and the radical its table holds is the principal composition
+    nodes = []
+    for integral in (
+        lambda: hankel_exp_integral(1.0),
+        lambda: hankel_exp_integral(2.0, 0.25),
+        lambda: hankel_resolvent_integral(1.0),
+    ):
+        memo = {}
+        token = _MEMO.set(memo)
+        try:
+            integral()
+        finally:
+            _MEMO.reset(token)
+        nodes += _table_nodes(memo)
+    assert len(nodes) > 500
+    for z, r, _ in nodes:
+        assert z.imag > 0.0, z
+        assert _bits(r) == _bits(nested_radical(z)) == _bits(principal_sqrt(z + principal_sqrt(z))), z
 
 
 def test_integrand_overflow_names_the_node():
@@ -95,25 +114,90 @@ def test_integrand_overflow_names_the_node():
         hankel_exp_integral(1e308)
 
 
-def test_calls_outside_a_run_fill_fresh_node_tables(monkeypatch):
-    # outside a run of the check runner nothing is kept between calls
-    seen = []
-
-    def recording(z):
-        seen.append(z)
-        return nested_radical(z)
-
-    monkeypatch.setattr(contour, "nested_radical", recording)
+def test_calls_outside_a_run_fill_fresh_node_tables(built_panels):
+    # outside a run of the check runner nothing is kept between calls:
+    # each call builds the nodes of every panel it evaluates
     first = hankel_exp_integral(1.0)
-    assert len(seen) == len(set(seen)) == first.evals
+    assert 15 * len(built_panels) == first.evals
     assert hankel_exp_integral(1.0) == first
-    assert len(seen) == 2 * first.evals
+    assert 15 * len(built_panels) == 2 * first.evals
+    assert built_panels[: len(built_panels) // 2] == built_panels[len(built_panels) // 2 :]
+
+
+def _capture_panels(monkeypatch, g, delta):
+    """The arc's and the ray's (per-node integrand, panel function), as
+    _upper_half hands them to the engine."""
+    handed = []
+    adaptive = contour._adaptive
+
+    def capturing(pieces, cfg, panel):
+        handed.append((pieces, panel))
+        return adaptive(pieces, cfg, panel)
+
+    monkeypatch.setattr(contour, "_adaptive", capturing)
+    contour._upper_half(g, delta, QuadratureConfig(max_evals=15))
+    (arc_pieces, arc_panel), (ray_pieces, ray_panel) = handed
+    assert [(a, b) for _, a, b in arc_pieces] == [(a, b) for _, a, b in ray_pieces] == [(0.0, 1.0)]
+    return (arc_pieces[0][0], arc_panel), (ray_pieces[0][0], ray_panel)
+
+
+def _panel_values(monkeypatch, panel, f, a, b):
+    """The 15 values panel(f, a, b) hands to the rule, and its result."""
+    handed = []
+    rule = quadrature._rule
+
+    def capturing(values, half):
+        handed.append(list(values))
+        return rule(values, half)
+
+    # a panel the tables cannot serve goes through quadrature._gk15
+    with monkeypatch.context() as patch:
+        patch.setattr(contour, "_rule", capturing)
+        patch.setattr(quadrature, "_rule", capturing)
+        result = panel(f, a, b)
+    (values,) = handed
+    return values, result
+
+
+def _abscissae(a, b):
+    # the centre first, then the Kronrod nodes pair by pair, as _gk15 takes them
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return [mid] + [mid + s * (half * x) for x in quadrature._XGK[:7] for s in (-1.0, 1.0)]
+
+
+def _dyadic_panels(rng, count):
+    panels = [(0.0, 1.0)]
+    for _ in range(count):
+        depth = rng.randrange(1, 30)
+        k = rng.randrange(2**depth)
+        panels.append((k / 2**depth, (k + 1) / 2**depth))
+    return panels
+
+
+def test_arc_panel_values_are_the_per_node_form(monkeypatch):
+    # a panel's 15 values equal Im(g(z, sqrt(z + sqrt(z))) gamma'(xi)) at
+    # its nodes, bit for bit, with gamma(xi) = delta exp(i pi xi / 2)
+    def g(z, r):
+        return cmath.exp(2.0 * z) / r
+
+    for delta in (0.25, 0.5, 1.0):
+        (arc, panel), _ = _capture_panels(monkeypatch, g, delta)
+
+        def per_node(xi, delta=delta):
+            w = cmath.exp(contour._ARC * xi)
+            z = delta * w
+            return (g(z, nested_radical(z)) * (delta * contour._ARC * w)).imag
+
+        for a, b in _dyadic_panels(random.Random(20181020), 60):
+            values, result = _panel_values(monkeypatch, panel, arc, a, b)
+            assert [v.hex() for v in values] == [per_node(xi).hex() for xi in _abscissae(a, b)], (a, b)
+            assert [v.hex() for v in result] == [v.hex() for v in quadrature._gk15(per_node, a, b)]
 
 
 def test_ray_sigma_map_is_the_engines_compact_map(monkeypatch):
     # the ray is integrated over sigma in (0, 1] with x = -1 + 1/sigma**2:
-    # its integrand equals, bit for bit, quadrature._compact applied to the
-    # integrand in x, tiny-sigma guard and 2 f / sigma**3 order included
+    # a panel's values equal, bit for bit, quadrature._compact applied to
+    # the integrand in x, tiny-sigma guard and 2 f / sigma**3 order included
     delta = 0.5
     seen = []
 
@@ -121,17 +205,7 @@ def test_ray_sigma_map_is_the_engines_compact_map(monkeypatch):
         seen.append(z)
         return cmath.exp(z) / r
 
-    handed = []
-    integrate = contour.integrate
-
-    def capturing(f, iv, cfg):
-        handed.append((f, iv))
-        return integrate(f, iv, cfg)
-
-    monkeypatch.setattr(contour, "integrate", capturing)
-    contour._upper_half(g, delta, QuadratureConfig(max_evals=15))
-    (_, arc_iv), (ray, ray_iv) = handed
-    assert arc_iv == ray_iv == (0.0, 1.0, False, False)
+    _, (ray, panel) = _capture_panels(monkeypatch, g, delta)
     xs = []
 
     def in_x(x):
@@ -140,16 +214,47 @@ def test_ray_sigma_map_is_the_engines_compact_map(monkeypatch):
         return (g(z, nested_radical(z)) * -delta).imag
 
     reference = _compact(in_x, 0.0)
-    rng = random.Random(20181019)
-    sigmas = [1.0 - rng.random() for _ in range(200)] + [1.0, 1e-3, 1e-100, 1e-105, 1e-120, 1e-200]
-    for sigma in sigmas:
+    # past about sigma = 1.6e-108 sigma**3 underflows to 0: the first two
+    # tiny panels straddle that guard, the third lies wholly past it
+    tiny = [(0.0, 2.0**-355), (2.0**-359, 2.0**-358), (0.0, 2.0**-400)]
+    guarded = 0
+    for a, b in _dyadic_panels(random.Random(20181019), 60) + tiny:
         seen.clear()
-        got = ray(sigma)
+        values, result = _panel_values(monkeypatch, panel, ray, a, b)
         ray_z = list(seen)
         xs.clear()
-        assert got.hex() == reference(sigma).hex(), sigma
-        assert ray_z == [complex(-delta * x, delta) for x in xs], sigma
+        sigmas = _abscissae(a, b)
+        assert [v.hex() for v in values] == [reference(s).hex() for s in sigmas], (a, b)
+        # g ran at the nodes the reference evaluates, and at no guarded node
+        assert ray_z == [complex(-delta * x, delta) for x in xs], (a, b)
+        seen.clear()
+        assert [v.hex() for v in result] == [v.hex() for v in quadrature._gk15(reference, a, b)]
+        guarded += sum(s * s * s == 0.0 for s in sigmas)
+    assert guarded == 3 + 8 + 15
+    seen.clear()
     assert ray(1e-200) == 0.0 and seen == []
+
+
+def _node_of(panel_index, delta, part):
+    """The node at panel_index of the contour's first panel [0, 1], and its z."""
+    s = _abscissae(0.0, 1.0)[panel_index]
+    if part == "arc":
+        return s, delta * cmath.exp(contour._ARC * s)
+    return s, complex(-delta * (-1.0 + 1.0 / (s * s)), delta)
+
+
+@pytest.mark.parametrize("part", ["arc", "ray"])
+def test_contour_panel_failures_name_the_node(part):
+    # the panel's values come from one pass over its node table; a zero
+    # division or a non-finite value is reported for the node it came from
+    delta = 0.5
+    s, bad = _node_of(5, delta, part)
+    with pytest.raises(IntegrandError) as info:
+        contour._upper_half(lambda z, r: 1.0 / ((z - bad) * r), delta, QuadratureConfig())
+    assert str(info.value) == f"integrand division by zero at node {s!r}"
+    with pytest.raises(IntegrandError) as info:
+        contour._upper_half(lambda z, r: cmath.infj if z == bad else 1.0 / r, delta, QuadratureConfig())
+    assert str(info.value) == f"non-finite integrand value at node {s!r}"
 
 
 _EXP_PINS = {

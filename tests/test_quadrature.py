@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -146,9 +147,6 @@ def test_linear_combination_propagates_error():
     # negative coefficient adds, and const moves the value only
     assert combo == Estimate(4.0 + 2.0 - 1.0, 0.5 + 0.25 + 0.125, 45, True)
     assert quadrature._linear([(1.0, a), (1.0, b._replace(converged=False))]).converged is False
-    # complex values pass through, as the contour's upper half needs
-    z = quadrature._linear([(1.0, Estimate(1.0 + 2.0j, 0.5, 15, True)), (1.0, a)])
-    assert z.value == 2.0 + 2.0j and z.error_estimate == 0.75
 
 
 def test_interval_additivity():
@@ -167,8 +165,9 @@ def test_determinism():
 
 
 def test_non_finite_interior_value_raises():
-    with pytest.raises(IntegrandError):
-        integrate(lambda x: math.nan, Interval(0.0, 1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(IntegrandError):
+            integrate(lambda x: bad, Interval(0.0, 1.0))
 
 
 def test_interior_division_by_zero_raises():
@@ -180,7 +179,7 @@ def test_interior_division_by_zero_raises():
 
 # Bits of one panel's (value, err, floor) for arithmetic-only integrands,
 # so no libm function sits in the integrand; err still passes through
-# the C library's pow, and a complex panel's sizes through its hypot.
+# the C library's pow.
 _PANEL_PINS = [
     (
         lambda x: 1.0 / (1.0 + x * x),
@@ -192,34 +191,12 @@ _PANEL_PINS = [
         (-3.0, 4.0),
         ("0x1.497e21664cfe4p+1", "0x1.be958a42417a0p+0", "0x1.016a8a17ec26ap-45"),
     ),
-    (
-        lambda x: (1.0 + 2.0j) / (x + 3.0j),
-        (0.0, 2.0),
-        (
-            ("0x1.5c204868aecdcp+0", "-0x1.c32104fd0f9efp-3"),
-            "0x1.9dbb0250bfc93p-43",
-            "0x1.1792ca0dbf57fp-46",
-        ),
-    ),
-    (
-        lambda x: (1.0 + 2.0j) / (x + 3.0j),
-        (-1.0, 5.0),
-        (
-            ("0x1.a8775b51329e8p+1", "-0x1.06dd6305386d8p-3"),
-            "0x1.8f2f8535dabbfp-15",
-            "0x1.6849179e2692ap-45",
-        ),
-    ),
 ]
-
-
-def _hex(v):
-    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
 
 
 @pytest.mark.parametrize("f, ab, pin", _PANEL_PINS)
 def test_gk15_panel_bits_are_pinned(f, ab, pin):
-    assert tuple(_hex(v) for v in quadrature._gk15(f, *ab)) == pin
+    assert tuple(v.hex() for v in quadrature._gk15(f, *ab)) == pin
 
 
 def _gk15_loop(g, a, b):
@@ -256,16 +233,15 @@ def test_gk15_panel_equals_its_loop_form():
     integrands = (
         lambda x: 1.0 / (1.0 + x * x),
         math.exp,
-        lambda x: (1.0 + 2.0j) / (x + 3.0j),
-        lambda x: complex(math.cos(3.0 * x), math.sin(2.0 * x)) * math.exp(-x),
+        lambda x: math.cos(3.0 * x) * math.exp(-x),
         lambda x: 0.0,
     )
     for f in integrands:
         for _ in range(200):
             a = rng.uniform(-5.0, 5.0)
             b = a + 10.0 ** rng.uniform(-9.0, 1.0)
-            got = [_hex(v) for v in quadrature._gk15(f, a, b)]
-            assert got == [_hex(v) for v in _gk15_loop(f, a, b)], (a, b)
+            got = [v.hex() for v in quadrature._gk15(f, a, b)]
+            assert got == [v.hex() for v in _gk15_loop(f, a, b)], (a, b)
 
 
 def test_panel_stops_at_the_first_non_finite_node():
@@ -330,17 +306,30 @@ def test_budget_exhaustion_reports_nonconvergence():
     assert math.isfinite(res.value)
 
 
-def test_complex_constant():
-    res = integrate(lambda x: 1.0 + 0.0j, Interval(0.0, 1.0))
+def test_panels_at_their_roundoff_floor_converge():
+    # exp on [0, 40] cannot be resolved below 50 eps times its size, far
+    # above abs_tol; once every panel sits at that floor the result is
+    # converged, with the floor in its error bar
+    res = integrate(math.exp, Interval(0.0, 40.0), QuadratureConfig(abs_tol=1e-15))
     assert res.converged
-    assert abs(res.value - 1.0) <= TOL
+    assert res.error_estimate > 1e-15
+    assert abs(res.value - math.expm1(40.0)) <= res.error_estimate
 
 
-def test_complex_full_period():
-    res = integrate(
-        lambda x: complex(math.cos(math.pi * x), math.sin(math.pi * x)),
-        Interval(0.0, 2.0),
-    )
-    assert res.converged
-    assert abs(res.value.real) <= TOL
-    assert abs(res.value.imag) <= TOL
+def test_narrow_panel_above_its_floor_does_not_converge():
+    # the values alternate whatever the node, so no panel settles; floats
+    # near 1e16 lie 2 apart, so the panels are too narrow to split after
+    # two bisections, with their estimates far above their floors
+    calls = itertools.count()
+    res = integrate(lambda x: float(next(calls) % 2), Interval(1e16, 1e16 + 8.0))
+    assert not res.converged
+    assert res.evals == 105
+    assert res.error_estimate > 1.0
+
+
+@pytest.mark.parametrize(
+    "f", [lambda x: 1.0 + 0.0j, lambda x: complex(math.cos(math.pi * x), math.sin(math.pi * x))]
+)
+def test_complex_integrand_is_rejected(f):
+    with pytest.raises(IntegrandError, match="real integrands"):
+        integrate(f, Interval(0.0, 2.0))

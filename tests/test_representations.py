@@ -3,7 +3,7 @@ import math
 import pytest
 
 import gr32485.series as series
-from gr32485.quadrature import DEFAULT_CONFIG
+from gr32485.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from gr32485.representations import (
     CONSTANTS,
     NORMAL_FORM_COEFF,
@@ -152,6 +152,19 @@ I_40 = 0.66637711426883385639865821078815900224
 def test_error_estimate_covers_true_error(rep_results, rid):
     res = rep_results[rid]
     assert abs(res.value - I_40) <= res.error_estimate
+
+
+@pytest.mark.parametrize("abs_tol", [1e-13, 1e-14, 1e-15])
+def test_catalog_passes_at_tolerances_down_to_the_rounding_floor(abs_tol):
+    # below about 1e-14 panels park at their roundoff floor; they converge
+    # there with the floor in their error bars, which must still hold
+    cfg = QuadratureConfig(abs_tol=abs_tol)
+    report = run_checks(cfg=cfg)
+    assert [(r.id, r.status, r.reason) for r in report.records if r.status != "pass"] == []
+    for rid in representation_ids():
+        res = eval_representation(rid, cfg)
+        assert res.converged, rid
+        assert abs(res.value - I_40) <= res.error_estimate, rid
 
 
 def test_r3_makes_no_adaptive_u_calls(monkeypatch):

@@ -361,40 +361,57 @@ def _estimate_bits(est):
     return value.real.hex(), value.imag.hex(), est.error_estimate.hex(), est.evals, est.converged
 
 
-def _recording_nested_radical(monkeypatch):
-    calls = []
-    nested_radical = contour.nested_radical
-
-    def recording(z):
-        calls.append(z)
-        return nested_radical(z)
-
-    monkeypatch.setattr(contour, "nested_radical", recording)
-    return calls
+def _contour_panels(memo):
+    """(part, delta, a, b) of every panel in a run memo's contour node tables."""
+    return {
+        (*key, *ab)
+        for key, table in memo.items()
+        if key[0] in ("contour arc", "contour ray")
+        for ab in table
+    }
 
 
-def test_run_evaluates_each_contour_node_once(monkeypatch):
+def _memo_after_each_check(monkeypatch):
+    """The contour panels in the run memo after each check, by check id."""
+    after = {}
+    execute = verifier._execute
+
+    def tracking(spec, ctx, timeout_secs):
+        try:
+            return execute(spec, ctx, timeout_secs)
+        finally:
+            after[spec.id] = _contour_panels(_MEMO.get())
+
+    monkeypatch.setattr(verifier, "_execute", tracking)
+    return after
+
+
+def test_run_evaluates_each_contour_node_once(monkeypatch, built_panels):
     # the contour integrals at one delta read their nodes from one table
     # per run, and the next run starts from empty tables
-    calls = _recording_nested_radical(monkeypatch)
+    after = _memo_after_each_check(monkeypatch)
     counts = []
     for _ in range(2):
-        calls.clear()
+        built_panels.clear()
+        after.clear()
         assert run_checks().overall == "pass"
         assert _MEMO.get() is None
-        assert len(calls) == len(set(calls)) > 0
-        counts.append(len(calls))
+        panels = set().union(*after.values())
+        assert len(built_panels) == len(panels) > 0
+        counts.append(len(built_panels))
     assert counts[0] == counts[1]
 
 
-def test_node_tables_left_by_a_failed_check_stay_valid(monkeypatch):
-    # V5's first contour integrand raises at its 100th node, after the
-    # tables at delta = 0.5 have taken that node and the ones before it.
-    # An entry is a function of (delta, node) alone, so V6 may read what
-    # the failed check left and still reports its cold record
-    calls = _recording_nested_radical(monkeypatch)
+def test_node_tables_left_by_a_failed_check_stay_valid(monkeypatch, built_panels):
+    # V5's first contour integrand raises at its 100th call, in its 7th
+    # panel, after the tables at delta = 0.5 have taken that whole panel
+    # and the ones before it. An entry is a function of (delta, panel)
+    # alone, so V6 may read what the failed check left and still reports
+    # its cold record
+    after = _memo_after_each_check(monkeypatch)
     (cold,) = run_checks(["V6-residue"]).records
-    cold_nodes = set(calls)
+    cold_panels = after["V6-residue"]
+    assert len(built_panels) == len(cold_panels)
     upper_half = contour._upper_half
     seen = [0]
 
@@ -408,16 +425,18 @@ def test_node_tables_left_by_a_failed_check_stay_valid(monkeypatch):
         return upper_half(g_failing, delta, cfg)
 
     monkeypatch.setattr(contour, "_upper_half", failing)
-    calls.clear()
+    built_panels.clear()
     v5, v6 = run_checks(["V5-hankel", "V6-residue"]).records
     assert (v5.status, v5.reason) == ("no-converge", "integrand failed on purpose")
     assert _record_bits(v6) == _record_bits(cold)
-    # V5 filled 100 entries, the last for the node whose integrand raised,
-    # and V6 computed only the nodes of its own that V5 had not reached
-    v5_nodes, v6_nodes = calls[:100], calls[100:]
-    assert len(set(calls)) == len(calls)
-    assert set(v6_nodes) <= cold_nodes
-    assert cold_nodes - set(v6_nodes) == cold_nodes & set(v5_nodes) != set()
+    # V5 filled 7 whole panels, the last holding the node whose integrand
+    # raised, and V6 built only the panels of its own that V5 had not reached
+    v5_panels = after["V5-hankel"]
+    v6_panels = after["V6-residue"] - v5_panels
+    assert len(v5_panels) == 7 == -(-100 // 15)
+    assert len(built_panels) == len(v5_panels) + len(v6_panels)
+    assert v6_panels <= cold_panels
+    assert cold_panels - v6_panels == cold_panels & v5_panels != set()
 
 
 def test_resolvent_in_a_run_equals_a_fresh_call(monkeypatch):
