@@ -46,18 +46,7 @@ import cmath
 import math
 from typing import Callable
 
-from .quadrature import (
-    _MEMO,
-    DEFAULT_CONFIG,
-    Estimate,
-    QuadratureConfig,
-    _adaptive,
-    _gk15,
-    _linear,
-    _nodes,
-    _once,
-    _rule,
-)
+from .quadrature import _MEMO, DEFAULT_CONFIG, Estimate, QuadratureConfig, _adaptive, _linear, _nodes, _once
 
 __all__ = [
     "principal_sqrt",
@@ -93,17 +82,18 @@ _DELTA = 0.5  # the resolvent's contour distance and the exponential integral's 
 def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: QuadratureConfig) -> Estimate:
     """(1/(2 pi i)) int_H g(z, sqrt(z + sqrt(z))) dz on the contour at distance
     ``delta``, as Im of the upper half's integral over pi, its error counted
-    twice. A panel's values go straight to ``quadrature._rule``; a panel with
-    a ray node past the tiny-sigma guard, or whose values fail or are not
-    finite, goes node by node through ``quadrature._gk15``, naming the node."""
+    twice. A panel's values come from its node table in one pass; a panel with
+    a ray node past the tiny-sigma guard goes node by node, as does one whose
+    values fail or are not finite, which names the node."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
+    exp, sqrt = cmath.exp, cmath.sqrt
 
     # nodes lie in the upper half plane, where sqrt(z + sqrt(z)) needs no cut checks
     def arc_node(xi: float):
-        w = cmath.exp(_ARC * xi)
+        w = exp(_ARC * xi)
         z = delta * w
-        return z, cmath.sqrt(z + cmath.sqrt(z)), delta * _ARC * w
+        return z, sqrt(z + sqrt(z)), delta * _ARC * w
 
     def ray_node(sigma: float):
         s3 = sigma * sigma * sigma
@@ -111,7 +101,7 @@ def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: Qua
         if s3 == 0.0 or not math.isfinite(x := -1.0 + 1.0 / (sigma * sigma)):
             return None
         z = complex(-delta * x, delta)
-        return z, cmath.sqrt(z + cmath.sqrt(z)), s3
+        return z, sqrt(z + sqrt(z)), s3
 
     def part(name: str, node: Callable, values: Callable) -> Estimate:
         # an entry depends on (delta, panel) alone, so a partial fill stays valid
@@ -120,21 +110,15 @@ def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: Qua
         def at(s: float) -> float:  # one node, for the engine's node loop
             return 0.0 if (n := node(s)) is None else values((n,))[0]
 
-        def panel(f: Callable, a: float, b: float):
+        def batch(a: float, b: float):
             if (entry := table.get((a, b))) is None:
                 half, xs = _nodes(a, b)
                 if None in (nodes := tuple(map(node, xs))):
-                    return _gk15(f, a, b)
+                    return None
                 entry = table[a, b] = half, nodes
-            try:
-                est = _rule(values(entry[1]), entry[0])
-                if est[0] - est[0] == 0.0:
-                    return est
-            except (ZeroDivisionError, OverflowError):
-                pass
-            return _gk15(f, a, b)
+            return entry[0], values(entry[1])
 
-        return Estimate(*_adaptive([(at, 0.0, 1.0)], cfg, panel))
+        return Estimate(*_adaptive([(at, batch, 0.0, 1.0)], cfg))
 
     arc = part("contour arc", arc_node, lambda nodes: [(g(z, r) * dz).imag for z, r, dz in nodes])
     ray = part("contour ray", ray_node, lambda nodes: [2.0 * (g(z, r) * -delta).imag / s3 for z, r, s3 in nodes])
@@ -157,7 +141,8 @@ def hankel_exp_integral(
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_exp_integral: t must be finite and > 0, got {t!r}")
-    return _upper_half(lambda z, r: cmath.exp(t * z) / r, delta, cfg)
+    exp = cmath.exp
+    return _upper_half(lambda z, r: exp(t * z) / r, delta, cfg)
 
 
 def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
@@ -215,8 +200,9 @@ def hankel_hyperbolic(t: float) -> float:
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_hyperbolic: t must be finite and > 0, got {t!r}")
     mu = _HYP_MU_T / t
+    sqrt = cmath.sqrt
     total = 0j
     for w, c in _HYP_RULE:
         z = mu * w
-        total += c / cmath.sqrt(z + cmath.sqrt(z))
+        total += c / sqrt(z + sqrt(z))
     return mu * total.imag

@@ -18,10 +18,15 @@ therefore never detects singularities at run time. It
   algebraic tails that occur here, so the image of infinity is a regular
   endpoint. A range [0, inf) singular at 0 is split once at 1,
 * integrates the resulting smooth pieces with adaptive Gauss-Kronrod
-  (G7, K15) bisection until the summed |K15 - G7| error estimate meets
-  ``abs_tol``, or every panel left is exact or parked at its roundoff
-  floor, which its error bar then holds; never once the budget runs out
-  or while a panel too narrow to split sits above its floor.
+  (G7, K15) bisection, each piece starting as its two halves, until the
+  summed |K15 - G7| error estimate meets ``abs_tol``, or every panel left
+  is exact or parked at its roundoff floor, which its error bar then
+  holds; never once the budget runs out or while a panel too narrow to
+  split sits above its floor.
+
+A panel takes its 15 values in one pass from its piece; a panel whose
+values fail or are not finite is evaluated again node by node, which
+names the bad node in an ``IntegrandError``.
 
 Results are deterministic functions of (integrand, interval, config).
 The check runner may also set a wall-clock deadline for the current
@@ -96,7 +101,8 @@ class _QuadratureConfigFields(NamedTuple):
 
 
 class QuadratureConfig(_QuadratureConfigFields):
-    """The engine's absolute tolerance and integrand-evaluation budget."""
+    """The engine's absolute tolerance and integrand-evaluation budget; the
+    budget admits at least one piece's two 15-point panels."""
 
     __slots__ = ()
 
@@ -106,8 +112,8 @@ class QuadratureConfig(_QuadratureConfigFields):
             raise ValueError("abs_tol must be a positive finite number")
         if not isinstance(cfg.max_evals, int):
             raise ValueError(f"max_evals must be an integer, got {cfg.max_evals!r}")
-        if cfg.max_evals < 15:
-            raise ValueError("max_evals must admit at least one 15-point panel")
+        if cfg.max_evals < 30:
+            raise ValueError("max_evals must admit one piece's two 15-point panels")
         return cfg
 
     @classmethod
@@ -140,8 +146,8 @@ def _linear(terms, const: float = 0.0, extra_err: float = 0.0) -> Estimate:
     """
     terms = list(terms)
     return Estimate(
-        const + sum(c * est.value for c, est in terms),
-        sum(abs(c) * est.error_estimate for c, est in terms) + extra_err,
+        const + math.fsum([c * est.value for c, est in terms]),
+        math.fsum([abs(c) * est.error_estimate for c, est in terms]) + extra_err,
         sum(est.evals for _, est in terms),
         all(est.converged for _, est in terms),
     )
@@ -276,64 +282,84 @@ def _rule(f, half: float):
     return resk * half, max(err, floor), floor
 
 
-def _sub(f: Callable, end: float, step: float) -> Callable:
-    """The integrand in s, where x = end + step * s**2 moves away from a
-    singular endpoint, which is never evaluated."""
+def _piece(values: Callable, a: float, b: float) -> tuple:
+    """The piece (g, batch, a, b) on [a, b] of an integrand whose values at
+    a sequence of nodes are values(nodes): g(x) is its value at one node,
+    and batch(lo, hi) the half width of [lo, hi] and its 15 values."""
 
-    def g(s: float):
-        x = end + step * (s * s)
-        if x == end:
-            x = math.nextafter(end, end + step)
-        return 2.0 * s * f(x)
+    def batch(lo: float, hi: float):
+        half, xs = _nodes(lo, hi)
+        return half, values(xs)
 
-    return g
-
-
-def _compact(f: Callable, a: float) -> Callable:
-    """The integrand on [a, inf) in sigma, where t = a - 1 + 1/sigma**2."""
-
-    def g(sigma: float):
-        s3 = sigma * sigma * sigma
-        # near the image of infinity a convergent improper integrand vanishes
-        if s3 == 0.0 or not math.isfinite(t := a - 1.0 + 1.0 / (sigma * sigma)):
-            return 0.0
-        return 2.0 * f(t) / s3
-
-    return g
+    return (lambda x: values((x,))[0]), batch, a, b
 
 
 def _pieces(f: Callable, iv: Interval) -> list:
     a, b = iv.lower, iv.upper
-    if iv.singular_upper:
-        return [(_sub(f, b, -1.0), 0.0, math.sqrt(b - a))]
     if iv.singular_lower and math.isinf(b):
         return _pieces(f, Interval(0.0, 1.0, True)) + _pieces(f, Interval(1.0, b))
-    if iv.singular_lower:
-        return [(_sub(f, 0.0, 1.0), 0.0, math.sqrt(b))]
-    return [(_compact(f, a), 0.0, 1.0)] if math.isinf(b) else [(f, a, b)]
+    if iv.singular_lower or iv.singular_upper:
+        # x = end + step * s**2 moves away from the singular endpoint, which
+        # is never evaluated
+        end, step = (0.0, 1.0) if iv.singular_lower else (b, -1.0)
+        nudge = math.nextafter(end, end + step)
+
+        def in_s(ss):
+            return [2.0 * s * f(x if (x := end + step * (s * s)) != end else nudge) for s in ss]
+
+        return [_piece(in_s, 0.0, math.sqrt(b - a))]
+    if math.isinf(b):
+        # t = a - 1 + 1/sigma**2; near the image of infinity, where sigma**3
+        # underflows, a convergent improper integrand vanishes
+        c = a - 1.0
+
+        def in_sigma(ss):
+            return [
+                0.0 if (s3 := s * s * s) == 0.0 or not math.isfinite(t := c + 1.0 / (s * s)) else 2.0 * f(t) / s3
+                for s in ss
+            ]
+
+        return [_piece(in_sigma, 0.0, 1.0)]
+    return [_piece(lambda xs: list(map(f, xs)), a, b)]
 
 
-def _adaptive(pieces: list, cfg: QuadratureConfig, panel: Callable = _gk15):
-    if 15 * len(pieces) > cfg.max_evals:
+def _panel(piece: tuple, a: float, b: float):
+    """The GK15 panel of a piece on [a, b] from its values in one pass; a
+    panel whose values the piece declines, or that fail or are not finite,
+    goes node by node through ``_gk15``, which names the bad node."""
+    try:
+        if (batch := piece[1](a, b)) is not None:
+            est = _rule(batch[1], batch[0])
+            if est[0] - est[0] == 0.0:
+                return est
+    except (ZeroDivisionError, OverflowError):
+        pass
+    return _gk15(piece[0], a, b)
+
+
+def _adaptive(pieces: list, cfg: QuadratureConfig):
+    if 30 * len(pieces) > cfg.max_evals:
         raise ValueError("max_evals too small for the interval decomposition")
     deadline = _DEADLINE.get()
     heap = []
     parked = []  # panels too narrow to bisect, or at their roundoff floor
-    seq = 0
-    evals = 0
-    for idx, (g, a, b) in enumerate(pieces):
-        val, err, floor = panel(g, a, b)
-        evals += 15
-        seq += 1
-        heapq.heappush(heap, (-err, seq, idx, a, b, val, err, floor))
+    seq = 0  # panels evaluated, 15 integrand evaluations each
+    # a piece starts as its two halves, the panels QUADPACK's first
+    # bisection would make: one root panel is nearly always split at once
+    for idx, (_, _, a, b) in enumerate(pieces):
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            val, err, floor = _panel(pieces[idx], lo, hi)
+            seq += 1
+            heapq.heappush(heap, (-err, seq, idx, lo, hi, val, err, floor))
 
-    err_total = math.fsum(item[6] for item in heap)
+    err_total = math.fsum([item[6] for item in heap])
     while err_total > cfg.abs_tol and heap:
         worst = heap[0]
-        if worst[6] <= 0.0 or evals + 30 > cfg.max_evals:
+        if worst[6] <= 0.0 or 15 * seq + 30 > cfg.max_evals:
             break
         if deadline != math.inf and time.monotonic() > deadline:
-            raise TimeoutError(f"deadline passed after {evals} integrand evaluations")
+            raise TimeoutError(f"deadline passed after {15 * seq} integrand evaluations")
         _, _, idx, a, b, _, old_err, old_floor = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if not (a < mid < b) or old_err <= 1.05 * old_floor:
@@ -341,23 +367,23 @@ def _adaptive(pieces: list, cfg: QuadratureConfig, panel: Callable = _gk15):
             # panel's roundoff floor where splitting cannot help
             parked.append(worst)
             continue
-        g = pieces[idx][0]
+        piece = pieces[idx]
         err_total -= old_err
         for lo, hi in ((a, mid), (mid, b)):
-            val, err, floor = panel(g, lo, hi)
-            evals += 15
+            val, err, floor = _panel(piece, lo, hi)
             seq += 1
             err_total += err
             heapq.heappush(heap, (-err, seq, idx, lo, hi, val, err, floor))
 
     floored = (not heap or heap[0][6] <= 0.0) and all(p[6] <= 1.05 * p[7] for p in parked)
-    panels = sorted(heap + parked, key=lambda item: (item[2], item[3]))
+    # fsum is correctly rounded, so the panels' order cannot move a bit
+    panels = heap + parked
     try:
-        value = math.fsum(item[5] for item in panels)
+        value = math.fsum([item[5] for item in panels])
     except TypeError:
         raise IntegrandError("complex integrand values; integrate takes real integrands") from None
-    err_total = math.fsum(item[6] for item in panels)
-    return value, err_total, evals, err_total <= cfg.abs_tol or floored
+    err_total = math.fsum([item[6] for item in panels])
+    return value, err_total, 15 * seq, err_total <= cfg.abs_tol or floored
 
 
 def integrate(

@@ -169,7 +169,8 @@ def u_value(t: float) -> float:
     v = u - 1/2 on [0, 1/2], within ``U_RULE_ERROR``."""
     if not 0.0 <= t <= _U_RULE_T_MAX:
         raise ValueError(f"u_value: t must be in [0, {_U_RULE_T_MAX:g}], got {t!r}")
-    return 2.0 * sum([w * math.exp(c * t) for w, c in _U_PAIRS])
+    exp = math.exp
+    return 2.0 * math.fsum([w * exp(c * t) for w, c in _U_PAIRS])
 
 
 # (n + 1, 2n + 1, 2n + 2, (n + 1)/2) for each step n of hankel_series,

@@ -379,7 +379,7 @@ def _execute(spec: CheckSpec, cfg: QuadratureConfig, timeout_secs: float) -> Che
         evals = sum(e.evals for e in estimates.values())
         lhs, rhs = (s.value if isinstance(s, Estimate) else s for s in sides)
         if spec.tolerance is None:
-            errors = sum(e.error_estimate for e in estimates.values())
+            errors = math.fsum([e.error_estimate for e in estimates.values()])
             tolerance = errors + 4.0 * math.ulp(1.0) * max(abs(lhs), abs(rhs))
         # max keeps a NaN in first place, so a NaN side reaches _status
         abs_diff = max(lhs - rhs, 0.0) if spec.kind == "bound" else abs(lhs - rhs)

@@ -40,8 +40,11 @@ def test_interval_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_evals=14)
+    # a piece starts as two 15-point panels
+    for small in (14, 29):
+        with pytest.raises(ValueError):
+            QuadratureConfig(max_evals=small)
+    assert QuadratureConfig(max_evals=30).max_evals == 30
     # an infinite tolerance would let every integral "converge" on its first panel
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -95,7 +98,7 @@ def test_semi_infinite_with_singular_origin():
 def test_compactified_range_at_infinity():
     # t = a - 1 + 1/sigma**2 maps infinity to sigma = 0; where sigma**3
     # underflows the integrand in sigma is 0, not 0 * inf or a division error
-    g = quadrature._compact(lambda t: t**-1.5, 0.0)
+    ((g, *_),) = quadrature._pieces(lambda t: t**-1.5, Interval(0.0, math.inf))
     assert g(1e-120) == 0.0
     assert g(5e-324) == 0.0
     assert g(1e-100) == pytest.approx(2.0, rel=1e-15)
@@ -149,6 +152,14 @@ def test_linear_combination_propagates_error():
     assert quadrature._linear([(1.0, a), (1.0, b._replace(converged=False))]).converged is False
 
 
+def test_linear_combination_sums_are_correctly_rounded():
+    # 1 + 2**-53 + 2**-53 rounds to 1 when summed left to right, on some
+    # Pythons and not others; fsum gives the rounded exact sum on every one
+    tiny = Estimate(2.0**-53, 2.0**-53, 15, True)
+    combo = quadrature._linear([(1.0, Estimate(1.0, 1.0, 15, True)), (1.0, tiny), (1.0, tiny)])
+    assert combo.value == combo.error_estimate == 1.0 + 2.0**-52
+
+
 def test_interval_additivity():
     f = lambda x: math.sin(3.0 * x) ** 2 * math.exp(-0.3 * x)
     whole = integrate(f, Interval(0.0, 4.0)).value
@@ -175,6 +186,98 @@ def test_interior_division_by_zero_raises():
     # the integrand returns inf or raises
     with pytest.raises(IntegrandError):
         integrate(lambda x: 1.0 / (x - 0.5), Interval(0.0, 1.0))
+
+
+def test_interior_division_by_zero_names_the_node():
+    # the one-pass panel fails, and the node-by-node rerun names the node:
+    # the fourth of the first panel [0, 1/2]
+    node = 0.25 + 0.25 * quadrature._XGK[1]
+    with pytest.raises(IntegrandError) as info:
+        integrate(lambda x: 1.0 / (x - node), Interval(0.0, 1.0))
+    assert str(info.value) == f"integrand division by zero at node {node!r}"
+    assert info.value.__suppress_context__
+
+
+def test_a_piece_starts_as_its_two_halves():
+    # a quadratic is exact on each half, so the two halves settle it, each
+    # evaluated in one pass in the order of _nodes
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x
+
+    res = integrate(f, Interval(0.0, 1.0))
+    assert res == Estimate(res.value, res.error_estimate, 30, True)
+    assert res.value == pytest.approx(1.0 / 3.0, abs=1e-16)
+    assert calls == [*quadrature._nodes(0.0, 0.5)[1], *quadrature._nodes(0.5, 1.0)[1]]
+    # [0, inf) singular at 0 is two pieces, [0, 1] in s and [1, inf) in
+    # sigma, so its budget must admit four panels
+    iv = Interval(0.0, math.inf, True)
+    res = integrate(lambda t: math.exp(-t) / math.sqrt(t), iv)
+    assert res.converged and res.evals >= 60
+    with pytest.raises(ValueError, match="interval decomposition"):
+        integrate(lambda t: math.exp(-t) / math.sqrt(t), iv, QuadratureConfig(max_evals=59))
+    assert integrate(lambda t: math.exp(-t) / math.sqrt(t), iv, QuadratureConfig(max_evals=60)).evals == 60
+
+
+def _sub(f, end, step):
+    """The integrand in s, where x = end + step * s**2 moves away from a
+    singular endpoint, node by node: the reference for the engine's."""
+
+    def g(s):
+        x = end + step * (s * s)
+        if x == end:
+            x = math.nextafter(end, end + step)
+        return 2.0 * s * f(x)
+
+    return g
+
+
+def _compact(f, a):
+    """The integrand on [a, inf) in sigma, where t = a - 1 + 1/sigma**2,
+    node by node: the reference for the engine's."""
+
+    def g(sigma):
+        s3 = sigma * sigma * sigma
+        if s3 == 0.0 or not math.isfinite(t := a - 1.0 + 1.0 / (sigma * sigma)):
+            return 0.0
+        return 2.0 * f(t) / s3
+
+    return g
+
+
+@pytest.mark.parametrize(
+    "iv, references",
+    [
+        (Interval(-1.0, 2.0), lambda f: [f]),
+        (Interval(0.0, 2.0, singular_lower=True), lambda f: [_sub(f, 0.0, 1.0)]),
+        (Interval(-1.0, 1.0, singular_upper=True), lambda f: [_sub(f, 1.0, -1.0)]),
+        (Interval(0.5, math.inf), lambda f: [_compact(f, 0.5)]),
+        (Interval(0.0, math.inf, singular_lower=True), lambda f: [_sub(f, 0.0, 1.0), _compact(f, 1.0)]),
+    ],
+)
+def test_piece_values_are_the_substitutions_node_by_node(iv, references):
+    # a piece's values in one pass and its integrand at one node equal, bit
+    # for bit, the substitution written node by node, guards included: the
+    # nudge off a singular endpoint near s = 0 and the zero near the image
+    # of infinity
+    def f(x):
+        return math.exp(-0.5 * x) / math.sqrt(abs(x * (1.0 - x)))
+
+    rng = random.Random(20181021)
+    tiny = [(0.0, 1e-9), (0.0, 2.0**-355), (2.0**-359, 2.0**-358), (0.0, 2.0**-400), (0.0, 2.0**-600)]
+    pieces = quadrature._pieces(f, iv)
+    assert len(pieces) == len(references(f))
+    for (g, batch, a, b), reference in zip(pieces, references(f)):
+        starts = [a + (b - a) * rng.random() for _ in range(50)]
+        panels = [(a, b)] + [(lo, lo + (b - lo) * rng.random()) for lo in starts]
+        for lo, hi in panels + (tiny if a == 0.0 else []):
+            half, xs = quadrature._nodes(lo, hi)
+            want = [reference(x).hex() for x in xs]
+            assert batch(lo, hi)[0] == half
+            assert [v.hex() for v in batch(lo, hi)[1]] == want, (iv, lo, hi)
+            assert [g(x).hex() for x in xs] == want, (iv, lo, hi)
 
 
 # Bits of one panel's (value, err, floor) for arithmetic-only integrands,
@@ -318,12 +421,13 @@ def test_panels_at_their_roundoff_floor_converge():
 
 def test_narrow_panel_above_its_floor_does_not_converge():
     # the values alternate whatever the node, so no panel settles; floats
-    # near 1e16 lie 2 apart, so the panels are too narrow to split after
-    # two bisections, with their estimates far above their floors
+    # near 1e16 lie 2 apart, so the two halves the range starts as are too
+    # narrow to split after one bisection, with their estimates far above
+    # their floors
     calls = itertools.count()
     res = integrate(lambda x: float(next(calls) % 2), Interval(1e16, 1e16 + 8.0))
     assert not res.converged
-    assert res.evals == 105
+    assert res.evals == 90
     assert res.error_estimate > 1.0
 
 

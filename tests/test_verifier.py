@@ -586,6 +586,7 @@ def test_cli_exit_codes(monkeypatch, capsys):
         ["--timeout-secs", "inf", "--only", "constants"],
         ["--timeout-secs", "0", "--only", "constants"],
         ["--max-evals", "14", "--only", "constants"],
+        ["--max-evals", "29", "--only", "constants"],
         # a selection that names no id is a usage error, not the whole catalog
         ["--only", ""],
         ["--only", ","],
