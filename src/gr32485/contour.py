@@ -26,10 +26,12 @@ as real functions, and count its error estimate twice. The ray runs
 over the engine's compact variable sigma in (0, 1], x = -1 + 1/sigma**2
 (see ``quadrature``), whether the integrand decays exponentially or only
 algebraically along it, so no tail is discarded. A GK15 panel's nodes,
-z with sqrt(z + sqrt(z)) and gamma'(xi) or sigma**3, sit in node tables
+z with sqrt(z + sqrt(z)) and the part's weights, sit in node tables
 keyed on the panel, one per delta and part, that last for a run of the
 check runner, so every contour integral at one delta reads its panels
-from one dyadic tree; elsewhere each call fills fresh ones.
+from one dyadic tree; elsewhere each call fills fresh ones. Each
+integral computes a panel's values in one comprehension over its node
+tuples, with its integrand written into it.
 
 For S(t) = (1/(2 pi i)) int_H exp(t z) / sqrt(z + sqrt(z)) dz at larger t
 there is also a fixed-node rule, :func:`hankel_hyperbolic`: the trapezoid
@@ -79,12 +81,19 @@ _ARC = 0.5j * math.pi
 _DELTA = 0.5  # the resolvent's contour distance and the exponential integral's default
 
 
-def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: QuadratureConfig) -> Estimate:
+def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureConfig) -> Estimate:
     """(1/(2 pi i)) int_H g(z, sqrt(z + sqrt(z))) dz on the contour at distance
     ``delta``, as Im of the upper half's integral over pi, its error counted
-    twice. A panel's values come from its node table in one pass; a panel with
-    a ray node past the tiny-sigma guard goes node by node, as does one whose
-    values fail or are not finite, which names the node."""
+    twice.
+
+    ``values(nodes)`` returns m * Im(g(z, r) * w) / d for each node tuple
+    (z, r, w, m, d), r = sqrt(z + sqrt(z)), in one comprehension with g
+    written into it, so no Python call is made per node. (w, m, d) are the
+    part's weights: (gamma'(xi), 1, 1) on the arc, where the value is exactly
+    Im(g gamma'), and (-delta, 2, sigma**3) on the ray, the operations of the
+    engine's compact map. A panel's values come from its node table in one
+    pass; a panel with a ray node past the tiny-sigma guard goes node by node,
+    as does one whose values fail or are not finite, which names the node."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
     exp, sqrt = cmath.exp, cmath.sqrt
@@ -93,7 +102,7 @@ def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: Qua
     def arc_node(xi: float):
         w = exp(_ARC * xi)
         z = delta * w
-        return z, sqrt(z + sqrt(z)), delta * _ARC * w
+        return z, sqrt(z + sqrt(z)), delta * _ARC * w, 1.0, 1.0
 
     def ray_node(sigma: float):
         s3 = sigma * sigma * sigma
@@ -101,9 +110,9 @@ def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: Qua
         if s3 == 0.0 or not math.isfinite(x := -1.0 + 1.0 / (sigma * sigma)):
             return None
         z = complex(-delta * x, delta)
-        return z, sqrt(z + sqrt(z)), s3
+        return z, sqrt(z + sqrt(z)), -delta, 2.0, s3
 
-    def part(name: str, node: Callable, values: Callable) -> Estimate:
+    def part(name: str, node: Callable) -> Estimate:
         # an entry depends on (delta, panel) alone, so a partial fill stays valid
         table = {} if (memo := _MEMO.get()) is None else memo.setdefault((name, delta), {})
 
@@ -120,9 +129,7 @@ def _upper_half(g: Callable[[complex, complex], complex], delta: float, cfg: Qua
 
         return Estimate(*_adaptive([(at, batch, 0.0, 1.0)], cfg))
 
-    arc = part("contour arc", arc_node, lambda nodes: [(g(z, r) * dz).imag for z, r, dz in nodes])
-    ray = part("contour ray", ray_node, lambda nodes: [2.0 * (g(z, r) * -delta).imag / s3 for z, r, s3 in nodes])
-    half = _linear(((1.0, arc), (1.0, ray)))
+    half = _linear(((1.0, part("contour arc", arc_node)), (1.0, part("contour ray", ray_node))))
     # twice the half's error, divided by 2 pi
     return half._replace(value=half.value / math.pi, error_estimate=half.error_estimate / math.pi)
 
@@ -142,7 +149,7 @@ def hankel_exp_integral(
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_exp_integral: t must be finite and > 0, got {t!r}")
     exp = cmath.exp
-    return _upper_half(lambda z, r: exp(t * z) / r, delta, cfg)
+    return _upper_half(lambda nodes: [m * (exp(t * z) / r * w).imag / d for z, r, w, m, d in nodes], delta, cfg)
 
 
 def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
@@ -155,7 +162,9 @@ def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFI
     """
     if not 0.0 <= c < math.inf:
         raise ValueError(f"hankel_resolvent_integral: c must be finite and >= 0, got {c!r}")
-    return _upper_half(lambda z, r: 1.0 / (r * (1.0 - z + c)), _DELTA, cfg)
+    return _upper_half(
+        lambda nodes: [m * (1.0 / (r * (1.0 - z + c)) * w).imag / d for z, r, w, m, d in nodes], _DELTA, cfg
+    )
 
 
 # Weideman-Trefethen hyperbola z(u) = mu * (1 + sin(i u - alpha)) with

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .quadrature import DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, _once, integrate
+from .quadrature import DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, _linear, _once, integrate
 
 __all__ = [
     "TAIL_TOL",
@@ -89,8 +89,10 @@ def u_series(t: float) -> Estimate:
 
 @_once
 def _u_quadrature(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
-    """U(t) by quadrature of exp(-(16/3) u^2 (1-u)^2 t) over [0, 1], with
-    the engine's error estimate and evaluation count."""
+    """U(t) by quadrature of exp(-(16/3) u^2 (1-u)^2 t), with the engine's
+    error estimate and evaluation count. The integrand is symmetric under
+    u <-> 1-u, so this is twice the integral over [0, 1/2], with twice its
+    error estimate."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"u_integral: t must be finite and >= 0, got {t!r}")
 
@@ -98,12 +100,12 @@ def _u_quadrature(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
         w = u * (1.0 - u)
         return math.exp(-16.0 / 3.0 * w * w * t)
 
-    return integrate(f, Interval(0.0, 1.0), cfg)
+    return _linear([(2.0, integrate(f, Interval(0.0, 0.5), cfg))])
 
 
 def u_integral(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The value of :func:`_u_quadrature`; raises ArithmeticError when it
-    did not converge."""
+    """The value of :func:`_u_quadrature`, twice the integral over [0, 1/2];
+    raises ArithmeticError when it did not converge."""
     res = _u_quadrature(t, cfg)
     if not res.converged:
         raise ArithmeticError(f"u_integral({t}) did not converge")
@@ -185,9 +187,14 @@ def hankel_series(t: float) -> float:
 
     Term magnitudes grow until n ~ 2t (peaking near exp(t)/(2 pi t)) and
     decrease beyond, so the alternating truncation bound is applied only
-    once n >= 2t. The roundoff floor max_term * eps joins the tail
-    estimate; for large t it dominates and the sum raises ArithmeticError
-    instead of returning (the contour route takes over there).
+    once n >= 2t. The roundoff floor 2 * max_term * eps joins the tail
+    estimate, and the sum stops once the two are at most
+    max(TAIL_TOL, 4 eps |S|), its error bound. The relative part serves
+    t below about 2.5e-5, where S(t) ~ 1/sqrt(pi t) exceeds
+    TAIL_TOL/(4 eps) ~ 113 and the first term's floor alone passes
+    TAIL_TOL. For large t the floor dominates |S| and the sum raises
+    ArithmeticError instead of returning (the contour route takes over
+    there).
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_series: t must be finite and > 0, got {t!r}")
@@ -207,7 +214,7 @@ def hankel_series(t: float) -> float:
         nxt = b * odd / even * sqrt_t / g
         g = half_m / g
         sign = -sign
-        if m >= two_t and nxt + 2.0 * peak * _EPS <= TAIL_TOL:
+        if m >= two_t and ((bound := nxt + 2.0 * peak * _EPS) <= TAIL_TOL or bound <= 4.0 * _EPS * abs(total)):
             return total
         b = nxt
     raise ArithmeticError(f"hankel_series({t}) did not converge")
@@ -220,12 +227,13 @@ def central_binomial_ratio(n: int) -> float:
     return math.comb(2 * n, n) / 4**n
 
 
-# (k, ((2k+1)(2k+2))^2, (4k+2)(4k+3)(4k+4)(4k+5)) for each step k of
-# inner_k_sum; both products stay below 2^53 for k < MAX_TERMS, so their
-# floats are exact and the loop's arithmetic is unchanged
+# (k, k + 1, ((2k+1)(2k+2))^2, (4k+2)(4k+3)(4k+4)(4k+5)) for each step k
+# of inner_k_sum; both products stay below 2^53 for k < MAX_TERMS, so
+# their floats, like k + 1's, are exact and the loop's arithmetic is unchanged
 _INNER_STEPS = tuple(
     (
         k,
+        float(k + 1),
         float(((2 * k + 1) * (2 * k + 2)) ** 2),
         float((4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5)),
     )
@@ -243,11 +251,12 @@ def inner_k_sum(n: int) -> Estimate:
     term = 1.0
     half = 0.5 * (n + 1)
     tail_tol = TAIL_TOL / 16.0
-    for k, num, den in _INNER_STEPS:
+    for k, k1, num, den in _INNER_STEPS:
         total += term
-        ratio = -(half + k) / (k + 1) * (16.0 / 3.0) * num / den
+        ratio = -(half + k) / k1 * (16.0 / 3.0) * num / den
         nxt = term * ratio
-        if abs(ratio) <= 0.5 and abs(nxt) <= tail_tol:
+        # the test that fails on nearly every step goes first
+        if abs(nxt) <= tail_tol and abs(ratio) <= 0.5:
             return Estimate(total, 2.0 * abs(nxt), k + 1, True)
         term = nxt
     return Estimate(total, 2.0 * abs(term), MAX_TERMS, False)

@@ -104,7 +104,7 @@ def test_nested_radical_is_the_principal_sqrt_composition():
             _MEMO.reset(token)
         nodes += _table_nodes(memo)
     assert len(nodes) > 500
-    for z, r, _ in nodes:
+    for z, r, *_ in nodes:
         assert z.imag > 0.0, z
         assert _bits(r) == _bits(nested_radical(z)) == _bits(principal_sqrt(z + principal_sqrt(z))), z
 
@@ -124,6 +124,11 @@ def test_calls_outside_a_run_fill_fresh_node_tables(built_panels):
     assert built_panels[: len(built_panels) // 2] == built_panels[len(built_panels) // 2 :]
 
 
+def _values(g):
+    """The panel values _upper_half takes, for a per-node integrand g(z, r)."""
+    return lambda nodes: [m * (g(z, r) * w).imag / d for z, r, w, m, d in nodes]
+
+
 def _capture_pieces(monkeypatch, g, delta):
     """The arc's and the ray's piece (per-node integrand, panel values, 0, 1),
     as _upper_half hands them to the engine."""
@@ -135,7 +140,7 @@ def _capture_pieces(monkeypatch, g, delta):
         return adaptive(pieces, cfg)
 
     monkeypatch.setattr(contour, "_adaptive", capturing)
-    contour._upper_half(g, delta, QuadratureConfig(max_evals=30))
+    contour._upper_half(_values(g), delta, QuadratureConfig(max_evals=30))
     (arc,), (ray,) = handed
     assert arc[2:] == ray[2:] == (0.0, 1.0)
     return arc, ray
@@ -252,10 +257,10 @@ def test_contour_panel_failures_name_the_node(part):
     for panel in ((0.0, 0.5), (0.5, 1.0)):
         s, bad = _node_of(5, delta, part, panel)
         with pytest.raises(IntegrandError) as info:
-            contour._upper_half(lambda z, r: 1.0 / ((z - bad) * r), delta, QuadratureConfig())
+            contour._upper_half(_values(lambda z, r: 1.0 / ((z - bad) * r)), delta, QuadratureConfig())
         assert str(info.value) == f"integrand division by zero at node {s!r}"
         with pytest.raises(IntegrandError) as info:
-            contour._upper_half(lambda z, r: cmath.infj if z == bad else 1.0 / r, delta, QuadratureConfig())
+            contour._upper_half(_values(lambda z, r: cmath.infj if z == bad else 1.0 / r), delta, QuadratureConfig())
         assert str(info.value) == f"non-finite integrand value at node {s!r}"
 
 

@@ -15,7 +15,7 @@ from gr32485.representations import (
     j1_integral,
     j2_integral,
 )
-from gr32485.series import u_series, u_value
+from gr32485.series import TAIL_TOL, _u_quadrature, hankel_series, u_series, u_value
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -64,6 +64,33 @@ def test_u_series_within_its_claim(t):
     # past t ~ 25 rounding in the growing terms dominates the claim
     res = u_series(t)
     assert abs(res.value - u_reference(t)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0, 100.0, 400.0])
+def test_u_quadrature_within_its_claim(t):
+    # twice the integral over [0, 1/2], the u <-> 1-u symmetric half
+    res = _u_quadrature(t)
+    assert res.converged
+    assert abs(res.value - u_reference(t)) <= res.error_estimate
+
+
+def hankel_sum_reference(t: float):
+    """S(t) by its series at 50 digits; for t <= 1e-4 the terms fall like t^(n/2)."""
+    with mpmath.workdps(50):
+        t, half = mpmath.mpf(t), mpmath.mpf(1) / 2
+        return sum(
+            (-1) ** n * mpmath.binomial(2 * n, n) / 4**n * t ** ((n - 1) * half) / mpmath.gamma((n + 1) * half)
+            for n in range(40)
+        )
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-6, 6e-6, 1e-4])
+def test_hankel_series_near_zero_within_its_bound(t):
+    # below t ~ 2.5e-5 the first term's roundoff floor alone passes
+    # TAIL_TOL, and the bound is 4 eps |S|
+    ref = hankel_sum_reference(t)
+    bound = max(TAIL_TOL, 4.0 * sys.float_info.epsilon * float(abs(ref)))
+    assert float(abs(hankel_series(t) - ref)) <= bound
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import gr32485.representations as representations
 import gr32485.series as series
-from gr32485.quadrature import DEFAULT_CONFIG, QuadratureConfig
+from gr32485.contour import hankel_hyperbolic
+from gr32485.quadrature import DEFAULT_CONFIG, Interval, QuadratureConfig, integrate
 from gr32485.representations import (
     CONSTANTS,
     NORMAL_FORM_COEFF,
@@ -19,6 +21,7 @@ from gr32485.representations import (
     phi,
     representation_ids,
 )
+from gr32485.series import u_value
 from gr32485.verifier import run_checks
 
 SQRT3 = math.sqrt(3.0)
@@ -180,3 +183,24 @@ def test_r3_makes_no_adaptive_u_calls(monkeypatch):
     monkeypatch.setattr(series, "u_integral", counting)
     assert eval_representation("R3").converged
     assert calls == []
+
+
+def test_r3_upper_piece_in_w_equals_its_t_form(monkeypatch):
+    # R3 integrates its upper piece in w = 8/t over [8/50, 1]: two panels,
+    # where the same integral in t over [8, 50] takes six
+    pieces = []
+    engine = representations.integrate
+
+    def recording(f, iv, cfg):
+        res = engine(f, iv, cfg)
+        pieces.append((iv, cfg, res))
+        return res
+
+    monkeypatch.setattr(representations, "integrate", recording)
+    assert eval_representation("R3").evals == 60
+    (_, _, low), (iv, cfg, upper) = pieces
+    assert iv == Interval(8.0 / 50.0, 1.0)
+    assert low.evals == upper.evals == 30
+    in_t = integrate(lambda t: hankel_hyperbolic(t) * u_value(t) * math.exp(-t), Interval(8.0, 50.0), cfg)
+    assert in_t.evals == 90
+    assert abs(upper.value - in_t.value) <= upper.error_estimate + in_t.error_estimate

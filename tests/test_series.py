@@ -266,6 +266,30 @@ def test_sums_equal_their_loop_forms():
         assert (res.value, res.error_estimate, res.evals) == inner_k_sum_loop(n), n
 
 
+def test_hankel_series_small_t_floor_is_relative():
+    # below t ~ 6.3e-6 the first term's roundoff floor exceeds TAIL_TOL, so
+    # the loop form runs out of terms; the sum stops at 4 eps |S| instead
+    for t in (1e-9, 1e-6, 6e-6):
+        with pytest.raises(ArithmeticError):
+            hankel_series_loop(t)
+        assert hankel_series(t) == pytest.approx(1.0 / math.sqrt(math.pi * t) - 0.5, rel=1e-2)
+    # from t ~ 2.5e-5 on the relative floor is below TAIL_TOL: the sum
+    # returns the loop form's bits, and raises where it raises
+    rng = random.Random(20181021)
+    grid = [rng.uniform(3e-5, 0.05) for _ in range(200)] + [0.25 * k for k in range(1, 161)]
+    raised = 0
+    for t in grid:
+        outcomes = []
+        for fn in (hankel_series, hankel_series_loop):
+            try:
+                outcomes.append(fn(t).hex())
+            except ArithmeticError:
+                outcomes.append("raises")
+        assert outcomes[0] == outcomes[1], t
+        raised += outcomes[0] == "raises"
+    assert raised > 100
+
+
 def test_hankel_series_guards():
     with pytest.raises(ValueError):
         hankel_series(0.0)

@@ -294,9 +294,9 @@ def test_run_computes_shared_quantities_once(monkeypatch):
         quadratures[current[0]] = quadratures.get(current[0], 0) + 1
         return adaptive(pieces, cfg)
 
-    def recording(g, delta, cfg):
+    def recording(values, delta, cfg):
         contours.append((current[0], delta))
-        return upper_half(g, delta, cfg)
+        return upper_half(values, delta, cfg)
 
     monkeypatch.setattr(verifier, "_execute", tracking)
     monkeypatch.setattr(quadrature, "_adaptive", counting)
@@ -403,7 +403,7 @@ def test_run_evaluates_each_contour_node_once(monkeypatch, built_panels):
 
 
 def test_node_tables_left_by_a_failed_check_stay_valid(monkeypatch, built_panels):
-    # V5's first contour integrand raises at its 100th call, in its 7th
+    # V5's first contour integrand raises at its 100th node, in its 7th
     # panel, after the tables at delta = 0.5 have taken that whole panel
     # and the ones before it. An entry is a function of (delta, panel)
     # alone, so V6 may read what the failed check left and still reports
@@ -415,14 +415,14 @@ def test_node_tables_left_by_a_failed_check_stay_valid(monkeypatch, built_panels
     upper_half = contour._upper_half
     seen = [0]
 
-    def failing(g, delta, cfg):
-        def g_failing(z, r):
-            seen[0] += 1
-            if seen[0] == 100:
+    def failing(values, delta, cfg):
+        def values_failing(nodes):
+            seen[0] += len(nodes)
+            if seen[0] - len(nodes) < 100 <= seen[0]:
                 raise ArithmeticError("integrand failed on purpose")
-            return g(z, r)
+            return values(nodes)
 
-        return upper_half(g_failing, delta, cfg)
+        return upper_half(values_failing, delta, cfg)
 
     monkeypatch.setattr(contour, "_upper_half", failing)
     built_panels.clear()
