@@ -12,13 +12,7 @@ import argparse
 import sys
 
 from .quadrature import DEFAULT_CONFIG
-from .verifier import (
-    DEFAULT_TIMEOUT_SECS,
-    catalog,
-    render_json,
-    render_table,
-    run_checks,
-)
+from .verifier import catalog, render_json, render_table, run_checks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,13 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="integrand evaluation budget per quadrature (default %(default)s)",
     )
-    parser.add_argument(
-        "--timeout-secs",
-        type=float,
-        default=DEFAULT_TIMEOUT_SECS,
-        metavar="N",
-        help="per-check time budget; slower checks report no-converge (default %(default)s)",
-    )
     parser.add_argument("--json", action="store_true", help="emit the machine-readable report")
     parser.add_argument("--list", action="store_true", help="print the check catalog and exit")
     return parser
@@ -71,13 +58,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     try:
-        report = run_checks(
-            selection,
-            DEFAULT_CONFIG._replace(max_evals=args.max_evals),
-            timeout_secs=args.timeout_secs,
-        )
+        report = run_checks(selection, DEFAULT_CONFIG._replace(max_evals=args.max_evals))
     except ValueError as exc:
-        # unknown ids, and budgets that are not positive and finite
+        # unknown ids, and budgets too small for one piece
         sys.stderr.write(f"verify: {exc}\n")
         return 2
 

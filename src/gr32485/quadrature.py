@@ -29,12 +29,10 @@ values fail or are not finite is evaluated again node by node, which
 names the bad node in an ``IntegrandError``.
 
 Results are deterministic functions of (integrand, interval, config).
-The check runner may also set a wall-clock deadline for the current
-context; bisection past it raises ``TimeoutError`` instead of returning.
-It also sets a memo for its run, in which the functions marked ``_once``
-keep their values and the contour integrals their panels' node tables,
-so that a quantity or a contour panel several checks share is computed
-once per run; outside a run every call computes.
+The check runner sets a memo for its run, in which the functions marked
+``_once`` keep their values and the contour integrals their panels' node
+tables, so that a quantity or a contour panel several checks share is
+computed once per run; outside a run every call computes.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import contextvars
 import functools
 import heapq
 import math
-import time
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -184,11 +181,6 @@ _WG = (
 
 _EPS = 2.220446049250313e-16
 
-# time.monotonic() instant after which _adaptive stops bisecting. The
-# check runner sets it around each check; elsewhere it stays infinite and
-# the engine never reads the clock.
-_DEADLINE: contextvars.ContextVar[float] = contextvars.ContextVar("deadline", default=math.inf)
-
 # Values of the _once functions, keyed on (function, arguments). The check
 # runner sets a fresh dict for its run and resets it when the run ends;
 # elsewhere it stays None and every call computes.
@@ -198,7 +190,7 @@ _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("memo", defa
 def _once(fn: Callable) -> Callable:
     """fn, computed at most once per argument tuple within a run of the
     check runner. Values are kept and exceptions are not, so a call that
-    raised, a timeout among them, computes again when it is repeated."""
+    raised computes again when it is repeated."""
 
     @functools.wraps(fn)
     def once(*args, **kwargs):
@@ -340,7 +332,6 @@ def _panel(piece: tuple, a: float, b: float):
 def _adaptive(pieces: list, cfg: QuadratureConfig):
     if 30 * len(pieces) > cfg.max_evals:
         raise ValueError("max_evals too small for the interval decomposition")
-    deadline = _DEADLINE.get()
     heap = []
     parked = []  # panels too narrow to bisect, or at their roundoff floor
     seq = 0  # panels evaluated, 15 integrand evaluations each
@@ -358,8 +349,6 @@ def _adaptive(pieces: list, cfg: QuadratureConfig):
         worst = heap[0]
         if worst[6] <= 0.0 or 15 * seq + 30 > cfg.max_evals:
             break
-        if deadline != math.inf and time.monotonic() > deadline:
-            raise TimeoutError(f"deadline passed after {15 * seq} integrand evaluations")
         _, _, idx, a, b, _, old_err, old_floor = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if not (a < mid < b) or old_err <= 1.05 * old_floor:

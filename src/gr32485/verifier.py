@@ -20,10 +20,8 @@ did not converge keeps its value and evals and makes the record
 no-converge, naming the side in ``reason``; evals sum the Estimates'.
 
 Checks run one after another in catalog order, so a report is
-deterministic for a fixed configuration (wall times aside). Each check
-gets a time budget: quadrature inside it stops at the next bisection once
-the budget is spent, and a check that overruns it is reported as
-no-converge. A record that did not pass or fail says why in ``reason``.
+deterministic for a fixed configuration (wall times aside). A record
+that did not pass or fail says why in ``reason``.
 
 Within one run every shared quantity (a route, S(t), h1, h2, J1, J2, a
 Delta-form, U(t) by quadrature, a contour panel's nodes) is computed
@@ -44,14 +42,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .contour import hankel_exp_integral, hankel_resolvent_integral, nested_radical
 from .elliptic import complete_K, complete_Pi, incomplete_F, landen_residual
-from .quadrature import (
-    _DEADLINE,
-    _MEMO,
-    DEFAULT_CONFIG,
-    Estimate,
-    QuadratureConfig,
-    _linear,
-)
+from .quadrature import _MEMO, DEFAULT_CONFIG, Estimate, QuadratureConfig, _linear
 from .representations import (
     CONSTANTS,
     NORMAL_FORM_COEFF,
@@ -78,14 +69,12 @@ __all__ = [
     "render_table",
     "render_json",
     "UnknownCheckError",
-    "DEFAULT_TIMEOUT_SECS",
 ]
 
 # the left side of 3.248.5 prints as 0.666377 to the six figures usually quoted
 HEADLINE_VALUE = 0.666377
 HEADLINE_TOL = 5e-7
 
-DEFAULT_TIMEOUT_SECS = 30.0  # each check's default time budget
 _SQRT3 = math.sqrt(3.0)
 _SQRT_3PI = math.sqrt(3.0 * math.pi)
 
@@ -368,11 +357,9 @@ def _status(kind: str, abs_diff: float, tolerance: float) -> str:
     return "pass" if abs_diff <= tolerance else "fail"
 
 
-def _execute(spec: CheckSpec, cfg: QuadratureConfig, timeout_secs: float) -> CheckRecord:
-    timeout = f"timeout after {timeout_secs:g} s"
+def _execute(spec: CheckSpec, cfg: QuadratureConfig) -> CheckRecord:
     tolerance = math.nan if spec.tolerance is None else spec.tolerance
     t0 = time.monotonic()
-    token = _DEADLINE.set(t0 + timeout_secs)
     try:
         sides = spec.fn(cfg)
         estimates = {n: s for n, s in zip(("lhs", "rhs"), sides) if isinstance(s, Estimate)}
@@ -392,18 +379,10 @@ def _execute(spec: CheckSpec, cfg: QuadratureConfig, timeout_secs: float) -> Che
         # isolation: a broken or non-convergent check must not stop the run
         lhs = rhs = abs_diff = math.nan
         evals = 0
-        if isinstance(exc, TimeoutError):
-            status, reason = "no-converge", timeout
-        elif isinstance(exc, (ArithmeticError, ValueError)):
+        if isinstance(exc, (ArithmeticError, ValueError)):
             status, reason = "no-converge", str(exc)
         else:
             status, reason = "error", f"{type(exc).__name__}: {exc}"
-    finally:
-        _DEADLINE.reset(token)
-    elapsed = time.monotonic() - t0
-    if elapsed > timeout_secs and status != "error":
-        # work outside the quadrature engine cannot be stopped, only relabelled
-        status, reason = "no-converge", timeout
     return CheckRecord(
         id=spec.id,
         description=spec.description,
@@ -414,29 +393,24 @@ def _execute(spec: CheckSpec, cfg: QuadratureConfig, timeout_secs: float) -> Che
         status=status,
         paper_anchor=spec.anchor,
         evals=evals,
-        wall_time_ms=int(round(elapsed * 1000.0)),
+        wall_time_ms=int(round((time.monotonic() - t0) * 1000.0)),
         kind=spec.kind,
         reason=reason,
     )
 
 
-def run_checks(
-    selection: list[str] | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    timeout_secs: float = DEFAULT_TIMEOUT_SECS,
-) -> Report:
+def run_checks(selection: list[str] | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Report:
     """Run the selected checks (all of them when selection is falsy), one
     after another in catalog order.
 
-    Unknown ids raise UnknownCheckError, and a timeout that is not a
-    positive finite number raises ValueError. A failing check never
-    prevents later checks from running. Each check has timeout_secs of
-    wall time: quadrature stops at its next bisection once that is spent,
-    and a check that overruns it is recorded as no-converge.
+    Unknown ids raise UnknownCheckError; a selection that is a string, or
+    a cfg that is not a QuadratureConfig, raises TypeError. A failing
+    check never prevents later checks from running.
     """
-    if not (math.isfinite(timeout_secs) and timeout_secs > 0.0):
-        raise ValueError(f"timeout_secs must be a positive finite number, got {timeout_secs!r}")
+    if isinstance(selection, str):
+        raise TypeError(f"selection must be a list of check ids, not the string {selection!r}")
+    if not isinstance(cfg, QuadratureConfig):
+        raise TypeError(f"cfg must be a QuadratureConfig, got {type(cfg).__name__}")
     known = {spec.id: spec for spec in _CATALOG}
     if selection:
         missing = [cid for cid in selection if cid not in known]
@@ -448,14 +422,12 @@ def run_checks(
 
     token = _MEMO.set({})
     try:
-        records = [_execute(spec, cfg, timeout_secs) for spec in chosen]
+        records = [_execute(spec, cfg) for spec in chosen]
     finally:
         _MEMO.reset(token)
     overall = "pass" if all(r.status == "pass" for r in records) else "fail"
-    echo = (
-        f"abs_tol={cfg.abs_tol:g} max_evals={cfg.max_evals} timeout_secs={timeout_secs:g} "
-        f"only={','.join(selection) if selection else '-'}"
-    )
+    only = ",".join(selection) if selection else "-"
+    echo = f"abs_tol={cfg.abs_tol:g} max_evals={cfg.max_evals} only={only}"
     return Report(records=records, tool_version=__version__, config_echo=echo, overall=overall)
 
 

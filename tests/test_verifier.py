@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -16,7 +15,7 @@ import gr32485.representations as representations
 import gr32485.verifier as verifier
 from gr32485.cli import main
 from gr32485.contour import hankel_exp_integral
-from gr32485.quadrature import _MEMO, Estimate, Interval, QuadratureConfig, _once, integrate
+from gr32485.quadrature import _MEMO, Estimate, QuadratureConfig, _once
 from gr32485.series import TAIL_TOL, _u_quadrature, u_series
 from gr32485.verifier import (
     CheckSpec,
@@ -100,42 +99,6 @@ def test_failing_check_does_not_stop_later_ones(monkeypatch):
     assert [r.id for r in report.records] == ["R1", "off-probe", "R4"]
     assert [r.status for r in report.records] == ["pass", "fail", "pass"]
     assert report.overall == "fail"
-
-
-def test_timeout_marks_no_converge(monkeypatch):
-    def sleepy(ctx):
-        time.sleep(0.4)
-        return 1.0, 1.0
-
-    slow = CheckSpec("slow-probe", "sleeps", "none", "match", 1.0, sleepy)
-    quick = CheckSpec("quick-probe", "instant", "none", "match", 1.0, lambda ctx: (1.0, 1.0))
-    monkeypatch.setattr(verifier, "_CATALOG", (slow, quick))
-    report = run_checks(None, timeout_secs=0.1)
-    assert [r.id for r in report.records] == ["slow-probe", "quick-probe"]
-    assert report.records[0].status == "no-converge"
-    assert report.records[1].status == "pass"
-    assert report.overall == "fail"
-    # the record reports the time the check really took, and why it failed
-    assert report.records[0].wall_time_ms >= 400
-    assert report.records[0].reason == "timeout after 0.1 s"
-
-
-def test_deadline_stops_quadrature(monkeypatch):
-    def oscillating(ctx):
-        cfg = QuadratureConfig(max_evals=10**8)
-        res = integrate(lambda x: math.sin(1.0 / x), Interval(0.0, 1.0), cfg)
-        return res, res.value
-
-    slow = CheckSpec("sin-probe", "sin(1/x)", "none", "match", 1.0, oscillating)
-    quick = CheckSpec("quick-probe", "instant", "none", "match", 1.0, lambda ctx: (1.0, 1.0))
-    monkeypatch.setattr(verifier, "_CATALOG", (slow, quick))
-    t0 = time.monotonic()
-    report = run_checks(None, timeout_secs=0.2)
-    assert time.monotonic() - t0 < 1.0
-    assert [r.status for r in report.records] == ["no-converge", "pass"]
-    assert report.records[0].reason == "timeout after 0.2 s"
-    # the deadline belongs to the check that set it
-    assert integrate(math.exp, Interval(0.0, 1.0)).converged
 
 
 def test_failures_say_why(monkeypatch):
@@ -275,7 +238,6 @@ def test_record_names_both_unconverged_sides(monkeypatch):
 def test_cli_defaults_come_from_the_api():
     args = cli._build_parser().parse_args([])
     assert args.max_evals == gr32485.DEFAULT_CONFIG.max_evals
-    assert args.timeout_secs == run_checks.__kwdefaults__["timeout_secs"]
 
 
 def test_run_computes_shared_quantities_once(monkeypatch):
@@ -286,9 +248,9 @@ def test_run_computes_shared_quantities_once(monkeypatch):
     contours = []
     execute, adaptive, upper_half = verifier._execute, quadrature._adaptive, contour._upper_half
 
-    def tracking(spec, ctx, timeout_secs):
+    def tracking(spec, ctx):
         current[0] = spec.id
-        return execute(spec, ctx, timeout_secs)
+        return execute(spec, ctx)
 
     def counting(pieces, cfg):
         quadratures[current[0]] = quadratures.get(current[0], 0) + 1
@@ -376,9 +338,9 @@ def _memo_after_each_check(monkeypatch):
     after = {}
     execute = verifier._execute
 
-    def tracking(spec, ctx, timeout_secs):
+    def tracking(spec, ctx):
         try:
-            return execute(spec, ctx, timeout_secs)
+            return execute(spec, ctx)
         finally:
             after[spec.id] = _contour_panels(_MEMO.get())
 
@@ -464,11 +426,19 @@ def test_lemma_checks_count_their_quadratures():
     assert [r.evals for r in report.records] == [pair, decay]
 
 
-@pytest.mark.parametrize("name", ["timeout_secs"])
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
-def test_run_checks_rejects_bad_limits(name, value):
-    with pytest.raises(ValueError, match=name):
-        run_checks(["constants"], **{name: value})
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"selection": "R1"}, {"cfg": None}, {"cfg": (1e-12, 200_000)}],
+    ids=["str-selection", "none-cfg", "tuple-cfg"],
+)
+def test_run_checks_rejects_malformed_arguments(monkeypatch, kwargs):
+    # a string selection would be read one character at a time, and a cfg
+    # that is not a QuadratureConfig would run every check to an error;
+    # both are rejected, naming the argument, before any check runs
+    monkeypatch.setattr(verifier, "_execute", None)
+    (name,) = kwargs
+    with pytest.raises(TypeError, match=f"^{name} must be"):
+        run_checks(**kwargs)
 
 
 def test_render_table_shapes():
@@ -580,11 +550,8 @@ def test_cli_exit_codes(monkeypatch, capsys):
     assert main(["--only", "off-probe"]) == 1
     assert "overall: fail" in capsys.readouterr().out
 
-    # non-finite limits are usage errors, not a pass or a switched-off timeout
+    # budgets too small for one piece are usage errors
     for argv in (
-        ["--timeout-secs", "nan", "--only", "constants"],
-        ["--timeout-secs", "inf", "--only", "constants"],
-        ["--timeout-secs", "0", "--only", "constants"],
         ["--max-evals", "14", "--only", "constants"],
         ["--max-evals", "29", "--only", "constants"],
         # a selection that names no id is a usage error, not the whole catalog
@@ -596,8 +563,15 @@ def test_cli_exit_codes(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("verify: "), argv
 
-    # tolerances come from the catalog; the flags that set them are gone
-    for flag, value in (("--series-tol", "1e-5"), ("--tol", "1e-9")):
+    # tolerances come from the catalog and no check has a time budget; the
+    # flags that set them are gone
+    for flag, value in (
+        ("--series-tol", "1e-5"),
+        ("--tol", "1e-9"),
+        ("--timeout-secs", "nan"),
+        ("--timeout-secs", "inf"),
+        ("--timeout-secs", "0"),
+    ):
         with pytest.raises(SystemExit) as exc:
             main([flag, value, "--only", "R2"])
         assert exc.value.code == 2
