@@ -1,9 +1,10 @@
 """Command line front end: run the check suite, print a table or JSON.
 
 Exit codes: 0 when every selected check passes, 1 on any fail,
-no-converge or error, 2 on a usage error. Check tolerances are not a
-flag (see gr32485.verifier). No environment variables are consulted;
-behaviour is a function of the flags alone.
+no-converge or error, 2 on a usage error. Neither check tolerances nor
+the quadrature config are flags: every run computes the committed report
+(tests/report.json). No environment variables are consulted; behaviour
+is a function of the flags alone.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .quadrature import DEFAULT_CONFIG
-from .verifier import catalog, render_json, render_table, run_checks
+from .verifier import UnknownCheckError, catalog, render_json, render_table, run_checks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,13 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--only",
         metavar="ID[,ID...]",
         help="comma-separated check ids to run (default: the whole catalog)",
-    )
-    parser.add_argument(
-        "--max-evals",
-        type=int,
-        default=DEFAULT_CONFIG.max_evals,
-        metavar="N",
-        help="integrand evaluation budget per quadrature (default %(default)s)",
     )
     parser.add_argument("--json", action="store_true", help="emit the machine-readable report")
     parser.add_argument("--list", action="store_true", help="print the check catalog and exit")
@@ -58,9 +51,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     try:
-        report = run_checks(selection, DEFAULT_CONFIG._replace(max_evals=args.max_evals))
-    except ValueError as exc:
-        # unknown ids, and budgets too small for one piece
+        report = run_checks(selection)
+    except UnknownCheckError as exc:
         sys.stderr.write(f"verify: {exc}\n")
         return 2
 

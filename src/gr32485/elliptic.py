@@ -170,8 +170,6 @@ def incomplete_F(phi: float, k: float) -> float:
     if not 0.0 <= phi <= math.pi / 2.0:
         raise ValueError(f"amplitude must lie in [0, pi/2], got {phi!r}")
     _check_modulus(k)
-    if phi == 0.0:
-        return 0.0
     s = math.sin(phi)
     c = math.cos(phi)
     ks = k * s

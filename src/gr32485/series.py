@@ -58,6 +58,20 @@ _OUTER_TERMS = 48
 TAIL_TOL = 1e-13
 
 
+# (k, k + 1, ((2k+1)(2k+2))^2, (4k+2)(4k+3)(4k+4)(4k+5)) for each step k
+# of u_series and inner_k_sum; both products, and k + 1 times the second,
+# stay below 2^53 for k < MAX_TERMS, so every float product is exact
+_INNER_STEPS = tuple(
+    (
+        k,
+        float(k + 1),
+        float(((2 * k + 1) * (2 * k + 2)) ** 2),
+        float((4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5)),
+    )
+    for k in range(MAX_TERMS)
+)
+
+
 def u_series(t: float) -> Estimate:
     """U(t) by its alternating power series. The error bound is the first
     omitted term, once the terms decay, plus the roundoff floor
@@ -69,16 +83,11 @@ def u_series(t: float) -> Estimate:
     total = 0.0
     term = 1.0
     peak = 0.0
-    for k in range(MAX_TERMS):
+    for k, k1, num, den in _INNER_STEPS:
         total += term
         if abs(term) > peak:
             peak = abs(term)
-        ratio = (
-            -4.0
-            * ((2 * k + 1) * (2 * k + 2)) ** 2
-            * (4.0 * t / 3.0)
-            / ((k + 1) * (4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5))
-        )
+        ratio = -4.0 * num * (4.0 * t / 3.0) / (k1 * den)
         nxt = term * ratio
         if abs(nxt) <= abs(term) and abs(nxt) <= 0.5 * TAIL_TOL:
             err = abs(nxt) + 2.0 * peak * _EPS
@@ -225,20 +234,6 @@ def central_binomial_ratio(n: int) -> float:
     if n < 0:
         raise ValueError("central_binomial_ratio: n must be nonnegative")
     return math.comb(2 * n, n) / 4**n
-
-
-# (k, k + 1, ((2k+1)(2k+2))^2, (4k+2)(4k+3)(4k+4)(4k+5)) for each step k
-# of inner_k_sum; both products stay below 2^53 for k < MAX_TERMS, so
-# their floats, like k + 1's, are exact and the loop's arithmetic is unchanged
-_INNER_STEPS = tuple(
-    (
-        k,
-        float(k + 1),
-        float(((2 * k + 1) * (2 * k + 2)) ** 2),
-        float((4 * k + 2) * (4 * k + 3) * (4 * k + 4) * (4 * k + 5)),
-    )
-    for k in range(MAX_TERMS)
-)
 
 
 def inner_k_sum(n: int) -> Estimate:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
 from .contour import hankel_exp_integral, hankel_resolvent_integral, nested_radical
@@ -399,26 +399,27 @@ def _execute(spec: CheckSpec, cfg: QuadratureConfig) -> CheckRecord:
     )
 
 
-def run_checks(selection: list[str] | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Report:
-    """Run the selected checks (all of them when selection is falsy), one
-    after another in catalog order.
+def run_checks(selection: Iterable[str] | None = None, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Report:
+    """Run the selected checks (all of them when selection is empty or
+    None), one after another in catalog order.
 
-    Unknown ids raise UnknownCheckError; a selection that is a string, or
-    a cfg that is not a QuadratureConfig, raises TypeError. A failing
-    check never prevents later checks from running.
+    Unknown ids raise UnknownCheckError; a selection that is a str or
+    bytes, or holds anything but str ids, or a cfg that is not a
+    QuadratureConfig, raises TypeError. A failing check never prevents
+    later checks from running.
     """
-    if isinstance(selection, str):
-        raise TypeError(f"selection must be a list of check ids, not the string {selection!r}")
+    if isinstance(selection, (str, bytes)):
+        raise TypeError(f"selection must be a list of check ids, not {selection!r}")
+    selection = list(selection or ())
+    if not all(isinstance(cid, str) for cid in selection):
+        raise TypeError(f"selection must be check ids of type str, got {selection!r}")
     if not isinstance(cfg, QuadratureConfig):
         raise TypeError(f"cfg must be a QuadratureConfig, got {type(cfg).__name__}")
-    known = {spec.id: spec for spec in _CATALOG}
-    if selection:
-        missing = [cid for cid in selection if cid not in known]
-        if missing:
-            raise UnknownCheckError(f"unknown check id(s): {', '.join(missing)}")
-        chosen = [known[cid] for cid in catalog_ids() if cid in set(selection)]
-    else:
-        chosen = list(_CATALOG)
+    known = catalog_ids()
+    missing = [cid for cid in selection if cid not in known]
+    if missing:
+        raise UnknownCheckError(f"unknown check id(s): {', '.join(missing)}")
+    chosen = [spec for spec in _CATALOG if not selection or spec.id in selection]
 
     token = _MEMO.set({})
     try:

@@ -56,6 +56,9 @@ def test_F_at_right_angle_is_K():
 
 def test_F_small_modulus_is_amplitude():
     assert incomplete_F(0.7, 1e-10) == pytest.approx(0.7, abs=1e-12)
+    # and F vanishes at zero amplitude, whatever the modulus
+    for k in (1e-10, 0.3, 1.0 / math.sqrt(3.0), 1.0 - 1e-12):
+        assert incomplete_F(0.0, k) == 0.0, k
 
 
 def test_F_special_argument_against_quadrature():

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 import gr32485
-import gr32485.cli as cli
 import gr32485.contour as contour
 import gr32485.quadrature as quadrature
 import gr32485.representations as representations
@@ -66,6 +65,16 @@ def test_selection_pair_shares_baseline():
     assert r12.rhs == r0.lhs
     assert abs(r12.lhs - r0.lhs) < 1e-9
     assert report.overall == "pass"
+
+
+def test_iterator_selection_equals_its_list():
+    # the selection is read once, so an iterator is not used up by the
+    # unknown-id scan before any check runs
+    listed = run_checks(["R1", "R12"])
+    streamed = run_checks(iter(["R1", "R12"]))
+    assert [_record_bits(r) for r in streamed.records] == [_record_bits(r) for r in listed.records]
+    assert streamed.config_echo == listed.config_echo
+    assert listed.config_echo.endswith(" only=R1,R12")
 
 
 def test_unknown_id_raises():
@@ -233,11 +242,6 @@ def test_record_names_both_unconverged_sides(monkeypatch):
     (rec,) = run_checks().records
     assert (rec.lhs, rec.rhs, rec.evals) == (1.0, 1.0, 75)
     assert (rec.status, rec.reason) == ("no-converge", "lhs and rhs did not converge")
-
-
-def test_cli_defaults_come_from_the_api():
-    args = cli._build_parser().parse_args([])
-    assert args.max_evals == gr32485.DEFAULT_CONFIG.max_evals
 
 
 def test_run_computes_shared_quantities_once(monkeypatch):
@@ -428,13 +432,20 @@ def test_lemma_checks_count_their_quadratures():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"selection": "R1"}, {"cfg": None}, {"cfg": (1e-12, 200_000)}],
-    ids=["str-selection", "none-cfg", "tuple-cfg"],
+    [
+        {"selection": "R1"},
+        {"selection": b"R1"},
+        {"selection": [1]},
+        {"cfg": None},
+        {"cfg": (1e-12, 200_000)},
+    ],
+    ids=["str-selection", "bytes-selection", "int-selection", "none-cfg", "tuple-cfg"],
 )
 def test_run_checks_rejects_malformed_arguments(monkeypatch, kwargs):
-    # a string selection would be read one character at a time, and a cfg
-    # that is not a QuadratureConfig would run every check to an error;
-    # both are rejected, naming the argument, before any check runs
+    # a string selection would be read one character at a time, ids that
+    # are not strings would fail late in str.join, and a cfg that is not a
+    # QuadratureConfig would run every check to an error; all are
+    # rejected, naming the argument, before any check runs
     monkeypatch.setattr(verifier, "_execute", None)
     (name,) = kwargs
     with pytest.raises(TypeError, match=f"^{name} must be"):
@@ -550,11 +561,8 @@ def test_cli_exit_codes(monkeypatch, capsys):
     assert main(["--only", "off-probe"]) == 1
     assert "overall: fail" in capsys.readouterr().out
 
-    # budgets too small for one piece are usage errors
+    # a selection that names no id is a usage error, not the whole catalog
     for argv in (
-        ["--max-evals", "14", "--only", "constants"],
-        ["--max-evals", "29", "--only", "constants"],
-        # a selection that names no id is a usage error, not the whole catalog
         ["--only", ""],
         ["--only", ","],
         ["--only", " , "],
@@ -563,14 +571,17 @@ def test_cli_exit_codes(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("verify: "), argv
 
-    # tolerances come from the catalog and no check has a time budget; the
-    # flags that set them are gone
+    # tolerances come from the catalog, no check has a time budget and
+    # every run uses the config of the committed report; the flags that
+    # set them are gone
     for flag, value in (
         ("--series-tol", "1e-5"),
         ("--tol", "1e-9"),
         ("--timeout-secs", "nan"),
         ("--timeout-secs", "inf"),
         ("--timeout-secs", "0"),
+        ("--max-evals", "14"),
+        ("--max-evals", "29"),
     ):
         with pytest.raises(SystemExit) as exc:
             main([flag, value, "--only", "R2"])
