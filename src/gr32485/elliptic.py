@@ -197,8 +197,7 @@ def complete_Pi(n: float, k: float) -> float:
 
 def landen_residual(k: float) -> float:
     """K(sqrt(1-k^2)) - (2/(1+k)) K((1-k)/(1+k)); identically zero by the
-    descending Landen transformation."""
+    descending Landen transformation. Each K(m) is R_F(0, 1 - m^2, 1) with
+    1 - m^2 written exactly, k^2 and 4k/(1+k)^2, so small k does not cancel."""
     _check_modulus(k)
-    kc = math.sqrt((1.0 - k) * (1.0 + k))
-    descended = (1.0 - k) / (1.0 + k)
-    return complete_K(kc) - 2.0 / (1.0 + k) * complete_K(descended)
+    return carlson_rf(0.0, k * k, 1.0) - 2.0 / (1.0 + k) * carlson_rf(0.0, 4.0 * k / ((1.0 + k) * (1.0 + k)), 1.0)

@@ -34,7 +34,7 @@ from .quadrature import (
     _once,
     integrate,
 )
-from .series import TAIL_TOL, U_RULE_ERROR, double_series_I, hankel_series, u_value
+from .series import _EPS, TAIL_TOL, U_RULE_ERROR, double_series_I, hankel_series, u_value
 
 __all__ = [
     "Constants",
@@ -197,40 +197,41 @@ def _eval_r2(cfg: QuadratureConfig) -> Estimate:
 
 
 _R3_SWITCH_T = 8.0  # Hankel sum up to here, hyperbolic contour rule above
+_R3_SPLIT_T = 6.0  # the low piece ends here, the upper piece begins
 _R3_CUTOFF_T = 50.0
 
 
 def _eval_r3(cfg: QuadratureConfig) -> Estimate:
-    """int_0^inf S(t) U(t) exp(-t) dt, in two pieces of 30 evaluations each.
+    """int_0^inf S(t) U(t) exp(-t) dt, in two pieces, both at cfg.
 
     S(t) comes from ``hankel_series`` for t <= 8, where the alternating
     sum is accurate to its 1e-13 tail tolerance, and from the fixed-node
     rule ``hankel_hyperbolic`` for 8 < t <= 50, where the sum's terms
     reach exp(t)/(2 pi t) and it loses its digits to cancellation. U(t)
     comes from the fixed Gauss-Legendre rule of ``u_value``, so the only
-    adaptive quadrature is the outer one. The upper piece is integrated
-    in w = 8/t over [8/50, 1], dt = (t^2/8) dw, where its integrand is
-    smooth enough for two panels; in t the same piece needs six, and
-    claims an error bar 25 times wider.
+    adaptive quadrature is the outer one, split at t = 6: [0, 6] in the
+    engine's s = sqrt(t), and [6, 50] in w = 6/t, dt = (t^2/6) dw, over
+    [6/50, 1], where two panels suffice. At the default abs_tol each
+    piece takes 30 evaluations; split at t = 8 the two take 120.
     """
-    outer_cfg = QuadratureConfig(max(cfg.abs_tol * 10.0, 1e-11), cfg.max_evals)
+
+    def f(t: float) -> float:
+        s = hankel_series(t) if t <= _R3_SWITCH_T else hankel_hyperbolic(t)
+        return s * u_value(t) * math.exp(-t)
 
     def upper(w: float) -> float:
-        t = _R3_SWITCH_T / w
-        return hankel_hyperbolic(t) * u_value(t) * math.exp(-t) * (t * t / _R3_SWITCH_T)
+        t = _R3_SPLIT_T / w
+        return f(t) * (t * t / _R3_SPLIT_T)
 
-    low = integrate(
-        lambda t: hankel_series(t) * u_value(t) * math.exp(-t),
-        Interval(0.0, _R3_SWITCH_T, singular_lower=True),
-        outer_cfg,
-    )
-    high = integrate(upper, Interval(_R3_SWITCH_T / _R3_CUTOFF_T, 1.0), outer_cfg)
+    low = integrate(f, Interval(0.0, _R3_SPLIT_T, singular_lower=True), cfg)
+    high = integrate(upper, Interval(_R3_SPLIT_T / _R3_CUTOFF_T, 1.0), cfg)
     # 0 < U <= 1 and |S(t)| <= 1/sqrt(t), whose integral against exp(-t)
     # is sqrt(pi). So an error e_S in S(t) costs at most e_S times the
-    # integral of exp(-t) over its range, the rule's error in U(t) at most
-    # sqrt(pi) U_RULE_ERROR, and the discarded tail exp(-T)/sqrt(T).
+    # integral of exp(-t) over its range (4 eps sqrt(pi) for the relative
+    # part 4 eps |S| of hankel_series' bound), the rule's error in U(t) at
+    # most sqrt(pi) U_RULE_ERROR, and the discarded tail exp(-T)/sqrt(T).
     tail = math.exp(-_R3_CUTOFF_T) / math.sqrt(_R3_CUTOFF_T)
-    s_err = TAIL_TOL + HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
+    s_err = TAIL_TOL + 4.0 * _EPS * math.sqrt(math.pi) + HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
     u_err = math.sqrt(math.pi) * U_RULE_ERROR
     return _linear(((1.0, low), (1.0, high)), extra_err=s_err + u_err + tail)
 

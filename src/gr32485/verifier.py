@@ -404,11 +404,11 @@ def run_checks(selection: Iterable[str] | None = None, cfg: QuadratureConfig = D
     None), one after another in catalog order.
 
     Unknown ids raise UnknownCheckError; a selection that is a str or
-    bytes, or holds anything but str ids, or a cfg that is not a
-    QuadratureConfig, raises TypeError. A failing check never prevents
-    later checks from running.
+    bytes, is not iterable, or holds anything but str ids, or a cfg that
+    is not a QuadratureConfig, raises TypeError. A failing check never
+    prevents later checks from running.
     """
-    if isinstance(selection, (str, bytes)):
+    if isinstance(selection, (str, bytes)) or not isinstance(selection, (Iterable, type(None))):
         raise TypeError(f"selection must be a list of check ids, not {selection!r}")
     selection = list(selection or ())
     if not all(isinstance(cid, str) for cid in selection):

@@ -126,6 +126,14 @@ def test_landen_residual_near_one():
     assert abs(landen_residual(0.999)) < 1e-10
 
 
+def test_landen_residual_small_moduli():
+    # K(sqrt(1 - k^2)) needs 1 - k'^2 = k^2: recomputed from a rounded k'
+    # it cancels, to -0.4 at k = 1e-8, and below that k' rounds to 1
+    for j in range(1, 151):
+        k = 10.0**-j
+        assert abs(landen_residual(k)) <= 4.0 * math.ulp(carlson_rf(0.0, k * k, 1.0)), k
+
+
 def test_K_monotone_in_modulus():
     ks = [0.02 + 0.05 * i for i in range(19)]
     vals = [complete_K(k) for k in ks]

@@ -193,8 +193,8 @@ def test_r3_makes_no_adaptive_u_calls(monkeypatch):
 
 
 def test_r3_upper_piece_in_w_equals_its_t_form(monkeypatch):
-    # R3 integrates its upper piece in w = 8/t over [8/50, 1]: two panels,
-    # where the same integral in t over [8, 50] takes six
+    # R3 integrates its upper piece in w = 6/t over [6/50, 1]: two panels,
+    # where the same integral in t over [6, 50] takes eight
     pieces = []
     engine = representations.integrate
 
@@ -206,8 +206,30 @@ def test_r3_upper_piece_in_w_equals_its_t_form(monkeypatch):
     monkeypatch.setattr(representations, "integrate", recording)
     assert eval_representation("R3").evals == 60
     (_, _, low), (iv, cfg, upper) = pieces
-    assert iv == Interval(8.0 / 50.0, 1.0)
+    assert iv == Interval(6.0 / 50.0, 1.0)
     assert low.evals == upper.evals == 30
-    in_t = integrate(lambda t: hankel_hyperbolic(t) * u_value(t) * math.exp(-t), Interval(8.0, 50.0), cfg)
-    assert in_t.evals == 90
+
+    def in_t_integrand(t):
+        s = series.hankel_series(t) if t <= 8.0 else hankel_hyperbolic(t)
+        return s * u_value(t) * math.exp(-t)
+
+    in_t = integrate(in_t_integrand, Interval(6.0, 50.0), cfg)
+    assert in_t.evals == 120
     assert abs(upper.value - in_t.value) <= upper.error_estimate + in_t.error_estimate
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-13)], ids=["default", "1e-13"])
+def test_r3_pieces_take_the_run_config(monkeypatch, cfg):
+    # both of R3's engine calls run at the run's config as it is, so R3's
+    # error bar follows abs_tol like every other route's
+    configs = []
+    engine = representations.integrate
+
+    def recording(f, iv, c):
+        configs.append(c)
+        return engine(f, iv, c)
+
+    monkeypatch.setattr(representations, "integrate", recording)
+    assert eval_representation("R3", cfg).converged
+    assert len(configs) == 2
+    assert all(c is cfg for c in configs)

@@ -436,15 +436,17 @@ def test_lemma_checks_count_their_quadratures():
         {"selection": "R1"},
         {"selection": b"R1"},
         {"selection": [1]},
+        {"selection": 5},
         {"cfg": None},
         {"cfg": (1e-12, 200_000)},
     ],
-    ids=["str-selection", "bytes-selection", "int-selection", "none-cfg", "tuple-cfg"],
+    ids=["str-selection", "bytes-selection", "int-selection", "scalar-selection", "none-cfg", "tuple-cfg"],
 )
 def test_run_checks_rejects_malformed_arguments(monkeypatch, kwargs):
-    # a string selection would be read one character at a time, ids that
-    # are not strings would fail late in str.join, and a cfg that is not a
-    # QuadratureConfig would run every check to an error; all are
+    # a string selection would be read one character at a time, one that is
+    # not iterable would fail in list() without naming the argument, ids
+    # that are not strings would fail late in str.join, and a cfg that is
+    # not a QuadratureConfig would run every check to an error; all are
     # rejected, naming the argument, before any check runs
     monkeypatch.setattr(verifier, "_execute", None)
     (name,) = kwargs
