@@ -16,8 +16,11 @@ from .verifier import UnknownCheckError, catalog, render_json, render_table, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # a fixed width: HelpFormatter would otherwise read $COLUMNS through
+    # shutil; 78 is its width when COLUMNS is unset and stdout is no terminal
     parser = argparse.ArgumentParser(
         prog="verify",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
         description=(
             "Re-evaluate Gradshteyn-Ryzhik entry 3.248.5 through every "
             "independent representation and certify that they agree with "

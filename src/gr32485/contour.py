@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .quadrature import _MEMO, DEFAULT_CONFIG, Estimate, QuadratureConfig, _adaptive, _linear, _nodes, _once
 

@@ -37,11 +37,12 @@ computed once per run; outside a run every call computes.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import functools
 import heapq
 import math
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 __all__ = [
     "Interval",
@@ -57,14 +58,7 @@ class IntegrandError(ValueError):
     """The integrand returned a non-finite value at an interior node."""
 
 
-class _IntervalFields(NamedTuple):
-    lower: float
-    upper: float
-    singular_lower: bool = False
-    singular_upper: bool = False
-
-
-class Interval(_IntervalFields):
+class Interval(collections.namedtuple("Interval", "lower upper singular_lower singular_upper", defaults=(False, False))):
     """An integration range with its inverse-square-root endpoint flagged:
     a singular lower endpoint must be 0, and at most one end is singular."""
 
@@ -92,12 +86,7 @@ class Interval(_IntervalFields):
         return cls(*iterable)
 
 
-class _QuadratureConfigFields(NamedTuple):
-    abs_tol: float = 1e-12
-    max_evals: int = 200_000
-
-
-class QuadratureConfig(_QuadratureConfigFields):
+class QuadratureConfig(collections.namedtuple("QuadratureConfig", "abs_tol max_evals", defaults=(1e-12, 200_000))):
     """The engine's absolute tolerance and integrand-evaluation budget; the
     budget admits at least one piece's two 15-point panels."""
 
@@ -121,17 +110,12 @@ class QuadratureConfig(_QuadratureConfigFields):
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-class Estimate(NamedTuple):
-    """A computed value with its absolute error bound and its cost.
+Estimate = collections.namedtuple("Estimate", "value error_estimate evals converged")
+Estimate.__doc__ = """A computed value with its absolute error bound and its cost.
 
     ``evals`` counts integrand evaluations for quadrature and contour
     integrals, and terms for series.
     """
-
-    value: float
-    error_estimate: float
-    evals: int
-    converged: bool
 
 
 def _linear(terms, const: float = 0.0, extra_err: float = 0.0) -> Estimate:

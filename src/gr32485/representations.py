@@ -20,8 +20,8 @@ tolerances leave roughly ten orders of margin against the wrong value.
 
 from __future__ import annotations
 
+import collections
 import math
-from typing import Callable, NamedTuple
 
 from .contour import HYPERBOLIC_ERROR, hankel_hyperbolic
 from .elliptic import complete_Pi, incomplete_F
@@ -61,18 +61,15 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)
 
 
-class Constants(NamedTuple):
-    """Exact algebraic constants of the evaluation, as floats."""
+Constants = collections.namedtuple("Constants", "k k_prime inv_k alpha a_upper coeff_a coeff_b c0 wrong_value")
+Constants.__doc__ = """Exact algebraic constants of the evaluation, as floats.
 
-    k: float  # modulus 2 - sqrt(3)
-    k_prime: float  # complementary modulus
-    inv_k: float  # 2 + sqrt(3)
-    alpha: float  # arcsin(sqrt(k))
-    a_upper: float  # (1 + sqrt(3))/2 = 1/(1 - k)
-    coeff_a: float  # sqrt(3) / (2 sqrt(2))
-    coeff_b: float  # (2 sqrt(3) - 3) / (2 sqrt(2))
-    c0: float  # sqrt(21 + 12 sqrt(3))/sqrt(2) * log((3 + 2 sqrt(3))/6)
-    wrong_value: float  # pi / (2 sqrt(6)), the erroneous table entry
+    k = 2 - sqrt(3) is the modulus, k_prime its complement, inv_k = 2 + sqrt(3);
+    alpha = arcsin(sqrt(k)); a_upper = (1 + sqrt(3))/2 = 1/(1 - k);
+    coeff_a = sqrt(3) / (2 sqrt(2)); coeff_b = (2 sqrt(3) - 3) / (2 sqrt(2));
+    c0 = sqrt(21 + 12 sqrt(3))/sqrt(2) * log((3 + 2 sqrt(3))/6);
+    wrong_value = pi / (2 sqrt(6)), the erroneous table entry.
+    """
 
 
 def _make_constants() -> Constants:
@@ -389,11 +386,8 @@ def double_angle_form(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
 # catalog
 
 
-class Representation(NamedTuple):
-    id: str
-    description: str
-    anchor: str
-    evaluate: Callable  # cfg -> Estimate
+Representation = collections.namedtuple("Representation", "id description anchor evaluate")
+Representation.__doc__ = """One route to I: evaluate(cfg) returns an Estimate of it."""
 
 
 REPRESENTATIONS: tuple[Representation, ...] = (

@@ -34,10 +34,11 @@ work that two checks share counts in both records.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import time
-from typing import Callable, Iterable, NamedTuple
+from collections.abc import Iterable
 
 from . import __version__
 from .contour import hankel_exp_integral, hankel_resolvent_integral, nested_radical
@@ -83,35 +84,27 @@ class UnknownCheckError(ValueError):
     """A selection named a check id that is not in the catalog."""
 
 
-class CheckRecord(NamedTuple):
-    id: str
-    description: str
-    lhs: float
-    rhs: float
-    abs_diff: float
-    tolerance: float
-    status: str  # "pass" | "fail" | "no-converge" | "error"
-    paper_anchor: str
-    evals: int
-    wall_time_ms: int
-    kind: str = "match"
-    reason: str | None = None  # why a check did not pass or fail
+CheckRecord = collections.namedtuple(
+    "CheckRecord",
+    "id description lhs rhs abs_diff tolerance status paper_anchor evals wall_time_ms kind reason",
+    defaults=("match", None),
+)
+CheckRecord.__doc__ = """One check's outcome.
 
+    status is "pass", "fail", "no-converge" or "error"; reason is None, or
+    says why a check did not pass or fail.
+    """
 
-class Report(NamedTuple):
-    records: list[CheckRecord]
-    tool_version: str
-    config_echo: str
-    overall: str  # "pass" | "fail"
+Report = collections.namedtuple("Report", "records tool_version config_echo overall")
+Report.__doc__ = """The records of one run, in catalog order; overall is "pass" or "fail"."""
 
+CheckSpec = collections.namedtuple("CheckSpec", "id description anchor kind tolerance fn")
+CheckSpec.__doc__ = """One catalog check.
 
-class CheckSpec(NamedTuple):
-    id: str
-    description: str
-    anchor: str
-    kind: str  # "match" | "differ" | "bound"
-    tolerance: float | None  # None: err(lhs) + err(rhs) + 4 eps max(|lhs|, |rhs|)
-    fn: Callable  # cfg -> (lhs, rhs), each a float or an Estimate
+    kind is "match", "differ" or "bound". A tolerance of None is derived
+    from the run: err(lhs) + err(rhs) + 4 eps max(|lhs|, |rhs|). fn(cfg)
+    returns (lhs, rhs), each a float or an Estimate.
+    """
 
 
 def _worst(gaps: list[float], parts: list[Estimate], extra_err: float = 0.0) -> Estimate:

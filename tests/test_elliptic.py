@@ -163,6 +163,9 @@ def test_carlson_argument_validation():
         carlson_rf(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         carlson_rj(0.0, 1.0, 1.0, 0.0)
+    # past 2**1000 max(x, y, z) p is rejected and named
+    with pytest.raises(ValueError, match=r"1e\+302"):
+        carlson_rj(0.0, 0.75, 1.0, 1e302)
 
 
 @pytest.mark.parametrize(
@@ -193,3 +196,10 @@ def test_domain_errors():
         incomplete_F(-0.1, 0.5)
     with pytest.raises(ValueError):
         incomplete_F(2.0, 0.5)
+    # k^2 below the normal range
+    for k in (1e-160, 1e-170):
+        with pytest.raises(ValueError, match="k >= 2"):
+            landen_residual(k)
+    for n in (-math.inf, -1e302):
+        with pytest.raises(ValueError, match="characteristic"):
+            complete_Pi(n, 0.5)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from gr32485.contour import hankel_exp_integral, hankel_hyperbolic
-from gr32485.elliptic import carlson_rf
+from gr32485.elliptic import carlson_rf, carlson_rj
 from gr32485.quadrature import integrate
 from gr32485.representations import (
     DELTA_FORMS,
@@ -41,6 +41,21 @@ def test_carlson_rf_against_elliprf():
         ref = mpmath.elliprf(x, y, z)
         worst = max(worst, float(abs(carlson_rf(x, y, z) - ref) / ref) / sys.float_info.epsilon)
     assert worst <= 4.0
+
+
+def test_carlson_rj_against_elliprj():
+    # seeded points, then p = 10**e far above the other arguments, where
+    # duplication runs for up to about 500 steps
+    rng = random.Random(20180518)
+    points = [tuple(rng.uniform(0.01, 3.0) for _ in range(4)) for _ in range(300)]
+    points += [(0.0, 0.75, 1.0, 10.0**e) for e in range(301)]
+    # tiny arguments, which carlson_rj scales up by a power of 4
+    points += [(0.0, 0.75e-150, 1e-150, 10.0**e * 1e-150) for e in (0, 50, 100)]
+    worst = 0.0
+    for x, y, z, p in points:
+        ref = mpmath.elliprj(x, y, z, p)
+        worst = max(worst, float(abs(carlson_rj(x, y, z, p) - ref) / ref) / sys.float_info.epsilon)
+    assert worst <= 8.0
 
 
 def u_reference(t: float):

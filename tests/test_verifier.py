@@ -604,13 +604,31 @@ def test_cli_json_output(capsys):
     assert doc["records"][0]["id"] == "constants"
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
+def test_cli_run_leaves_out_dataclasses_inspect_typing_and_shutil():
     # dataclasses pulls in inspect, ast, dis and tokenize, which cost a
-    # verify process more than its checks. -S keeps site hooks from
-    # preloading modules, so sys.modules holds what the import needs.
-    code = "import sys, gr32485.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # verify process more than its checks; typing and shutil (with its
+    # compression modules) serve nothing a report needs. -S keeps site
+    # hooks from preloading modules, so sys.modules holds what a run loads.
+    code = (
+        "import sys, gr32485.cli; gr32485.cli.main(['--json']); "
+        "sys.stderr.write(repr(sorted({'dataclasses', 'inspect', 'typing', 'shutil'} & set(sys.modules))))"
+    )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gr32485.__file__))}
-    out = subprocess.run(
+    err = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    ).stderr
+    assert err == "[]"
+
+
+def test_cli_help_ignores_columns(capsys, monkeypatch):
+    # help is 78 columns wide whatever the terminal: no environment
+    # variable is consulted
+    outs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert max(len(line) for line in outs[0].splitlines()) <= 78
