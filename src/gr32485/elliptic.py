@@ -112,8 +112,18 @@ def _rj_state(x: float, y: float, z: float, p: float) -> tuple[float, int]:
         px, py, pz = sp + sx, sp + sy, sp + sz
         # e = (p - x)(p - y)(p - z) / d^2 at this step, as three factors in
         # [-1, 1], so neither a large p nor the tail of a long run leaves range
-        e = (dx * scale / (px * px)) * (dy * scale / (py * py)) * (dz * scale / (pz * pz))
-        rc_sum += scale / (px * py * pz) * _rc(1.0, 1.0 + e)
+        fx, fy, fz = dx * scale / (px * px), dy * scale / (py * py), dz * scale / (pz * pz)
+        e = fx * fy * fz
+        if e < -0.5:
+            # 1 + e = 1 - |fx fy fz| cancels as e nears -1 (p far below or
+            # above the others). Each 1 - |f| is 2 min(sqrt p, sqrt x) /
+            # (sqrt p + sqrt x), and 1 - abc = (1 - a) + a((1 - b) + b(1 - c))
+            # adds only nonnegative terms
+            mx, my, mz = 2.0 * min(sp, sx) / px, 2.0 * min(sp, sy) / py, 2.0 * min(sp, sz) / pz
+            one_plus_e = mx + abs(fx) * (my + abs(fy) * mz)
+        else:
+            one_plus_e = 1.0 + e
+        rc_sum += scale / (px * py * pz) * _rc(1.0, one_plus_e)
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
         z = 0.25 * (z + lam)
@@ -152,7 +162,11 @@ def _check_rf_args(x: float, y: float, z: float) -> None:
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson's symmetric integral of the first kind R_F(x, y, z)."""
     _check_rf_args(x, y, z)
-    return _rf_state(x, y, z)[0]
+    if max(x, y, z) < 2.0**1000:
+        return _rf_state(x, y, z)[0]
+    # x + y + z would overflow; scaling by 4**-12, exact by
+    # R_F(4**m .) = 2**-m R_F(.), keeps the largest argument below 2**1000
+    return math.ldexp(_rf_state(math.ldexp(x, -24), math.ldexp(y, -24), math.ldexp(z, -24))[0], -12)
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:

@@ -24,6 +24,30 @@ therefore never detects singularities at run time. It
   holds; never once the budget runs out or while a panel too narrow to
   split sits above its floor.
 
+A panel's error estimate is QUADPACK's: the |K15 - G7| gap rescaled by
+the panel's variation resasc, as resasc * min(1, (200 gap / resasc)**1.5),
+and never below the roundoff floor 50 eps * int |f| over the panel. On
+smooth panels that estimate over-claims, a median 75x on theta-form
+elliptic integrals, and a panel already at roundoff would be bisected
+again. So a panel whose estimate lies above its floor and within 1e4 of
+it checks K15's convergence from its own 15 values, with null rules
+(Berntsen and Espelid 1991, ACM TOMS 17:233): its coefficients of
+degrees 9 to 14 in the discrete Legendre basis orthonormal in the K15
+inner product, paired as (9, 10), (11, 12) and (13, 14), each pair's
+magnitude E the root of its sum of squares. When each pair is at most
+1/4 of the one before, the worst ratio being r, and the predicted K15
+error 10 |half| E_13,14 r**4 is at most the floor, the estimate is set
+to the floor and the panel is parked; otherwise it stands. The test can
+only lower an estimate, and only to the floor, which no estimate goes
+below.
+
+The estimate stays a heuristic. A kink lies outside the engine's
+contract: the integral of |x - 0.502| over [0, 1] claims 2.8e-15 at an
+error of 4.0e-6. And an oscillation far below a smooth integrand's
+variation is under-claimed: for exp(x) + A cos(w x + phi) on [0, 1],
+with A = 10**U(-13, -8) and w in [20, 400], 1,667 of 3,000 seeded draws
+err beyond their claims, by up to 3.2e4 times.
+
 A panel takes its 15 values in one pass from its piece; a panel whose
 values fail or are not finite is evaluated again node by node, which
 names the bad node in an ``IntegrandError``.
@@ -163,6 +187,45 @@ _WG = (
 )
 
 
+def _null_rules() -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+    """The null rules of degrees 9 to 14, as the pairs (9, 10), (11, 12) and
+    (13, 14): weights that take a panel's values to its discrete Legendre
+    coefficients in the K15 inner product.
+
+    p_j is the Legendre polynomial P_j less its K15 projection onto the
+    p_k of lower degree, and the coefficient of degree j is
+    <f, p_j> / sqrt(<p_j, p_j>), its coefficient in the orthonormal basis.
+    K15 integrates degree 22 exactly, so p_j = P_j through j = 12. An odd
+    rule's 7 weights apply to the pair differences f(mid + d) - f(mid - d)
+    and an even rule's 8 to the centre value and the pair sums, outermost
+    first. Only correctly rounded operations are used, so the weights are
+    the same bits on every Python."""
+    xs, ws = _XGK, _WGK
+    # P_j at the nonnegative nodes, outermost first and the centre last
+    legendre = [[1.0] * 8, list(xs)]
+    for j in range(1, 14):
+        legendre.append([((2 * j + 1) * x * p1 - j * p0) / (j + 1) for x, p1, p0 in zip(xs, legendre[j], legendre[j - 1])])
+
+    def dot(u, v):  # K15 inner product of two even or two odd functions
+        return math.fsum([(w if i == 7 else 2.0 * w) * a * b for i, (w, a, b) in enumerate(zip(ws, u, v))])
+
+    ps = []
+    for j, p in enumerate(legendre):
+        for q in ps[j % 2 :: 2]:
+            c = dot(p, q) / dot(q, q)
+            p = [a - c * b for a, b in zip(p, q)]
+        ps.append(p)
+    rules = []
+    for j in range(9, 15):
+        norm = math.sqrt(dot(ps[j], ps[j]))
+        nu = [w * p / norm for w, p in zip(ws, ps[j])]
+        rules.append(tuple(nu[:7]) if j % 2 else (nu[7], *nu[:7]))
+    return tuple(zip(rules[::2], rules[1::2]))
+
+
+_NULL = _null_rules()
+
+
 _EPS = 2.220446049250313e-16
 
 # Values of the _once functions, keyed on (function, arguments). The check
@@ -228,11 +291,8 @@ def _rule(f, half: float):
     # the centre outwards: for a cheap integrand the panel's arithmetic
     # outweighs its 15 evaluations, and a loop would cost more again
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
-    s1, s3, s5 = a1 + b1, a3 + b3, a5 + b5
-    resk = (
-        w7 * fc + w0 * (a0 + b0) + w1 * s1 + w2 * (a2 + b2)
-        + w3 * s3 + w4 * (a4 + b4) + w5 * s5 + w6 * (a6 + b6)
-    )
+    s0, s1, s2, s3, s4, s5, s6 = a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6
+    resk = w7 * fc + w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4 + w5 * s5 + w6 * s6
     resg = _WG[3] * fc + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5
     err = abs((resk - resg) * half)
     # QUADPACK-style sharpening: rescale the raw |K15 - G7| gap by the
@@ -255,6 +315,25 @@ def _rule(f, half: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     floor = 50.0 * _EPS * resabs
+    if floor < err <= 1e4 * floor:
+        # certify the panel at its floor when its null-rule coefficients
+        # decay fast enough to put K15's error below it; coefficients are in
+        # units of sum(w |f|), so that their squares neither overflow nor
+        # underflow
+        unit = abs(half) / resabs
+        d0, d1, d2, d3, d4, d5, d6 = b0 - a0, b1 - a1, b2 - a2, b3 - a3, b4 - a4, b5 - a5, b6 - a6
+        e = []
+        for (u0, u1, u2, u3, u4, u5, u6), (vc, v0, v1, v2, v3, v4, v5, v6) in _NULL:
+            odd = unit * abs(u0 * d0 + u1 * d1 + u2 * d2 + u3 * d3 + u4 * d4 + u5 * d5 + u6 * d6)
+            even = unit * abs(vc * fc + v0 * s0 + v1 * s1 + v2 * s2 + v3 * s3 + v4 * s4 + v5 * s5 + v6 * s6)
+            e.append(odd * odd + even * even)
+        e0, e1, e2 = e
+        # each pair at most 1/4 of the one before, the worst ratio r; the
+        # error of K15 is predicted as 10 |half| E_13,14 r**4
+        if 16.0 * e1 <= e0 and 16.0 * e2 <= e1:
+            r2 = max(e1 / e0, e2 / e1) if e2 else 0.0
+            if 10.0 * math.sqrt(e2) * (r2 * r2) <= 50.0 * _EPS:
+                err = floor
     return resk * half, max(err, floor), floor
 
 

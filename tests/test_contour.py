@@ -265,28 +265,28 @@ def test_contour_panel_failures_name_the_node(part):
 
 
 _EXP_PINS = {
-    (0.5, 0.5): ("0x1.f75c3c400acb2p-2", "0x1.0857751126472p-46", 270),
-    (1.0, 0.5): ("0x1.353764c58bd01p-2", "0x1.1540a9f82609dp-46", 210),
-    (2.0, 0.5): ("0x1.740d0daf752d0p-3", "0x1.f396ff69f8194p-47", 210),
-    (5.0, 0.5): ("0x1.738d1e02f22cep-4", "0x1.e09c7f815e02dp-45", 210),
-    (1.0, 0.25): ("0x1.353764c58bcffp-2", "0x1.4cc4ee5022256p-47", 270),
-    (1.0, 1.0): ("0x1.353764c58bd01p-2", "0x1.99f9b1d50cbd0p-46", 210),
-    (2.0, 0.25): ("0x1.740d0daf752d1p-3", "0x1.50d8451bd79d5p-47", 210),
-    (2.0, 1.0): ("0x1.740d0daf752cfp-3", "0x1.f8f4c8fbd072fp-43", 180),
+    (0.5, 0.5): ("0x1.f75c3c400acb2p-2", "0x1.afd6c8c89943bp-48", 270),
+    (1.0, 0.5): ("0x1.353764c58bd01p-2", "0x1.d4b47349f05bbp-48", 210),
+    (2.0, 0.5): ("0x1.740d0daf752d0p-3", "0x1.f4fccbf10b9dbp-49", 210),
+    (5.0, 0.5): ("0x1.738d1e02f22cep-4", "0x1.a6ff62592e7c5p-45", 210),
+    (1.0, 0.25): ("0x1.353764c58bcffp-2", "0x1.07e0fc7bf7bf0p-48", 270),
+    (1.0, 1.0): ("0x1.353764c58bd01p-2", "0x1.639e1f1f76d60p-48", 210),
+    (2.0, 0.25): ("0x1.740d0daf752d1p-3", "0x1.420a9b9c39007p-48", 210),
+    (2.0, 1.0): ("0x1.740d0daf752cfp-3", "0x1.2ea4088ada648p-46", 180),
 }
 
 # the resolvent at the offsets c = (16/3) u^2 (1-u)^2, u = j/19, j = 0..9
 _RESOLVENT_PINS = (
-    ("0x1.6a09e667f3bcdp-1", "0x1.3652222e08ab9p-46", 150),
-    ("0x1.6840f6343ec98p-1", "0x1.25716bbebdc2dp-46", 150),
-    ("0x1.63ce28f8acd6dp-1", "0x1.021a198303098p-46", 150),
-    ("0x1.5df727df91935p-1", "0x1.c99679096e528p-47", 150),
-    ("0x1.57c03d72b4cb3p-1", "0x1.b9ed7f02d4ec9p-47", 150),
-    ("0x1.51e177da3efe2p-1", "0x1.ab96a3e291692p-47", 150),
-    ("0x1.4cd22cea2aa93p-1", "0x1.9f92449be8e97p-47", 150),
-    ("0x1.48dab41be590ep-1", "0x1.9660b6a263e42p-47", 150),
-    ("0x1.462445708925ap-1", "0x1.903046ea8af96p-47", 150),
-    ("0x1.44c47d3dc32f2p-1", "0x1.5d571b4d77733p-42", 120),
+    ("0x1.6a09e667f3bcdp-1", "0x1.1ad7bc01366b8p-47", 120),
+    ("0x1.6840f6343ec98p-1", "0x1.1972c058d10d7p-47", 120),
+    ("0x1.63ce28f8acd6dp-1", "0x1.15f910024707cp-47", 120),
+    ("0x1.5df727df91935p-1", "0x1.11691726a9bb2p-47", 120),
+    ("0x1.57c03d72b4cb3p-1", "0x1.0c8e30019d3ebp-47", 150),
+    ("0x1.51e177da3efe2p-1", "0x1.07f825a281369p-47", 120),
+    ("0x1.4cd22cea2aa93p-1", "0x1.04043316f1543p-47", 120),
+    ("0x1.48dab41be590fp-1", "0x1.00eadcb5cb594p-47", 120),
+    ("0x1.462445708925cp-1", "0x1.fd98ac7fd64afp-48", 120),
+    ("0x1.44c47d3dc32f2p-1", "0x1.58dc31a38a5fep-42", 90),
 )
 
 # Bits of the contour checks' integrals (V5's and V8's (t, delta) pairs,

@@ -1,5 +1,6 @@
 """High-precision oracle checks with mpmath (a test-only dependency)."""
 
+import math
 import random
 import sys
 
@@ -56,6 +57,31 @@ def test_carlson_rj_against_elliprj():
         ref = mpmath.elliprj(x, y, z, p)
         worst = max(worst, float(abs(carlson_rj(x, y, z, p) - ref) / ref) / sys.float_info.epsilon)
     assert worst <= 8.0
+
+
+def test_carlson_rj_far_below_its_arguments():
+    # p << min(x, y, z) drives e = (p - x)(p - y)(p - z) / d^2 to -1, where
+    # 1 + e cancels; elliprj itself loses about log10(max / p) digits, so
+    # its precision grows with them
+    points = [(1.0, 1.0, 1.0, 10.0**-e) for e in range(20, 301, 10)]
+    points += [(1e100, 1e100, 1e100, 1e20), (0.5, 2.0, 3.0, 1e-120), (0.0, 1e-30, 1.0, 1e-15)]
+    worst = 0.0
+    for x, y, z, p in points:
+        with mpmath.workdps(40 + round(math.log10(max(x, y, z) / p))):
+            ref = mpmath.elliprj(x, y, z, p)
+        worst = max(worst, float(abs(carlson_rj(x, y, z, p) - ref) / ref) / sys.float_info.epsilon)
+    assert worst <= 8.0
+
+
+def test_carlson_rf_near_overflow():
+    # x + y + z overflows above about 6e307: R_F(x, x, x) = 1/sqrt(x)
+    for x in (1e300, 2.0**1000, 1e308, sys.float_info.max):
+        assert carlson_rf(x, x, x) == pytest.approx(1.0 / math.sqrt(x), rel=4.0 * sys.float_info.epsilon)
+    worst = 0.0
+    for x, y, z in ((0.0, 1e308, 1.5e308), (1.0, 2.0**1000, 3e300), (1e-300, 1e308, 1.7e308)):
+        ref = mpmath.elliprf(x, y, z)
+        worst = max(worst, float(abs(carlson_rf(x, y, z) - ref) / ref) / sys.float_info.epsilon)
+    assert worst <= 4.0
 
 
 def u_reference(t: float):

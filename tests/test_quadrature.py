@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -302,9 +303,35 @@ def test_gk15_panel_bits_are_pinned(f, ab, pin):
     assert tuple(v.hex() for v in quadrature._gk15(f, *ab)) == pin
 
 
+def _orthonormal_basis():
+    """The K15 weights of the 15 nodes on [-1, 1] in ascending order, and the
+    values there of the polynomials of degrees 0 to 14 orthonormal in the
+    K15 inner product, by Gram-Schmidt on x q_(j-1), run twice."""
+    xgk, wgk = quadrature._XGK, quadrature._WGK
+    xs = [-x for x in xgk[:7]] + [0.0] + [x for x in reversed(xgk[:7])]
+    ws = list(wgk[:7]) + [wgk[7]] + list(reversed(wgk[:7]))
+    basis = []
+    q = [1.0] * 15
+    for _ in range(15):
+        if basis:
+            q = [x * v for x, v in zip(xs, basis[-1])]
+        for _ in range(2):
+            for b in basis:
+                c = math.fsum(w * u * v for w, u, v in zip(ws, q, b))
+                q = [u - c * v for u, v in zip(q, b)]
+        norm = math.sqrt(math.fsum(w * u * u for w, u in zip(ws, q)))
+        basis.append([u / norm for u in q])
+    return ws, basis
+
+
+_WS, _BASIS = _orthonormal_basis()
+
+
 def _gk15_loop(g, a, b):
     """The panel with its sums as loops over the nodes, the reference for
-    the written-out sums of quadrature._gk15 (finite values only)."""
+    the written-out sums of quadrature._gk15 (finite values only), and
+    whether it certified the panel at its roundoff floor: None when its
+    estimate lies outside (floor, 1e4 floor], where no test is made."""
     xgk, wgk, wg = quadrature._XGK, quadrature._WGK, quadrature._WG
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -328,10 +355,27 @@ def _gk15_loop(g, a, b):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     floor = 50.0 * quadrature._EPS * resabs
-    return resk * half, max(err, floor), floor
+    certified = None
+    if floor < err <= 1e4 * floor:
+        # the pairs (9, 10), (11, 12), (13, 14) of the panel's coefficients
+        # in the orthonormal basis must fall by at least 4 each, at worst
+        # by r, and the predicted error 10 |half| E_13,14 r**4 meet the floor
+        values = [f1 for f1, _ in pairs] + [fc] + [f2 for _, f2 in reversed(pairs)]
+        coeff = [math.fsum(w * f * q for w, f, q in zip(_WS, values, p)) for p in _BASIS]
+        e = [math.sqrt(coeff[j] ** 2 + coeff[j + 1] ** 2) for j in (9, 11, 13)]
+        certified = False
+        if e[1] <= e[0] / 4.0 and e[2] <= e[1] / 4.0:
+            r = max(e[1] / e[0], e[2] / e[1]) if e[2] > 0.0 else 0.0
+            certified = 10.0 * abs(half) * e[2] * r**4 <= floor
+    if certified:
+        err = floor
+    return resk * half, max(err, floor), floor, certified
 
 
 def test_gk15_panel_equals_its_loop_form():
+    # panels of width 10**U(-9, 1), and of width 10**U(-1, 1), where many
+    # estimates lie within 1e4 of their floor: both outcomes of the
+    # certification must occur
     rng = random.Random(20181015)
     integrands = (
         lambda x: 1.0 / (1.0 + x * x),
@@ -339,12 +383,37 @@ def test_gk15_panel_equals_its_loop_form():
         lambda x: math.cos(3.0 * x) * math.exp(-x),
         lambda x: 0.0,
     )
+    outcomes = collections.Counter()
     for f in integrands:
-        for _ in range(200):
-            a = rng.uniform(-5.0, 5.0)
-            b = a + 10.0 ** rng.uniform(-9.0, 1.0)
-            got = [v.hex() for v in quadrature._gk15(f, a, b)]
-            assert got == [v.hex() for v in _gk15_loop(f, a, b)], (a, b)
+        for low in (-9.0, -1.0):
+            for _ in range(200):
+                a = rng.uniform(-5.0, 5.0)
+                b = a + 10.0 ** rng.uniform(low, 1.0)
+                got = [v.hex() for v in quadrature._gk15(f, a, b)]
+                *want, certified = _gk15_loop(f, a, b)
+                assert got == [v.hex() for v in want], (a, b)
+                outcomes[certified] += 1
+    assert outcomes[True] >= 40 and outcomes[False] >= 8, outcomes
+
+
+def _panel_values(coefficients):
+    """15 values in the order of _nodes: 1 plus the given coefficients, by
+    degree, in the orthonormal basis."""
+    values = [1.0 + math.fsum(c * _BASIS[j][i] for j, c in coefficients.items()) for i in range(15)]
+    return [values[7]] + [values[k] for i in range(7) for k in (i, 14 - i)]
+
+
+def test_certification_needs_decaying_coefficients():
+    # the raw |K15 - G7| sees only degree 14, so both panels' estimates sit
+    # about 5.5x above their floors. With the pairs (9, 10), (11, 12) and
+    # (13, 14) falling 10x each, the predicted error 10 |half| E_13,14 r**4
+    # is far below the floor and the panel is certified there; without
+    # the r**4 it would not be. With (11, 12) as large as (9, 10), the
+    # small last pair says nothing, and the estimate stands
+    decaying = quadrature._rule(_panel_values({9: 1e-12, 11: 1e-13, 13: 1e-14, 14: 1e-15}), 0.5)
+    assert decaying[1] == decaying[2]
+    flat = quadrature._rule(_panel_values({9: 1e-12, 11: 1e-12, 14: 1e-15}), 0.5)
+    assert 5.0 * flat[2] < flat[1] <= 1e4 * flat[2]
 
 
 def test_panel_stops_at_the_first_non_finite_node():
