@@ -291,8 +291,11 @@ def _rule(f, half: float):
     # the centre outwards: for a cheap integrand the panel's arithmetic
     # outweighs its 15 evaluations, and a loop would cost more again
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
-    s0, s1, s2, s3, s4, s5, s6 = a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6
-    resk = w7 * fc + w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4 + w5 * s5 + w6 * s6
+    s1, s3, s5 = a1 + b1, a3 + b3, a5 + b5
+    resk = (
+        w7 * fc + w0 * (a0 + b0) + w1 * s1 + w2 * (a2 + b2)
+        + w3 * s3 + w4 * (a4 + b4) + w5 * s5 + w6 * (a6 + b6)
+    )
     resg = _WG[3] * fc + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5
     err = abs((resk - resg) * half)
     # QUADPACK-style sharpening: rescale the raw |K15 - G7| gap by the
@@ -321,6 +324,7 @@ def _rule(f, half: float):
         # units of sum(w |f|), so that their squares neither overflow nor
         # underflow
         unit = abs(half) / resabs
+        s0, s2, s4, s6 = a0 + b0, a2 + b2, a4 + b4, a6 + b6
         d0, d1, d2, d3, d4, d5, d6 = b0 - a0, b1 - a1, b2 - a2, b3 - a3, b4 - a4, b5 - a5, b6 - a6
         e = []
         for (u0, u1, u2, u3, u4, u5, u6), (vc, v0, v1, v2, v3, v4, v5, v6) in _NULL:
