@@ -27,9 +27,9 @@ over the engine's compact variable sigma in (0, 1], x = -1 + 1/sigma**2
 (see ``quadrature``), whether the integrand decays exponentially or only
 algebraically along it, so no tail is discarded. A GK15 panel's nodes,
 z with sqrt(z + sqrt(z)) and the part's weights, sit in node tables
-keyed on the panel, one per delta and part, that last for a run of the
-check runner, so every contour integral at one delta reads its panels
-from one dyadic tree; elsewhere each call fills fresh ones. Each
+keyed on the panel's nodes, one per delta and part, that last for a run
+of the check runner, so every contour integral at one delta reads its
+panels from one dyadic tree; elsewhere each call fills fresh ones. Each
 integral computes a panel's values in one comprehension over its node
 tuples, with its integrand written into it.
 
@@ -48,7 +48,7 @@ import cmath
 import math
 from collections.abc import Callable
 
-from .quadrature import _MEMO, DEFAULT_CONFIG, Estimate, QuadratureConfig, _adaptive, _linear, _nodes, _once
+from .quadrature import DEFAULT_CONFIG, Estimate, QuadratureConfig, _adaptive, _linear, _once
 
 __all__ = [
     "principal_sqrt",
@@ -81,6 +81,11 @@ _ARC = 0.5j * math.pi
 _DELTA = 0.5  # the resolvent's contour distance and the exponential integral's default
 
 
+@_once
+def _node_table(name: str, delta: float) -> dict:
+    return {}  # a part's node table: kept for a run, fresh elsewhere
+
+
 def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureConfig) -> Estimate:
     """(1/(2 pi i)) int_H g(z, sqrt(z + sqrt(z))) dz on the contour at distance
     ``delta``, as Im of the upper half's integral over pi, its error counted
@@ -91,9 +96,8 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
     written into it, so no Python call is made per node. (w, m, d) are the
     part's weights: (gamma'(xi), 1, 1) on the arc, where the value is exactly
     Im(g gamma'), and (-delta, 2, sigma**3) on the ray, the operations of the
-    engine's compact map. A panel's values come from its node table in one
-    pass; a panel with a ray node past the tiny-sigma guard goes node by node,
-    as does one whose values fail or are not finite, which names the node."""
+    engine's compact map. A panel's node tuples come from its part's node
+    table; a ray node past the tiny-sigma guard has none and gives 0.0."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
     exp, sqrt = cmath.exp, cmath.sqrt
@@ -113,21 +117,23 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
         return z, sqrt(z + sqrt(z)), -delta, 2.0, s3
 
     def part(name: str, node: Callable) -> Estimate:
-        # an entry depends on (delta, panel) alone, so a partial fill stays valid
-        table = {} if (memo := _MEMO.get()) is None else memo.setdefault((name, delta), {})
+        # an entry depends on (delta, nodes) alone, so a partial fill stays valid
+        table = _node_table(name, delta)
 
-        def at(s: float) -> float:  # one node, for the engine's node loop
-            return 0.0 if (n := node(s)) is None else values((n,))[0]
+        def at(xs: tuple) -> list:
+            if (entry := table.get(xs)) is None:
+                nodes = tuple(map(node, xs))
+                guarded = [i for i, n in enumerate(nodes) if n is None] if None in nodes else ()
+                if guarded:
+                    nodes = tuple(n for n in nodes if n is not None)
+                entry = table[xs] = nodes, guarded
+            nodes, guarded = entry
+            f = values(nodes)
+            for i in guarded:  # ascending, so each 0.0 lands at its node
+                f.insert(i, 0.0)
+            return f
 
-        def batch(a: float, b: float):
-            if (entry := table.get((a, b))) is None:
-                half, xs = _nodes(a, b)
-                if None in (nodes := tuple(map(node, xs))):
-                    return None
-                entry = table[a, b] = half, nodes
-            return entry[0], values(entry[1])
-
-        return Estimate(*_adaptive([(at, batch, 0.0, 1.0)], cfg))
+        return Estimate(*_adaptive([(at, 0.0, 1.0)], cfg))
 
     half = _linear(((1.0, part("contour arc", arc_node)), (1.0, part("contour ray", ray_node))))
     # twice the half's error, divided by 2 pi

@@ -215,15 +215,18 @@ def complete_Pi(n: float, k: float) -> float:
     multiplying x^2 directly. k = 0 is accepted (closed form
     pi/(2 sqrt(1-n)) exists); n = 0 degenerates to K(k).
 
-    For n << 0 the two terms R_F and (n/3) R_J nearly cancel: at k = 0.5 the
-    relative error reads 1.3e-10 at n = -1e12, 8e-6 at -1e20 and 0.3 at
-    -1e30; from about -1e31 on the result is roundoff alone, of either sign."""
+    For n < 0, where R_F + (n/3) R_J cancels, n is mapped to
+    N = (k^2 - n)/(1 - n) in (k^2, 1) (DLMF 19.7(iii)); with p = k'^2/(1 - n)
+    that leaves two positive terms, (R_F + (-n) p/3 R_J(0, k'^2, 1, p))/(1 - n)."""
     if not -(2.0**1000) < n < 1.0:
         raise ValueError(f"characteristic must satisfy -2**1000 < n < 1, got {n!r}")
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
-    kc2 = (1.0 - k) * (1.0 + k)
-    return carlson_rf(0.0, kc2, 1.0) + n / 3.0 * carlson_rj(0.0, kc2, 1.0, 1.0 - n)
+    kc2, q = (1.0 - k) * (1.0 + k), 1.0 - n
+    if n >= 0.0:
+        return carlson_rf(0.0, kc2, 1.0) + n / 3.0 * carlson_rj(0.0, kc2, 1.0, q)
+    p = kc2 / q
+    return (carlson_rf(0.0, kc2, 1.0) + carlson_rj(0.0, kc2, 1.0, p) * (p * (-n / 3.0))) / q
 
 
 def landen_residual(k: float) -> float:

@@ -48,14 +48,14 @@ variation is under-claimed: for exp(x) + A cos(w x + phi) on [0, 1],
 with A = 10**U(-13, -8) and w in [20, 400], 1,667 of 3,000 seeded draws
 err beyond their claims, by up to 3.2e4 times.
 
-A panel takes its 15 values in one pass from its piece; a panel whose
-values fail or are not finite is evaluated again node by node, which
-names the bad node in an ``IntegrandError``.
+A piece is (values, a, b), values(nodes) its values at a tuple of nodes.
+``_panel``, the one place where a panel is evaluated, takes its 15 values
+in one pass; a panel whose values fail or are not finite is evaluated
+again node by node, which names the bad node in an ``IntegrandError``.
 
 Results are deterministic functions of (integrand, interval, config).
 The check runner sets a memo for its run, in which the functions marked
-``_once`` keep their values and the contour integrals their panels' node
-tables, so that a quantity or a contour panel several checks share is
+``_once`` keep their values, so that a quantity several checks share is
 computed once per run; outside a run every call computes.
 """
 
@@ -266,24 +266,6 @@ def _nodes(a: float, b: float) -> tuple[float, tuple[float, ...]]:
     )
 
 
-def _gk15(g: Callable, a: float, b: float):
-    """The GK15 panel (value, error estimate, roundoff floor) of g on [a, b]."""
-    half, xs = _nodes(a, b)
-    # a bad value stops the panel before the next node is evaluated
-    f = []
-    for x in xs:
-        try:
-            v = g(x)
-        except ZeroDivisionError:
-            raise IntegrandError(f"integrand division by zero at node {x!r}") from None
-        except OverflowError as exc:
-            raise IntegrandError(f"integrand overflow at node {x!r}: {exc}") from None
-        if v - v != 0.0:  # inf or nan
-            raise IntegrandError(f"non-finite integrand value at node {x!r}")
-        f.append(v)
-    return _rule(f, half)
-
-
 def _rule(f, half: float):
     """The panel from its 15 values f, in the order of ``_nodes``."""
     fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = f
@@ -341,18 +323,6 @@ def _rule(f, half: float):
     return resk * half, max(err, floor), floor
 
 
-def _piece(values: Callable, a: float, b: float) -> tuple:
-    """The piece (g, batch, a, b) on [a, b] of an integrand whose values at
-    a sequence of nodes are values(nodes): g(x) is its value at one node,
-    and batch(lo, hi) the half width of [lo, hi] and its 15 values."""
-
-    def batch(lo: float, hi: float):
-        half, xs = _nodes(lo, hi)
-        return half, values(xs)
-
-    return (lambda x: values((x,))[0]), batch, a, b
-
-
 def _pieces(f: Callable, iv: Interval) -> list:
     a, b = iv.lower, iv.upper
     if iv.singular_lower and math.isinf(b):
@@ -366,7 +336,7 @@ def _pieces(f: Callable, iv: Interval) -> list:
         def in_s(ss):
             return [2.0 * s * f(x if (x := end + step * (s * s)) != end else nudge) for s in ss]
 
-        return [_piece(in_s, 0.0, math.sqrt(b - a))]
+        return [(in_s, 0.0, math.sqrt(b - a))]
     if math.isinf(b):
         # t = a - 1 + 1/sigma**2; near the image of infinity, where sigma**3
         # underflows, a convergent improper integrand vanishes
@@ -378,22 +348,33 @@ def _pieces(f: Callable, iv: Interval) -> list:
                 for s in ss
             ]
 
-        return [_piece(in_sigma, 0.0, 1.0)]
-    return [_piece(lambda xs: list(map(f, xs)), a, b)]
+        return [(in_sigma, 0.0, 1.0)]
+    return [(lambda xs: list(map(f, xs)), a, b)]
 
 
-def _panel(piece: tuple, a: float, b: float):
-    """The GK15 panel of a piece on [a, b] from its values in one pass; a
-    panel whose values the piece declines, or that fail or are not finite,
-    goes node by node through ``_gk15``, which names the bad node."""
+def _panel(values: Callable, a: float, b: float):
+    """The GK15 panel (value, error estimate, roundoff floor) on [a, b] of a
+    piece's values, in one pass; a panel whose values fail or are not
+    finite goes again node by node, which names the first bad node."""
+    half, xs = _nodes(a, b)
     try:
-        if (batch := piece[1](a, b)) is not None:
-            est = _rule(batch[1], batch[0])
-            if est[0] - est[0] == 0.0:
-                return est
+        est = _rule(values(xs), half)
+        if est[0] - est[0] == 0.0:
+            return est
     except (ZeroDivisionError, OverflowError):
-        pass
-    return _gk15(piece[0], a, b)
+        est = None
+    f = []
+    for x in xs:
+        try:
+            (v,) = values((x,))
+        except ZeroDivisionError:
+            raise IntegrandError(f"integrand division by zero at node {x!r}") from None
+        except OverflowError as exc:
+            raise IntegrandError(f"integrand overflow at node {x!r}: {exc}") from None
+        if v - v != 0.0:  # inf or nan
+            raise IntegrandError(f"non-finite integrand value at node {x!r}")
+        f.append(v)
+    return est or _rule(f, half)  # the sums overflowed, or one pass alone failed
 
 
 def _adaptive(pieces: list, cfg: QuadratureConfig):
@@ -401,35 +382,34 @@ def _adaptive(pieces: list, cfg: QuadratureConfig):
         raise ValueError("max_evals too small for the interval decomposition")
     heap = []
     parked = []  # panels too narrow to bisect, or at their roundoff floor
-    seq = 0  # panels evaluated, 15 integrand evaluations each
+    seq = 0  # panels evaluated, 15 integrand evaluations each; unique, so items never tie
     # a piece starts as its two halves, the panels QUADPACK's first
     # bisection would make: one root panel is nearly always split at once
-    for idx, (_, _, a, b) in enumerate(pieces):
+    for values, a, b in pieces:
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            val, err, floor = _panel(pieces[idx], lo, hi)
+            val, err, floor = _panel(values, lo, hi)
             seq += 1
-            heapq.heappush(heap, (-err, seq, idx, lo, hi, val, err, floor))
+            heapq.heappush(heap, (-err, seq, values, lo, hi, val, err, floor))
 
     err_total = math.fsum([item[6] for item in heap])
     while err_total > cfg.abs_tol and heap:
         worst = heap[0]
         if worst[6] <= 0.0 or 15 * seq + 30 > cfg.max_evals:
             break
-        _, _, idx, a, b, _, old_err, old_floor = heapq.heappop(heap)
+        _, _, values, a, b, _, old_err, old_floor = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if not (a < mid < b) or old_err <= 1.05 * old_floor:
             # too narrow to bisect, or the estimate already sits at the
             # panel's roundoff floor where splitting cannot help
             parked.append(worst)
             continue
-        piece = pieces[idx]
         err_total -= old_err
         for lo, hi in ((a, mid), (mid, b)):
-            val, err, floor = _panel(piece, lo, hi)
+            val, err, floor = _panel(values, lo, hi)
             seq += 1
             err_total += err
-            heapq.heappush(heap, (-err, seq, idx, lo, hi, val, err, floor))
+            heapq.heappush(heap, (-err, seq, values, lo, hi, val, err, floor))
 
     floored = (not heap or heap[0][6] <= 0.0) and all(p[6] <= 1.05 * p[7] for p in parked)
     # fsum is correctly rounded, so the panels' order cannot move a bit

@@ -133,9 +133,9 @@ def _legendre(n: int, x: int) -> tuple[int, int]:
     return p, p_prev
 
 
-def _u_rule() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The 24-node Gauss-Legendre rule on v in [0, 1/2]: the nodes v_i,
-    the weights (summing to 1/2) and the exponents -(16/3)(1/4 - v_i^2)^2.
+def _u_rule() -> tuple[tuple[float, float], ...]:
+    """(weight, exponent -(16/3)(1/4 - v_i^2)^2) at each node v_i of the
+    24-node Gauss-Legendre rule on v in [0, 1/2], whose weights sum to 1/2.
 
     Newton's method, with P_n' = n (P_(n-1) - x P_n)/(1 - x^2), finds the
     positive roots x of P_24 on [-1, 1] in fixed point; the others are -x.
@@ -146,7 +146,7 @@ def _u_rule() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     hundreds of ulps off.
     """
     n, one = 24, _FIX
-    nodes, weights, exponents = [], [], []
+    pairs = []
     for i in range(1, n // 2 + 1):
         x = int(math.cos(math.pi * (i - 0.25) / (n + 0.5)) * one)
         for _ in range(100):
@@ -156,15 +156,11 @@ def _u_rule() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
             if abs(dx) < 1 << 30:  # after a step below 2^-90, x is exact to 2^-120
                 break
         w = (one * one - x * x) / (2 * (n * _legendre(n, x)[1]) ** 2)
-        for y in (x, -x):
-            nodes.append((one + y) / (4 * one))
-            weights.append(w)
-            exponents.append(-(((one - y) * (3 * one + y)) ** 2) / (48 * one**4))
-    return tuple(nodes), tuple(weights), tuple(exponents)
+        pairs += [(w, -(((one - y) * (3 * one + y)) ** 2) / (48 * one**4)) for y in (x, -x)]
+    return tuple(pairs)
 
 
-_U_NODES, _U_WEIGHTS, _U_EXPONENTS = _u_rule()
-_U_PAIRS = tuple(zip(_U_WEIGHTS, _U_EXPONENTS))
+_U_PAIRS = _u_rule()
 
 # The rule matches U(t) to rounding up to here; beyond, the integrand
 # narrows towards v = 1/2 and 24 nodes no longer resolve it.

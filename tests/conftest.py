@@ -1,6 +1,7 @@
 import pytest
 
 import gr32485.contour as contour
+from gr32485.quadrature import _once
 from gr32485.representations import eval_representation, representation_ids
 
 
@@ -17,13 +18,14 @@ def rep_values(rep_results):
 
 @pytest.fixture
 def built_panels(monkeypatch):
-    """The (a, b) of every panel whose nodes the contour integrals build."""
+    """The nodes, in xi or sigma, of every panel whose node tuples the
+    contour integrals build, in the order they are built."""
     built = []
-    nodes = contour._nodes
 
-    def recording(a, b):
-        built.append((a, b))
-        return nodes(a, b)
+    class Recording(dict):
+        def __setitem__(self, xs, entry):
+            built.append(xs)
+            super().__setitem__(xs, entry)
 
-    monkeypatch.setattr(contour, "_nodes", recording)
+    monkeypatch.setattr(contour, "_node_table", _once(lambda name, delta: Recording()))
     return built

@@ -70,15 +70,14 @@ def _bits(w: complex) -> tuple[str, str]:
     return w.real.hex(), w.imag.hex()
 
 
-def _table_nodes(memo):
-    """Every node in the contour node tables of a run memo."""
-    return [
-        node
-        for key, table in memo.items()
-        if key[0] in ("contour arc", "contour ray")
-        for _, nodes in table.values()
-        for node in nodes
-    ]
+def _table_nodes(memo, delta):
+    """Every node in the contour node tables at delta of a run memo."""
+    token = _MEMO.set(memo)
+    try:
+        tables = [contour._node_table(name, delta) for name in ("contour arc", "contour ray")]
+    finally:
+        _MEMO.reset(token)
+    return [node for table in tables for nodes, _ in table.values() for node in nodes]
 
 
 def test_nested_radical_is_the_principal_sqrt_composition():
@@ -91,10 +90,10 @@ def test_nested_radical_is_the_principal_sqrt_composition():
     # every node the contour integrals evaluate lies in the open upper half
     # plane, and the radical its table holds is the principal composition
     nodes = []
-    for integral in (
-        lambda: hankel_exp_integral(1.0),
-        lambda: hankel_exp_integral(2.0, 0.25),
-        lambda: hankel_resolvent_integral(1.0),
+    for integral, delta in (
+        (lambda: hankel_exp_integral(1.0), 0.5),
+        (lambda: hankel_exp_integral(2.0, 0.25), 0.25),
+        (lambda: hankel_resolvent_integral(1.0), 0.5),
     ):
         memo = {}
         token = _MEMO.set(memo)
@@ -102,7 +101,7 @@ def test_nested_radical_is_the_principal_sqrt_composition():
             integral()
         finally:
             _MEMO.reset(token)
-        nodes += _table_nodes(memo)
+        nodes += _table_nodes(memo, delta)
     assert len(nodes) > 500
     for z, r, *_ in nodes:
         assert z.imag > 0.0, z
@@ -130,8 +129,8 @@ def _values(g):
 
 
 def _capture_pieces(monkeypatch, g, delta):
-    """The arc's and the ray's piece (per-node integrand, panel values, 0, 1),
-    as _upper_half hands them to the engine."""
+    """The arc's and the ray's piece (panel values, 0, 1), as _upper_half
+    hands them to the engine."""
     handed = []
     adaptive = contour._adaptive
 
@@ -142,7 +141,7 @@ def _capture_pieces(monkeypatch, g, delta):
     monkeypatch.setattr(contour, "_adaptive", capturing)
     contour._upper_half(_values(g), delta, QuadratureConfig(max_evals=30))
     (arc,), (ray,) = handed
-    assert arc[2:] == ray[2:] == (0.0, 1.0)
+    assert arc[1:] == ray[1:] == (0.0, 1.0)
     return arc, ray
 
 
@@ -156,16 +155,16 @@ def _panel_values(monkeypatch, piece, a, b):
         handed.append(list(values))
         return rule(values, half)
 
-    # one pass, or node by node through quadrature._gk15: the rule runs once
+    # one pass, guarded ray nodes included: the rule runs once
     with monkeypatch.context() as patch:
         patch.setattr(quadrature, "_rule", capturing)
-        result = quadrature._panel(piece, a, b)
+        result = quadrature._panel(piece[0], a, b)
     (values,) = handed
     return values, result
 
 
 def _abscissae(a, b):
-    # the centre first, then the Kronrod nodes pair by pair, as _gk15 takes them
+    # the centre first, then the Kronrod nodes pair by pair, as _panel takes them
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return [mid] + [mid + s * (half * x) for x in quadrature._XGK[:7] for s in (-1.0, 1.0)]
 
@@ -196,7 +195,8 @@ def test_arc_panel_values_are_the_per_node_form(monkeypatch):
         for a, b in _dyadic_panels(random.Random(20181020), 60):
             values, result = _panel_values(monkeypatch, arc, a, b)
             assert [v.hex() for v in values] == [per_node(xi).hex() for xi in _abscissae(a, b)], (a, b)
-            assert [v.hex() for v in result] == [v.hex() for v in quadrature._gk15(per_node, a, b)]
+            per_panel = quadrature._panel(lambda xs: list(map(per_node, xs)), a, b)
+            assert [v.hex() for v in result] == [v.hex() for v in per_panel]
 
 
 def test_ray_sigma_map_is_the_engines_compact_map(monkeypatch):
@@ -229,15 +229,15 @@ def test_ray_sigma_map_is_the_engines_compact_map(monkeypatch):
         ray_z = list(seen)
         xs.clear()
         sigmas = _abscissae(a, b)
-        assert [v.hex() for v in values] == [reference(s).hex() for s in sigmas], (a, b)
+        assert [v.hex() for v in values] == [reference((s,))[0].hex() for s in sigmas], (a, b)
         # g ran at the nodes the reference evaluates, and at no guarded node
         assert ray_z == [complex(-delta * x, delta) for x in xs], (a, b)
         seen.clear()
-        assert [v.hex() for v in result] == [v.hex() for v in quadrature._gk15(reference, a, b)]
+        assert [v.hex() for v in result] == [v.hex() for v in quadrature._panel(reference, a, b)]
         guarded += sum(s * s * s == 0.0 for s in sigmas)
     assert guarded == 3 + 8 + 15
     seen.clear()
-    assert ray[0](1e-200) == 0.0 and seen == []
+    assert ray[0]((1e-200,)) == [0.0] and seen == []
 
 
 def _node_of(panel_index, delta, part, panel):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from gr32485.contour import hankel_exp_integral, hankel_hyperbolic
-from gr32485.elliptic import carlson_rf, carlson_rj
+from gr32485.elliptic import carlson_rf, carlson_rj, complete_Pi
 from gr32485.quadrature import integrate
 from gr32485.representations import (
     DELTA_FORMS,
@@ -81,6 +81,42 @@ def test_carlson_rf_near_overflow():
     for x, y, z in ((0.0, 1e308, 1.5e308), (1.0, 2.0**1000, 3e300), (1e-300, 1e308, 1.7e308)):
         ref = mpmath.elliprf(x, y, z)
         worst = max(worst, float(abs(carlson_rf(x, y, z) - ref) / ref) / sys.float_info.epsilon)
+    assert worst <= 4.0
+
+
+def _pi_by_definition(n: float, k: float):
+    """Pi(n, k) = R_F(0, k'^2, 1) + (n/3) R_J(0, k'^2, 1, 1 - n), whose terms
+    cancel for n << 0 to about sqrt(-n) times the result; the working
+    precision covers that loss."""
+    with mpmath.workdps(30 + max(0, round(math.log10(-n))) // 2):
+        kc2, n = mpmath.mpf((1.0 - k) * (1.0 + k)), mpmath.mpf(n)
+        return mpmath.elliprf(0, kc2, 1) + n / 3 * mpmath.elliprj(0, kc2, 1, 1 - n)
+
+
+def _pi_positive(n: float, k: float):
+    """Pi(n, k) for n < 0 as the sum of two positive terms,
+    (R_F(0, k'^2, 1) + (-n) p/3 R_J(0, k'^2, 1, p))/(1 - n), p = k'^2/(1 - n)."""
+    with mpmath.workdps(30):
+        kc2, q = mpmath.mpf((1.0 - k) * (1.0 + k)), 1 - mpmath.mpf(n)
+        p = kc2 / q
+        return (mpmath.elliprf(0, kc2, 1) - n * p / 3 * mpmath.elliprj(0, kc2, 1, p)) / q
+
+
+def test_complete_pi_for_negative_characteristic():
+    # n = -10**e, e = 0..300, in units of the result's ulp: the positive
+    # form is checked against the definition at some n, and complete_Pi
+    # against the positive form at every n
+    def ulps(got, ref):
+        return float(abs(got - ref)) / math.ulp(float(ref))
+
+    worst = 0.0
+    for k in (0.05, 0.5, 0.99):
+        for e in (0, 1, 12, 30, 100, 300):
+            n = -(10.0**e)
+            assert ulps(_pi_positive(n, k), _pi_by_definition(n, k)) <= 1e-6, (k, e)
+        for e in range(301):
+            n = -(10.0**e)
+            worst = max(worst, ulps(complete_Pi(n, k), _pi_positive(n, k)))
     assert worst <= 4.0
 
 

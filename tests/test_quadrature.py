@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from gr32485 import quadrature
+from gr32485 import contour, quadrature
 from gr32485.quadrature import (
     DEFAULT_CONFIG,
     Estimate,
@@ -99,10 +99,10 @@ def test_semi_infinite_with_singular_origin():
 def test_compactified_range_at_infinity():
     # t = a - 1 + 1/sigma**2 maps infinity to sigma = 0; where sigma**3
     # underflows the integrand in sigma is 0, not 0 * inf or a division error
-    ((g, *_),) = quadrature._pieces(lambda t: t**-1.5, Interval(0.0, math.inf))
-    assert g(1e-120) == 0.0
-    assert g(5e-324) == 0.0
-    assert g(1e-100) == pytest.approx(2.0, rel=1e-15)
+    ((values, *_),) = quadrature._pieces(lambda t: t**-1.5, Interval(0.0, math.inf))
+    assert values((1e-120,)) == [0.0]
+    assert values((5e-324,)) == [0.0]
+    assert values((1e-100,))[0] == pytest.approx(2.0, rel=1e-15)
     res = integrate(lambda t: t**-1.5, Interval(1.0, math.inf))
     assert res.converged
     assert res.value == pytest.approx(2.0, abs=TOL)
@@ -259,8 +259,8 @@ def _compact(f, a):
     ],
 )
 def test_piece_values_are_the_substitutions_node_by_node(iv, references):
-    # a piece's values in one pass and its integrand at one node equal, bit
-    # for bit, the substitution written node by node, guards included: the
+    # a piece's values in one pass and at one node each equal, bit for
+    # bit, the substitution written node by node, guards included: the
     # nudge off a singular endpoint near s = 0 and the zero near the image
     # of infinity
     def f(x):
@@ -270,15 +270,14 @@ def test_piece_values_are_the_substitutions_node_by_node(iv, references):
     tiny = [(0.0, 1e-9), (0.0, 2.0**-355), (2.0**-359, 2.0**-358), (0.0, 2.0**-400), (0.0, 2.0**-600)]
     pieces = quadrature._pieces(f, iv)
     assert len(pieces) == len(references(f))
-    for (g, batch, a, b), reference in zip(pieces, references(f)):
+    for (values, a, b), reference in zip(pieces, references(f)):
         starts = [a + (b - a) * rng.random() for _ in range(50)]
         panels = [(a, b)] + [(lo, lo + (b - lo) * rng.random()) for lo in starts]
         for lo, hi in panels + (tiny if a == 0.0 else []):
-            half, xs = quadrature._nodes(lo, hi)
+            _, xs = quadrature._nodes(lo, hi)
             want = [reference(x).hex() for x in xs]
-            assert batch(lo, hi)[0] == half
-            assert [v.hex() for v in batch(lo, hi)[1]] == want, (iv, lo, hi)
-            assert [g(x).hex() for x in xs] == want, (iv, lo, hi)
+            assert [v.hex() for v in values(xs)] == want, (iv, lo, hi)
+            assert [values((x,))[0].hex() for x in xs] == want, (iv, lo, hi)
 
 
 # Bits of one panel's (value, err, floor) for arithmetic-only integrands,
@@ -298,9 +297,14 @@ _PANEL_PINS = [
 ]
 
 
+def _plain_panel(f, a, b):
+    """The engine's panel on [a, b] of an integrand f taken as it is."""
+    return quadrature._panel(lambda xs: list(map(f, xs)), a, b)
+
+
 @pytest.mark.parametrize("f, ab, pin", _PANEL_PINS)
 def test_gk15_panel_bits_are_pinned(f, ab, pin):
-    assert tuple(v.hex() for v in quadrature._gk15(f, *ab)) == pin
+    assert tuple(v.hex() for v in _plain_panel(f, *ab)) == pin
 
 
 def _orthonormal_basis():
@@ -329,7 +333,7 @@ _WS, _BASIS = _orthonormal_basis()
 
 def _gk15_loop(g, a, b):
     """The panel with its sums as loops over the nodes, the reference for
-    the written-out sums of quadrature._gk15 (finite values only), and
+    the written-out sums of quadrature._rule (finite values only), and
     whether it certified the panel at its roundoff floor: None when its
     estimate lies outside (floor, 1e4 floor], where no test is made."""
     xgk, wgk, wg = quadrature._XGK, quadrature._WGK, quadrature._WG
@@ -389,7 +393,7 @@ def test_gk15_panel_equals_its_loop_form():
             for _ in range(200):
                 a = rng.uniform(-5.0, 5.0)
                 b = a + 10.0 ** rng.uniform(low, 1.0)
-                got = [v.hex() for v in quadrature._gk15(f, a, b)]
+                got = [v.hex() for v in _plain_panel(f, a, b)]
                 *want, certified = _gk15_loop(f, a, b)
                 assert got == [v.hex() for v in want], (a, b)
                 outcomes[certified] += 1
@@ -417,19 +421,20 @@ def test_certification_needs_decaying_coefficients():
 
 
 def test_panel_stops_at_the_first_non_finite_node():
-    # the centre first, then mid - dx and mid + dx for the outermost
-    # node: the NaN at the third node ends the panel there
+    # the NaN makes the one pass's panel NaN, so the panel goes node by
+    # node: the centre first, then mid - dx and mid + dx for the outermost
+    # node; the NaN at the third node ends the panel there
+    dx = 0.5 * quadrature._XGK[0]
     calls = []
 
-    def g(x):
-        calls.append(x)
-        return math.nan if len(calls) == 3 else 1.0
+    def values(xs):
+        calls.append(xs)
+        return [math.nan if x == 0.5 + dx else 1.0 for x in xs]
 
     with pytest.raises(IntegrandError) as info:
-        quadrature._gk15(g, 0.0, 1.0)
-    dx = 0.5 * quadrature._XGK[0]
-    assert calls == [0.5, 0.5 - dx, 0.5 + dx]
-    assert str(info.value) == f"non-finite integrand value at node {calls[2]!r}"
+        quadrature._panel(values, 0.0, 1.0)
+    assert calls == [quadrature._nodes(0.0, 1.0)[1], (0.5,), (0.5 - dx,), (0.5 + dx,)]
+    assert str(info.value) == f"non-finite integrand value at node {calls[3][0]!r}"
 
 
 def test_panel_division_by_zero_names_the_node():
@@ -441,10 +446,76 @@ def test_panel_division_by_zero_names_the_node():
         return 1.0 / (x - node)
 
     with pytest.raises(IntegrandError) as info:
-        quadrature._gk15(g, 0.0, 1.0)
-    assert calls[-1] == node and len(calls) == 5
+        _plain_panel(g, 0.0, 1.0)
+    # the one pass stops at the node, and so does the pass node by node
+    assert calls[-1] == node and len(calls) == 10 and calls[:5] == calls[5:]
     assert str(info.value) == f"integrand division by zero at node {node!r}"
     assert info.value.__suppress_context__
+
+
+def _slow(nodes):
+    """Contour values of g = r**-2.001, about |z|**-1.0005 on the ray: in
+    sigma that is about sigma**-0.999, so the ray's panels bisect towards
+    sigma = 0 until its nodes pass the tiny-sigma guard."""
+    return [m * (r**-2.001 * w).imag / d for z, r, w, m, d in nodes]
+
+
+_SMALL = QuadratureConfig(max_evals=15 * 800)
+
+
+@pytest.mark.parametrize(
+    "run, guarded, fails",
+    [
+        (lambda: integrate(math.exp, Interval(0.0, 1.0)), False, False),
+        (lambda: integrate(lambda x: math.cos(x) / math.sqrt(x), Interval(0.0, 2.0, True)), False, False),
+        (lambda: integrate(lambda x: math.exp(x) / math.sqrt(1.0 - x), Interval(-1.0, 1.0, False, True)), False, False),
+        (lambda: integrate(lambda t: math.exp(-t), Interval(0.5, math.inf)), False, False),
+        (lambda: integrate(lambda t: t**-1.0005, Interval(1.0, math.inf), _SMALL), True, False),
+        (lambda: contour.hankel_exp_integral(1.0), False, False),
+        (lambda: contour.hankel_resolvent_integral(0.5), False, False),
+        (lambda: contour._upper_half(_slow, 0.5, _SMALL), True, False),
+        (lambda: integrate(lambda x: math.nan if x > 0.75 else 1.0, Interval(0.0, 1.0)), False, True),
+        (lambda: contour._upper_half(lambda nodes: [math.nan for _ in nodes], 0.5, DEFAULT_CONFIG), False, True),
+    ],
+    ids=[
+        "plain",
+        "singular-lower",
+        "singular-upper",
+        "semi-infinite",
+        "semi-infinite-guarded",
+        "contour-exp",
+        "contour-resolvent",
+        "contour-guarded",
+        "failing",
+        "contour-failing",
+    ],
+)
+def test_every_panel_is_evaluated_at_one_site(monkeypatch, run, guarded, fails):
+    # integrate and the contour integrals evaluate every panel through
+    # quadrature._panel, which applies the rule once: 15 evaluations a
+    # panel, failing panels and panels with guarded sigma nodes included
+    counts = collections.Counter()
+    panel, rule = quadrature._panel, quadrature._rule
+
+    def counting_panel(values, a, b):
+        counts["panel"] += 1
+        counts["guarded"] += any(s * s * s == 0.0 for s in quadrature._nodes(a, b)[1])
+        return panel(values, a, b)
+
+    def counting_rule(f, half):
+        counts["rule"] += 1
+        return rule(f, half)
+
+    monkeypatch.setattr(quadrature, "_panel", counting_panel)
+    monkeypatch.setattr(quadrature, "_rule", counting_rule)
+    if fails:
+        with pytest.raises(IntegrandError, match="^non-finite integrand value at node"):
+            run()
+    else:
+        est = run()
+        assert 15 * counts["panel"] == est.evals
+    assert counts["panel"] > 0 and counts["rule"] == counts["panel"]
+    assert (counts["guarded"] > 0) == guarded
 
 
 def test_overflow_names_the_node():
@@ -462,7 +533,7 @@ def test_other_arithmetic_errors_propagate_unchanged():
         raise ArithmeticError("did not converge")
 
     with pytest.raises(ArithmeticError) as info:
-        quadrature._gk15(g, 0.0, 1.0)
+        _plain_panel(g, 0.0, 1.0)
     assert type(info.value) is ArithmeticError and str(info.value) == "did not converge"
 
 

@@ -181,17 +181,23 @@ def test_kernels_reject_nan_and_inf(fn, arg, name):
 
 
 def test_u_rule_integrates_even_moments_exactly():
-    # 24 Gauss nodes are exact through degree 47. Rounding each node v to a
-    # float perturbs v^(2j) by up to 2j half-ulps, which sets the tolerance.
-    nodes, weights = series._U_NODES, series._U_WEIGHTS
-    assert len(nodes) == len(weights) == 24
-    assert all(0.0 < v < 0.5 for v in nodes) and all(w > 0.0 for w in weights)
+    # 24 Gauss nodes are exact through degree 47, so the rule integrates
+    # c(v)^j, with c(v) = -(16/3)(1/4 - v^2)^2 of degree 4, exactly for
+    # j <= 11. Rounding each exponent c to a float perturbs c^j by up to
+    # j half-ulps, which sets the tolerance.
+    weights, exponents = zip(*series._U_PAIRS)
+    assert len(weights) == len(exponents) == 24
+    assert all(-1.0 / 3.0 < c < 0.0 for c in exponents) and all(w > 0.0 for w in weights)
     assert abs(math.fsum(weights) - 0.5) <= 2.0**-53
     eps = sys.float_info.epsilon
-    for j in range(24):
-        exact = 0.5 ** (2 * j + 1) / (2 * j + 1)
-        rule = math.fsum(w * v ** (2 * j) for v, w in zip(nodes, weights))
-        assert abs(rule - exact) <= (j + 2) * eps * exact, j
+    for j in range(12):
+        # (-16/3)^j int_0^(1/2) (1/4 - v^2)^(2j) dv, the binomial expanded
+        exact = Fraction(-16, 3) ** j * sum(
+            math.comb(2 * j, m) * Fraction(1, 4) ** (2 * j - m) * (-1) ** m / (2 ** (2 * m + 1) * (2 * m + 1))
+            for m in range(2 * j + 1)
+        )
+        rule = math.fsum(w * c**j for w, c in zip(weights, exponents))
+        assert abs(rule - exact) <= (j + 2) * eps * abs(exact), j
 
 
 def test_u_value_matches_u_integral():

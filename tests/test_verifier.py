@@ -328,13 +328,18 @@ def _estimate_bits(est):
 
 
 def _contour_panels(memo):
-    """(part, delta, a, b) of every panel in a run memo's contour node tables."""
-    return {
-        (*key, *ab)
-        for key, table in memo.items()
-        if key[0] in ("contour arc", "contour ray")
-        for ab in table
-    }
+    """(part, delta, nodes) of every panel in a run memo's contour node
+    tables at the catalog's deltas, 0.5 (V5, V6) and 0.25 and 1 (V8)."""
+    token = _MEMO.set(memo)
+    try:
+        return {
+            (name, delta, xs)
+            for name in ("contour arc", "contour ray")
+            for delta in (0.25, 0.5, 1.0)
+            for xs in contour._node_table(name, delta)
+        }
+    finally:
+        _MEMO.reset(token)
 
 
 def _memo_after_each_check(monkeypatch):
