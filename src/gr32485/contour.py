@@ -96,8 +96,8 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
     written into it, so no Python call is made per node. (w, m, d) are the
     part's weights: (gamma'(xi), 1, 1) on the arc, where the value is exactly
     Im(g gamma'), and (-delta, 2, sigma**3) on the ray, the operations of the
-    engine's compact map. A panel's node tuples come from its part's node
-    table; a ray node past the tiny-sigma guard has none and gives 0.0."""
+    engine's compact map. A panel's node tuples come from its part's table
+    of whole panels; a ray node past the tiny-sigma guard gives 0.0."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
     exp, sqrt = cmath.exp, cmath.sqrt
@@ -124,9 +124,9 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
             if (entry := table.get(xs)) is None:
                 nodes = tuple(map(node, xs))
                 guarded = [i for i, n in enumerate(nodes) if n is None] if None in nodes else ()
-                if guarded:
-                    nodes = tuple(n for n in nodes if n is not None)
-                entry = table[xs] = nodes, guarded
+                entry = (tuple(filter(None, nodes)) if guarded else nodes), guarded
+                if len(xs) == 15:  # a panel; the single nodes of _panel's fallback stay out
+                    table[xs] = entry
             nodes, guarded = entry
             f = values(nodes)
             for i in guarded:  # ascending, so each 0.0 lands at its node

@@ -250,9 +250,11 @@ def _node_of(panel_index, delta, part, panel):
 
 
 @pytest.mark.parametrize("part", ["arc", "ray"])
-def test_contour_panel_failures_name_the_node(part):
+def test_contour_panel_failures_name_the_node(part, built_panels):
     # the panel's values come from one pass over its node table; a zero
-    # division or a non-finite value is reported for the node it came from
+    # division or a non-finite value is reported for the node it came from,
+    # and the node-by-node pass that finds it leaves no single nodes in
+    # the tables
     delta = 0.5
     for panel in ((0.0, 0.5), (0.5, 1.0)):
         s, bad = _node_of(5, delta, part, panel)
@@ -262,6 +264,7 @@ def test_contour_panel_failures_name_the_node(part):
         with pytest.raises(IntegrandError) as info:
             contour._upper_half(_values(lambda z, r: cmath.infj if z == bad else 1.0 / r), delta, QuadratureConfig())
         assert str(info.value) == f"non-finite integrand value at node {s!r}"
+    assert built_panels and all(len(xs) == 15 for xs in built_panels)
 
 
 _EXP_PINS = {

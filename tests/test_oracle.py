@@ -110,7 +110,7 @@ def test_complete_pi_for_negative_characteristic():
         return float(abs(got - ref)) / math.ulp(float(ref))
 
     worst = 0.0
-    for k in (0.05, 0.5, 0.99):
+    for k in (0.05, 0.5, 0.99, 1.0 - 2.0**-40):
         for e in (0, 1, 12, 30, 100, 300):
             n = -(10.0**e)
             assert ulps(_pi_positive(n, k), _pi_by_definition(n, k)) <= 1e-6, (k, e)

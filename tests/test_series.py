@@ -182,22 +182,24 @@ def test_kernels_reject_nan_and_inf(fn, arg, name):
 
 def test_u_rule_integrates_even_moments_exactly():
     # 24 Gauss nodes are exact through degree 47, so the rule integrates
-    # c(v)^j, with c(v) = -(16/3)(1/4 - v^2)^2 of degree 4, exactly for
-    # j <= 11. Rounding each exponent c to a float perturbs c^j by up to
-    # j half-ulps, which sets the tolerance.
+    # s(v)^m, with s = 1/4 - v^2 = sqrt(-3c/16) read back from each exponent
+    # c = -(16/3) s^2 without cancellation, exactly for m <= 23: all 24
+    # even degrees. Rounding c, -3c and the square root leaves s within
+    # an ulp, which puts s^m within about m ulps; that sets the tolerance.
     weights, exponents = zip(*series._U_PAIRS)
     assert len(weights) == len(exponents) == 24
     assert all(-1.0 / 3.0 < c < 0.0 for c in exponents) and all(w > 0.0 for w in weights)
     assert abs(math.fsum(weights) - 0.5) <= 2.0**-53
     eps = sys.float_info.epsilon
-    for j in range(12):
-        # (-16/3)^j int_0^(1/2) (1/4 - v^2)^(2j) dv, the binomial expanded
-        exact = Fraction(-16, 3) ** j * sum(
-            math.comb(2 * j, m) * Fraction(1, 4) ** (2 * j - m) * (-1) ** m / (2 ** (2 * m + 1) * (2 * m + 1))
-            for m in range(2 * j + 1)
+    quarters = [math.sqrt(-3.0 * c / 16.0) for c in exponents]
+    for m in range(24):
+        # int_0^(1/2) (1/4 - v^2)^m dv, the binomial expanded
+        exact = sum(
+            math.comb(m, i) * Fraction(1, 4) ** (m - i) * (-1) ** i / (2 ** (2 * i + 1) * (2 * i + 1))
+            for i in range(m + 1)
         )
-        rule = math.fsum(w * c**j for w, c in zip(weights, exponents))
-        assert abs(rule - exact) <= (j + 2) * eps * abs(exact), j
+        rule = math.fsum(w * s**m for w, s in zip(weights, quarters))
+        assert abs(rule - exact) <= (m + 2) * eps * exact, m
 
 
 def test_u_value_matches_u_integral():
