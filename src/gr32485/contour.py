@@ -91,13 +91,13 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
     ``delta``, as Im of the upper half's integral over pi, its error counted
     twice.
 
-    ``values(nodes)`` returns m * Im(g(z, r) * w) / d for each node tuple
-    (z, r, w, m, d), r = sqrt(z + sqrt(z)), in one comprehension with g
-    written into it, so no Python call is made per node. (w, m, d) are the
-    part's weights: (gamma'(xi), 1, 1) on the arc, where the value is exactly
-    Im(g gamma'), and (-delta, 2, sigma**3) on the ray, the operations of the
-    engine's compact map. A panel's node tuples come from its part's table
-    of whole panels; a ray node past the tiny-sigma guard gives 0.0."""
+    ``values(nodes)`` returns 2 Im(g(z, r) * w) / d for each node tuple
+    (z, r, w, d), r = sqrt(z + sqrt(z)), in one comprehension with g
+    written into it, so no Python call is made per node. (w, d) are the
+    part's weights: (-delta, sigma**3) on the ray, the operations of the
+    engine's compact map, and (gamma'(xi), 2) on the arc, where the value
+    is exactly Im(g gamma'). A panel's node tuples come from its part's
+    table of whole panels; a ray node past the tiny-sigma guard gives 0.0."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
     exp, sqrt = cmath.exp, cmath.sqrt
@@ -106,7 +106,7 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
     def arc_node(xi: float):
         w = exp(_ARC * xi)
         z = delta * w
-        return z, sqrt(z + sqrt(z)), delta * _ARC * w, 1.0, 1.0
+        return z, sqrt(z + sqrt(z)), delta * _ARC * w, 2.0
 
     def ray_node(sigma: float):
         s3 = sigma * sigma * sigma
@@ -114,7 +114,7 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
         if s3 == 0.0 or not math.isfinite(x := -1.0 + 1.0 / (sigma * sigma)):
             return None
         z = complex(-delta * x, delta)
-        return z, sqrt(z + sqrt(z)), -delta, 2.0, s3
+        return z, sqrt(z + sqrt(z)), -delta, s3
 
     def part(name: str, node: Callable) -> Estimate:
         # an entry depends on (delta, nodes) alone, so a partial fill stays valid
@@ -133,7 +133,7 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
                 f.insert(i, 0.0)
             return f
 
-        return Estimate(*_adaptive([(at, 0.0, 1.0)], cfg))
+        return _adaptive([(at, 0.0, 1.0)], cfg)
 
     half = _linear(((1.0, part("contour arc", arc_node)), (1.0, part("contour ray", ray_node))))
     # twice the half's error, divided by 2 pi
@@ -155,7 +155,7 @@ def hankel_exp_integral(
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_exp_integral: t must be finite and > 0, got {t!r}")
     exp = cmath.exp
-    return _upper_half(lambda nodes: [m * (exp(t * z) / r * w).imag / d for z, r, w, m, d in nodes], delta, cfg)
+    return _upper_half(lambda nodes: [2.0 * (exp(t * z) / r * w).imag / d for z, r, w, d in nodes], delta, cfg)
 
 
 def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
@@ -169,7 +169,7 @@ def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFI
     if not 0.0 <= c < math.inf:
         raise ValueError(f"hankel_resolvent_integral: c must be finite and >= 0, got {c!r}")
     return _upper_half(
-        lambda nodes: [m * (1.0 / (r * (1.0 - z + c)) * w).imag / d for z, r, w, m, d in nodes], _DELTA, cfg
+        lambda nodes: [2.0 * (1.0 / (r * (1.0 - z + c)) * w).imag / d for z, r, w, d in nodes], _DELTA, cfg
     )
 
 

@@ -80,14 +80,12 @@ def _rc(x: float, y: float) -> float:
     y0 = y
     Q = (3.0 * _EPS) ** -0.125 * abs(A0 - x)
     scale = 1.0
-    iters = 0
     while Q * scale > abs(A):
         lam = 2.0 * math.sqrt(x) * math.sqrt(y) + y
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
         A = 0.25 * (A + lam)
         scale *= 0.25
-        iters += 1
     s = (y0 - A0) * scale / A
     poly = 1.0 + s * s * (
         0.3 + s * (1.0 / 7.0 + s * (0.375 + s * (9.0 / 22.0 + s * (159.0 / 208.0 + s * 9.0 / 8.0))))

@@ -50,8 +50,9 @@ err beyond their claims, by up to 3.2e4 times.
 
 A piece is (values, a, b), values(nodes) its values at a tuple of nodes.
 ``_panel``, the one place where a panel is evaluated, takes its 15 values
-in one pass; a panel whose values fail or are not finite is evaluated
-again node by node, which names the bad node in an ``IntegrandError``.
+in one pass. A panel whose values fail, or whose value or error estimate
+is not finite, goes again node by node, and an ``IntegrandError`` names
+its first bad node, or the panel when its sums overflowed.
 
 Results are deterministic functions of (integrand, interval, config).
 The check runner sets a memo for its run, in which the functions marked
@@ -79,7 +80,7 @@ __all__ = [
 
 
 class IntegrandError(ValueError):
-    """The integrand returned a non-finite value at an interior node."""
+    """The integrand failed or was not finite at a node, or a panel's sums overflowed."""
 
 
 class Interval(collections.namedtuple("Interval", "lower upper singular_lower singular_upper", defaults=(False, False))):
@@ -354,16 +355,16 @@ def _pieces(f: Callable, iv: Interval) -> list:
 
 def _panel(values: Callable, a: float, b: float):
     """The GK15 panel (value, error estimate, roundoff floor) on [a, b] of a
-    piece's values, in one pass; a panel whose values fail or are not
-    finite goes again node by node, which names the first bad node."""
+    piece's values, in one pass, with a finite value and error estimate. A
+    panel that fails goes again node by node to name its first bad node;
+    if all are finite, its sums overflowed, and the error names the panel."""
     half, xs = _nodes(a, b)
     try:
         est = _rule(values(xs), half)
-        if est[0] - est[0] == 0.0:
+        if est[0] - est[0] == est[1] - est[1] == 0.0:  # value and error finite
             return est
     except (ZeroDivisionError, OverflowError):
-        est = None
-    f = []
+        pass
     for x in xs:
         try:
             (v,) = values((x,))
@@ -373,11 +374,10 @@ def _panel(values: Callable, a: float, b: float):
             raise IntegrandError(f"integrand overflow at node {x!r}: {exc}") from None
         if v - v != 0.0:  # inf or nan
             raise IntegrandError(f"non-finite integrand value at node {x!r}")
-        f.append(v)
-    return est or _rule(f, half)  # the sums overflowed, or one pass alone failed
+    raise IntegrandError(f"the GK15 sums overflow on [{a!r}, {b!r}]")
 
 
-def _adaptive(pieces: list, cfg: QuadratureConfig):
+def _adaptive(pieces: list, cfg: QuadratureConfig) -> Estimate:
     if 30 * len(pieces) > cfg.max_evals:
         raise ValueError("max_evals too small for the interval decomposition")
     heap = []
@@ -419,7 +419,7 @@ def _adaptive(pieces: list, cfg: QuadratureConfig):
     except TypeError:
         raise IntegrandError("complex integrand values; integrate takes real integrands") from None
     err_total = math.fsum([item[6] for item in panels])
-    return value, err_total, 15 * seq, err_total <= cfg.abs_tol or floored
+    return Estimate(value, err_total, 15 * seq, err_total <= cfg.abs_tol or floored)
 
 
 def integrate(
@@ -433,4 +433,4 @@ def integrate(
     singular, where it may blow up no faster than the -1/2 power of the
     distance to the endpoint.
     """
-    return Estimate(*_adaptive(_pieces(f, iv), cfg))
+    return _adaptive(_pieces(f, iv), cfg)

@@ -26,6 +26,7 @@ import math
 from .contour import HYPERBOLIC_ERROR, hankel_hyperbolic
 from .elliptic import complete_Pi, incomplete_F
 from .quadrature import (
+    _EPS,
     DEFAULT_CONFIG,
     Estimate,
     Interval,
@@ -34,7 +35,7 @@ from .quadrature import (
     _once,
     integrate,
 )
-from .series import _EPS, TAIL_TOL, U_RULE_ERROR, double_series_I, hankel_series, u_value
+from .series import TAIL_TOL, U_RULE_ERROR, double_series_I, hankel_series, u_value
 
 __all__ = [
     "Constants",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .quadrature import DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, _linear, _once, integrate
+from .quadrature import _EPS, DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, _linear, _once, integrate
 
 __all__ = [
     "TAIL_TOL",
@@ -43,8 +43,6 @@ __all__ = [
     "inner_k_sum",
     "double_series_I",
 ]
-
-_EPS = 2.220446049250313e-16
 
 # a series that has not met its tail tolerance after this many terms
 # reports non-convergence

@@ -43,8 +43,10 @@ from collections.abc import Iterable
 from . import __version__
 from .contour import hankel_exp_integral, hankel_resolvent_integral, nested_radical
 from .elliptic import complete_K, complete_Pi, incomplete_F, landen_residual
-from .quadrature import _MEMO, DEFAULT_CONFIG, Estimate, QuadratureConfig, _linear
+from .quadrature import _EPS, _MEMO, DEFAULT_CONFIG, Estimate, QuadratureConfig, _linear
 from .representations import (
+    _LOG_T0,
+    _SQRT3,
     CONSTANTS,
     NORMAL_FORM_COEFF,
     REPRESENTATIONS,
@@ -76,7 +78,6 @@ __all__ = [
 HEADLINE_VALUE = 0.666377
 HEADLINE_TOL = 5e-7
 
-_SQRT3 = math.sqrt(3.0)
 _SQRT_3PI = math.sqrt(3.0 * math.pi)
 
 
@@ -278,7 +279,7 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "order-swap threshold of the indicator bracket",
                 "match",
                 1e-12,
-                lambda cfg: (math.sqrt(B((2.0 + _SQRT3) / 8.0)), _SQRT3 - 1.5),
+                lambda cfg: (math.sqrt(B(_LOG_T0)), _SQRT3 - 1.5),
             ),
             CheckSpec(
                 "V8-delta",
@@ -360,7 +361,7 @@ def _execute(spec: CheckSpec, cfg: QuadratureConfig) -> CheckRecord:
         lhs, rhs = (s.value if isinstance(s, Estimate) else s for s in sides)
         if spec.tolerance is None:
             errors = math.fsum([e.error_estimate for e in estimates.values()])
-            tolerance = errors + 4.0 * math.ulp(1.0) * max(abs(lhs), abs(rhs))
+            tolerance = errors + 4.0 * _EPS * max(abs(lhs), abs(rhs))
         # max keeps a NaN in first place, so a NaN side reaches _status
         abs_diff = max(lhs - rhs, 0.0) if spec.kind == "bound" else abs(lhs - rhs)
         status = _status(spec.kind, abs_diff, tolerance)

@@ -125,7 +125,7 @@ def test_calls_outside_a_run_fill_fresh_node_tables(built_panels):
 
 def _values(g):
     """The panel values _upper_half takes, for a per-node integrand g(z, r)."""
-    return lambda nodes: [m * (g(z, r) * w).imag / d for z, r, w, m, d in nodes]
+    return lambda nodes: [2.0 * (g(z, r) * w).imag / d for z, r, w, d in nodes]
 
 
 def _capture_pieces(monkeypatch, g, delta):

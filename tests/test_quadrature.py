@@ -457,25 +457,28 @@ def _slow(nodes):
     """Contour values of g = r**-2.001, about |z|**-1.0005 on the ray: in
     sigma that is about sigma**-0.999, so the ray's panels bisect towards
     sigma = 0 until its nodes pass the tiny-sigma guard."""
-    return [m * (r**-2.001 * w).imag / d for z, r, w, m, d in nodes]
+    return [2.0 * (r**-2.001 * w).imag / d for z, r, w, d in nodes]
 
 
 _SMALL = QuadratureConfig(max_evals=15 * 800)
+_NON_FINITE = "^non-finite integrand value at node"
+_OVERFLOW = "^the GK15 sums overflow on"
 
 
 @pytest.mark.parametrize(
-    "run, guarded, fails",
+    "run, guarded, error",
     [
-        (lambda: integrate(math.exp, Interval(0.0, 1.0)), False, False),
-        (lambda: integrate(lambda x: math.cos(x) / math.sqrt(x), Interval(0.0, 2.0, True)), False, False),
-        (lambda: integrate(lambda x: math.exp(x) / math.sqrt(1.0 - x), Interval(-1.0, 1.0, False, True)), False, False),
-        (lambda: integrate(lambda t: math.exp(-t), Interval(0.5, math.inf)), False, False),
-        (lambda: integrate(lambda t: t**-1.0005, Interval(1.0, math.inf), _SMALL), True, False),
-        (lambda: contour.hankel_exp_integral(1.0), False, False),
-        (lambda: contour.hankel_resolvent_integral(0.5), False, False),
-        (lambda: contour._upper_half(_slow, 0.5, _SMALL), True, False),
-        (lambda: integrate(lambda x: math.nan if x > 0.75 else 1.0, Interval(0.0, 1.0)), False, True),
-        (lambda: contour._upper_half(lambda nodes: [math.nan for _ in nodes], 0.5, DEFAULT_CONFIG), False, True),
+        (lambda: integrate(math.exp, Interval(0.0, 1.0)), False, None),
+        (lambda: integrate(lambda x: math.cos(x) / math.sqrt(x), Interval(0.0, 2.0, True)), False, None),
+        (lambda: integrate(lambda x: math.exp(x) / math.sqrt(1.0 - x), Interval(-1.0, 1.0, False, True)), False, None),
+        (lambda: integrate(lambda t: math.exp(-t), Interval(0.5, math.inf)), False, None),
+        (lambda: integrate(lambda t: t**-1.0005, Interval(1.0, math.inf), _SMALL), True, None),
+        (lambda: contour.hankel_exp_integral(1.0), False, None),
+        (lambda: contour.hankel_resolvent_integral(0.5), False, None),
+        (lambda: contour._upper_half(_slow, 0.5, _SMALL), True, None),
+        (lambda: integrate(lambda x: math.nan if x > 0.75 else 1.0, Interval(0.0, 1.0)), False, _NON_FINITE),
+        (lambda: contour._upper_half(lambda nodes: [math.nan for _ in nodes], 0.5, DEFAULT_CONFIG), False, _NON_FINITE),
+        (lambda: integrate(lambda x: 1e308, Interval(0.0, 1.0)), False, _OVERFLOW),
     ],
     ids=[
         "plain",
@@ -488,12 +491,14 @@ _SMALL = QuadratureConfig(max_evals=15 * 800)
         "contour-guarded",
         "failing",
         "contour-failing",
+        "overflowing",
     ],
 )
-def test_every_panel_is_evaluated_at_one_site(monkeypatch, run, guarded, fails):
+def test_every_panel_is_evaluated_at_one_site(monkeypatch, run, guarded, error):
     # integrate and the contour integrals evaluate every panel through
     # quadrature._panel, which applies the rule once: 15 evaluations a
-    # panel, failing panels and panels with guarded sigma nodes included
+    # panel, failing panels, panels whose sums overflow and panels with
+    # guarded sigma nodes included
     counts = collections.Counter()
     panel, rule = quadrature._panel, quadrature._rule
 
@@ -508,8 +513,8 @@ def test_every_panel_is_evaluated_at_one_site(monkeypatch, run, guarded, fails):
 
     monkeypatch.setattr(quadrature, "_panel", counting_panel)
     monkeypatch.setattr(quadrature, "_rule", counting_rule)
-    if fails:
-        with pytest.raises(IntegrandError, match="^non-finite integrand value at node"):
+    if error:
+        with pytest.raises(IntegrandError, match=error):
             run()
     else:
         est = run()
@@ -526,6 +531,26 @@ def test_overflow_names_the_node():
     match = re.fullmatch(r"integrand overflow at node (\S+): math range error", str(info.value))
     assert match and 0.0 < float(match[1]) < 1.0
     assert info.value.__suppress_context__
+
+
+@pytest.mark.parametrize(
+    "f, b, panel",
+    [
+        (lambda x: 1e308, 1.0, "[0.0, 0.5]"),
+        (lambda x: 1.6e308 if x > 0.5 else -1.6e308, 1.0, "[0.0, 0.5]"),
+        (lambda x: 1.6e308 if x > 0.5 else -1.6e308, 2.0, "[0.0, 1.0]"),
+    ],
+    ids=["value", "opposite-values", "error-estimate"],
+)
+def test_overflowing_sums_name_the_panel(f, b, panel):
+    # every node is finite, but a panel's sums overflow: on [0, 1] K15's,
+    # to an infinite value, and on [0, 2] the first panel's variation, to
+    # a finite value with an infinite error estimate. Neither panel reaches
+    # the engine, and the error names the panel
+    with pytest.raises(IntegrandError) as info:
+        integrate(f, Interval(0.0, b))
+    assert str(info.value) == f"the GK15 sums overflow on {panel}"
+    assert info.value.__context__ is None
 
 
 def test_other_arithmetic_errors_propagate_unchanged():

@@ -123,6 +123,11 @@ def test_failures_say_why(monkeypatch):
     def both_converged(ctx):
         return Estimate(1.0, 0.0, 30, True), Estimate(1.0, 0.0, 45, True)
 
+    def overflowing(ctx):
+        # an infinite lhs with an infinite error bar would meet its derived
+        # tolerance, inf <= inf; the engine raises instead
+        return quadrature.integrate(lambda x: 1e308, quadrature.Interval(0.0, 1.0), ctx), 1.0
+
     specs = (
         CheckSpec("diverging", "raises ArithmeticError", "none", "match", 1.0, diverging),
         CheckSpec("broken", "raises TypeError", "none", "match", 1.0, broken),
@@ -132,6 +137,7 @@ def test_failures_say_why(monkeypatch):
         CheckSpec("both", "two estimates", "none", "match", None, both_converged),
         CheckSpec("nan-lhs", "NaN lhs", "none", "bound", 1.0, lambda ctx: (math.nan, 1.0)),
         CheckSpec("nan-rhs", "NaN rhs", "none", "bound", 1.0, lambda ctx: (0.5, math.nan)),
+        CheckSpec("overflow", "an overflowing integral", "none", "match", None, overflowing),
     )
     monkeypatch.setattr(verifier, "_CATALOG", specs)
     report = run_checks()
@@ -144,6 +150,7 @@ def test_failures_say_why(monkeypatch):
         ("pass", None),
         ("no-converge", "the difference is NaN"),
         ("no-converge", "the difference is NaN"),
+        ("no-converge", "the GK15 sums overflow on [0.0, 0.5]"),
     ]
     assert math.isnan(report.records[1].lhs)
     # the runner sums the cost of the Estimate sides; a None tolerance is
