@@ -23,15 +23,16 @@ part of the integrand times gamma' on the upper half, parametrized as
     gamma(x)  = delta * (-x + i)            for x >= 0         (upper ray)
 
 as real functions, and count its error estimate twice. The ray runs
-over the engine's compact variable sigma in (0, 1], x = -1 + 1/sigma**2
-(see ``quadrature``), whether the integrand decays exponentially or only
-algebraically along it, so no tail is discarded. A GK15 panel's nodes,
-z with sqrt(z + sqrt(z)) and the part's weights, sit in node tables
-keyed on the panel's nodes, one per delta and part, that last for a run
-of the check runner, so every contour integral at one delta reads its
-panels from one dyadic tree; elsewhere each call fills fresh ones. Each
-integral computes a panel's values in one comprehension over its node
-tuples, with its integrand written into it.
+over the engine's compact variable sigma in (0, 1], x = -1 + 1/sigma**2,
+and takes its nodes from the engine's compact map itself, whether the
+integrand decays exponentially or only algebraically along it, so no
+tail is discarded. A GK15 panel's nodes, z with sqrt(z + sqrt(z)) and
+the part's weights, sit in node tables keyed on the panel's nodes, one
+per delta and part, that last for a run of the check runner, so every
+contour integral at one delta reads its panels from one dyadic tree;
+elsewhere each call fills fresh ones. Each integral computes a panel's
+values in one comprehension over its node tuples, with its integrand
+written into it.
 
 For S(t) = (1/(2 pi i)) int_H exp(t z) / sqrt(z + sqrt(z)) dz at larger t
 there is also a fixed-node rule, :func:`hankel_hyperbolic`: the trapezoid
@@ -48,7 +49,7 @@ import cmath
 import math
 from collections.abc import Callable
 
-from .quadrature import DEFAULT_CONFIG, Estimate, QuadratureConfig, _adaptive, _linear, _once
+from .quadrature import DEFAULT_CONFIG, Estimate, QuadratureConfig, _adaptive, _compact_nodes, _linear, _once
 
 __all__ = [
     "principal_sqrt",
@@ -94,37 +95,33 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
     ``values(nodes)`` returns 2 Im(g(z, r) * w) / d for each node tuple
     (z, r, w, d), r = sqrt(z + sqrt(z)), in one comprehension with g
     written into it, so no Python call is made per node. (w, d) are the
-    part's weights: (-delta, sigma**3) on the ray, the operations of the
-    engine's compact map, and (gamma'(xi), 2) on the arc, where the value
-    is exactly Im(g gamma'). A panel's node tuples come from its part's
-    table of whole panels; a ray node past the tiny-sigma guard gives 0.0."""
+    part's weights: (-delta, sigma**3) on the ray, from the engine's
+    compact map, and (gamma'(xi), 2) on the arc, where the value is
+    exactly Im(g gamma'). A panel's node tuples come from its part's table
+    of whole panels; a ray node the compact map guards gives 0.0."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
     exp, sqrt = cmath.exp, cmath.sqrt
 
-    # nodes lie in the upper half plane, where sqrt(z + sqrt(z)) needs no cut checks
-    def arc_node(xi: float):
-        w = exp(_ARC * xi)
-        z = delta * w
-        return z, sqrt(z + sqrt(z)), delta * _ARC * w, 2.0
+    # a panel's node tuples in one pass; they lie in the upper half plane,
+    # where sqrt(z + sqrt(z)) needs no cut checks
+    def arc_nodes(xis: tuple) -> list:
+        return [(z := delta * (w := exp(_ARC * xi)), sqrt(z + sqrt(z)), delta * _ARC * w, 2.0) for xi in xis]
 
-    def ray_node(sigma: float):
-        s3 = sigma * sigma * sigma
-        # near the image of infinity a convergent improper integrand vanishes
-        if s3 == 0.0 or not math.isfinite(x := -1.0 + 1.0 / (sigma * sigma)):
-            return None
-        z = complex(-delta * x, delta)
-        return z, sqrt(z + sqrt(z)), -delta, s3
+    def ray_nodes(sigmas: tuple) -> list:
+        return [
+            None if n is None else (z := complex(-delta * n[0], delta), sqrt(z + sqrt(z)), -delta, n[1])
+            for n in _compact_nodes(-1.0, sigmas)
+        ]
 
-    def part(name: str, node: Callable) -> Estimate:
+    def part(name: str, build: Callable) -> Estimate:
         # an entry depends on (delta, nodes) alone, so a partial fill stays valid
         table = _node_table(name, delta)
 
         def at(xs: tuple) -> list:
             if (entry := table.get(xs)) is None:
-                nodes = tuple(map(node, xs))
-                guarded = [i for i, n in enumerate(nodes) if n is None] if None in nodes else ()
-                entry = (tuple(filter(None, nodes)) if guarded else nodes), guarded
+                nodes = build(xs)
+                entry = tuple(filter(None, nodes)), [i for i, n in enumerate(nodes) if n is None]
                 if len(xs) == 15:  # a panel; the single nodes of _panel's fallback stay out
                     table[xs] = entry
             nodes, guarded = entry
@@ -135,7 +132,7 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
 
         return _adaptive([(at, 0.0, 1.0)], cfg)
 
-    half = _linear(((1.0, part("contour arc", arc_node)), (1.0, part("contour ray", ray_node))))
+    half = _linear(((1.0, part("contour arc", arc_nodes)), (1.0, part("contour ray", ray_nodes))))
     # twice the half's error, divided by 2 pi
     return half._replace(value=half.value / math.pi, error_estimate=half.error_estimate / math.pi)
 

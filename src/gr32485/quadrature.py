@@ -16,7 +16,8 @@ therefore never detects singularities at run time. It
 * compactifies a semi-infinite range [a, inf) with t = a - 1 + 1/sigma**2
   on sigma in (0, 1]. Its Jacobian 2/sigma**3 cancels the t**(-3/2)
   algebraic tails that occur here, so the image of infinity is a regular
-  endpoint. A range [0, inf) singular at 0 is split once at 1,
+  endpoint; ``_compact_nodes`` maps the nodes, for the Hankel contour's
+  ray too. A range [0, inf) singular at 0 is split once at 1,
 * integrates the resulting smooth pieces with adaptive Gauss-Kronrod
   (G7, K15) bisection, each piece starting as its two halves, until the
   summed |K15 - G7| error estimate meets ``abs_tol``, or every panel left
@@ -52,7 +53,8 @@ A piece is (values, a, b), values(nodes) its values at a tuple of nodes.
 ``_panel``, the one place where a panel is evaluated, takes its 15 values
 in one pass. A panel whose values fail, or whose value or error estimate
 is not finite, goes again node by node, and an ``IntegrandError`` names
-its first bad node, or the panel when its sums overflowed.
+its first bad node, or the panel when its sums overflowed, or the
+panels when their total does.
 
 Results are deterministic functions of (integrand, interval, config).
 The check runner sets a memo for its run, in which the functions marked
@@ -80,7 +82,8 @@ __all__ = [
 
 
 class IntegrandError(ValueError):
-    """The integrand failed or was not finite at a node, or a panel's sums overflowed."""
+    """The integrand failed or was not finite at a node, or a panel's sums
+    or the panels' total overflowed."""
 
 
 class Interval(collections.namedtuple("Interval", "lower upper singular_lower singular_upper", defaults=(False, False))):
@@ -324,6 +327,16 @@ def _rule(f, half: float):
     return resk * half, max(err, floor), floor
 
 
+def _compact_nodes(c: float, sigmas) -> list:
+    """(t, sigma**3) at each node sigma of t = c + 1/sigma**2; None where sigma**3
+    underflows or t is not finite, as near the image of infinity a convergent
+    improper integrand vanishes."""
+    return [
+        None if (s3 := s * s * s) == 0.0 or not math.isfinite(t := c + 1.0 / (s * s)) else (t, s3)
+        for s in sigmas
+    ]
+
+
 def _pieces(f: Callable, iv: Interval) -> list:
     a, b = iv.lower, iv.upper
     if iv.singular_lower and math.isinf(b):
@@ -339,15 +352,10 @@ def _pieces(f: Callable, iv: Interval) -> list:
 
         return [(in_s, 0.0, math.sqrt(b - a))]
     if math.isinf(b):
-        # t = a - 1 + 1/sigma**2; near the image of infinity, where sigma**3
-        # underflows, a convergent improper integrand vanishes
         c = a - 1.0
 
         def in_sigma(ss):
-            return [
-                0.0 if (s3 := s * s * s) == 0.0 or not math.isfinite(t := c + 1.0 / (s * s)) else 2.0 * f(t) / s3
-                for s in ss
-            ]
+            return [0.0 if n is None else 2.0 * f(n[0]) / n[1] for n in _compact_nodes(c, ss)]
 
         return [(in_sigma, 0.0, 1.0)]
     return [(lambda xs: list(map(f, xs)), a, b)]
@@ -377,6 +385,16 @@ def _panel(values: Callable, a: float, b: float):
     raise IntegrandError(f"the GK15 sums overflow on [{a!r}, {b!r}]")
 
 
+def _total(terms: list) -> float:
+    """The correctly rounded sum of finite panel values or error estimates."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise IntegrandError("the GK15 panels' total overflows") from None
+    except TypeError:
+        raise IntegrandError("complex integrand values; integrate takes real integrands") from None
+
+
 def _adaptive(pieces: list, cfg: QuadratureConfig) -> Estimate:
     if 30 * len(pieces) > cfg.max_evals:
         raise ValueError("max_evals too small for the interval decomposition")
@@ -392,7 +410,7 @@ def _adaptive(pieces: list, cfg: QuadratureConfig) -> Estimate:
             seq += 1
             heapq.heappush(heap, (-err, seq, values, lo, hi, val, err, floor))
 
-    err_total = math.fsum([item[6] for item in heap])
+    err_total = _total([item[6] for item in heap])
     while err_total > cfg.abs_tol and heap:
         worst = heap[0]
         if worst[6] <= 0.0 or 15 * seq + 30 > cfg.max_evals:
@@ -414,11 +432,8 @@ def _adaptive(pieces: list, cfg: QuadratureConfig) -> Estimate:
     floored = (not heap or heap[0][6] <= 0.0) and all(p[6] <= 1.05 * p[7] for p in parked)
     # fsum is correctly rounded, so the panels' order cannot move a bit
     panels = heap + parked
-    try:
-        value = math.fsum([item[5] for item in panels])
-    except TypeError:
-        raise IntegrandError("complex integrand values; integrate takes real integrands") from None
-    err_total = math.fsum([item[6] for item in panels])
+    value = _total([item[5] for item in panels])
+    err_total = _total([item[6] for item in panels])
     return Estimate(value, err_total, 15 * seq, err_total <= cfg.abs_tol or floored)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "B",
     "Representation",
     "REPRESENTATIONS",
-    "representation_ids",
     "eval_representation",
     "DELTA_FORMS",
     "delta_form",
@@ -406,10 +405,6 @@ REPRESENTATIONS: tuple[Representation, ...] = (
     Representation("R11", "three-integral normal form over [1, 2+sqrt(3)]", "partial fractions of a J1 + b J2", _eval_r11),
     Representation("R12", "closed form ((sqrt3-1) Pi - F)/sqrt(2)", "BF 256.00, 256.39, 340.01 + DLMF 19.8.12", _eval_r12),
 )
-
-
-def representation_ids() -> list[str]:
-    return [rep.id for rep in REPRESENTATIONS]
 
 
 @_once

@@ -2,13 +2,13 @@ import pytest
 
 import gr32485.contour as contour
 from gr32485.quadrature import _once
-from gr32485.representations import eval_representation, representation_ids
+from gr32485.representations import REPRESENTATIONS, eval_representation
 
 
 @pytest.fixture(scope="session")
 def rep_results():
     """Every representation evaluated once at default configuration."""
-    return {rid: eval_representation(rid) for rid in representation_ids()}
+    return {rep.id: eval_representation(rep.id) for rep in REPRESENTATIONS}
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,9 @@ from gr32485.elliptic import complete_K, complete_Pi, incomplete_F, landen_resid
 from gr32485.quadrature import Interval, integrate
 from gr32485.representations import (
     CONSTANTS,
+    REPRESENTATIONS,
     constant_residuals,
     eval_representation,
-    representation_ids,
 )
 from gr32485.series import (
     central_binomial_ratio,
@@ -57,7 +57,7 @@ def test_criterion_3_chain_consistency(rep_values):
     report = run_checks()
     suite_elapsed = time.perf_counter() - t0
 
-    quad_ids = [rid for rid in representation_ids() if rid not in ("R2", "R3")]
+    quad_ids = [rep.id for rep in REPRESENTATIONS if rep.id not in ("R2", "R3")]
     worst_pair = max(
         abs(rep_values[a] - rep_values[b]) for a in quad_ids for b in quad_ids
     )

@@ -553,6 +553,24 @@ def test_overflowing_sums_name_the_panel(f, b, panel):
     assert info.value.__context__ is None
 
 
+@pytest.mark.parametrize(
+    "f, b",
+    [
+        (lambda x: 0.8e308, 2.4),
+        (lambda x: 0.5e308 if int(x * 1e6) % 2 else -0.5e308, 4.0),
+    ],
+    ids=["values", "error-estimates"],
+)
+def test_overflowing_total_of_finite_panels_raises(f, b):
+    # each of the two panels is finite, but the total of their values (each
+    # 0.96e308), or of their error estimates, is not; the engine says so
+    # instead of fsum's bare "intermediate overflow"
+    with pytest.raises(IntegrandError) as info:
+        integrate(f, Interval(0.0, b), QuadratureConfig(max_evals=30))
+    assert str(info.value) == "the GK15 panels' total overflows"
+    assert info.value.__suppress_context__
+
+
 def test_other_arithmetic_errors_propagate_unchanged():
     def g(x):
         raise ArithmeticError("did not converge")

@@ -9,6 +9,7 @@ from gr32485.quadrature import DEFAULT_CONFIG, Interval, QuadratureConfig, integ
 from gr32485.representations import (
     CONSTANTS,
     NORMAL_FORM_COEFF,
+    REPRESENTATIONS,
     B,
     constant_residuals,
     double_angle_form,
@@ -19,7 +20,6 @@ from gr32485.representations import (
     j1_integral,
     j2_integral,
     phi,
-    representation_ids,
 )
 from gr32485.series import u_value
 from gr32485.verifier import run_checks
@@ -80,7 +80,7 @@ def test_headline_value(rep_values):
 
 
 def test_all_quadrature_routes_pairwise(rep_values):
-    ids = [rid for rid in representation_ids() if rid not in ("R2", "R3")]
+    ids = [rep.id for rep in REPRESENTATIONS if rep.id not in ("R2", "R3")]
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             assert abs(rep_values[a] - rep_values[b]) < 1e-9, (a, b)
@@ -177,10 +177,10 @@ def test_catalog_passes_at_tolerances_down_to_the_rounding_floor(cfg, ceiling):
     # at abs_tol=1e-300 with a budget of 10**7, so bisecting converged
     # panels again fails here
     assert sum(r.evals for r in report.records) <= ceiling
-    for rid in representation_ids():
-        res = eval_representation(rid, cfg)
-        assert res.converged, rid
-        assert abs(res.value - I_40) <= res.error_estimate, rid
+    for rep in REPRESENTATIONS:
+        res = eval_representation(rep.id, cfg)
+        assert res.converged, rep.id
+        assert abs(res.value - I_40) <= res.error_estimate, rep.id
 
 
 def test_r3_makes_no_adaptive_u_calls(monkeypatch):

@@ -128,6 +128,10 @@ def test_failures_say_why(monkeypatch):
         # tolerance, inf <= inf; the engine raises instead
         return quadrature.integrate(lambda x: 1e308, quadrature.Interval(0.0, 1.0), ctx), 1.0
 
+    def overflowing_total(ctx):
+        # two finite panels of 0.96e308 each, whose total overflows
+        return quadrature.integrate(lambda x: 0.8e308, quadrature.Interval(0.0, 2.4), ctx), 1.0
+
     specs = (
         CheckSpec("diverging", "raises ArithmeticError", "none", "match", 1.0, diverging),
         CheckSpec("broken", "raises TypeError", "none", "match", 1.0, broken),
@@ -138,6 +142,7 @@ def test_failures_say_why(monkeypatch):
         CheckSpec("nan-lhs", "NaN lhs", "none", "bound", 1.0, lambda ctx: (math.nan, 1.0)),
         CheckSpec("nan-rhs", "NaN rhs", "none", "bound", 1.0, lambda ctx: (0.5, math.nan)),
         CheckSpec("overflow", "an overflowing integral", "none", "match", None, overflowing),
+        CheckSpec("overflow-total", "an overflowing total", "none", "match", None, overflowing_total),
     )
     monkeypatch.setattr(verifier, "_CATALOG", specs)
     report = run_checks()
@@ -151,6 +156,7 @@ def test_failures_say_why(monkeypatch):
         ("no-converge", "the difference is NaN"),
         ("no-converge", "the difference is NaN"),
         ("no-converge", "the GK15 sums overflow on [0.0, 0.5]"),
+        ("no-converge", "the GK15 panels' total overflows"),
     ]
     assert math.isnan(report.records[1].lhs)
     # the runner sums the cost of the Estimate sides; a None tolerance is
