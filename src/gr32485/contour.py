@@ -27,12 +27,14 @@ over the engine's compact variable sigma in (0, 1], x = -1 + 1/sigma**2,
 and takes its nodes from the engine's compact map itself, whether the
 integrand decays exponentially or only algebraically along it, so no
 tail is discarded. A GK15 panel's nodes, z with sqrt(z + sqrt(z)) and
-the part's weights, sit in node tables keyed on the panel's nodes, one
-per delta and part, that last for a run of the check runner, so every
-contour integral at one delta reads its panels from one dyadic tree;
-elsewhere each call fills fresh ones. Each integral computes a panel's
-values in one comprehension over its node tuples, with its integrand
-written into it.
+the part's weights, sit in node tables, one per delta and part, that
+last for a run of the check runner, so every contour integral at one
+delta reads its panels from one dyadic tree; elsewhere each call fills
+fresh ones. A table is keyed on a panel's centre node. Each part starts
+from [0, 1] and only bisects, so its panels are dyadic subintervals, and
+the centre k/2^m, k odd, names one panel alone. Each integral computes a
+panel's values in one comprehension over its node tuples, with its
+integrand written into it.
 
 For S(t) = (1/(2 pi i)) int_H exp(t z) / sqrt(z + sqrt(z)) dz at larger t
 there is also a fixed-node rule, :func:`hankel_hyperbolic`: the trapezoid
@@ -119,11 +121,15 @@ def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureCo
         table = _node_table(name, delta)
 
         def at(xs: tuple) -> list:
-            if (entry := table.get(xs)) is None:
+            # a panel is keyed on its centre xs[0]; the single nodes of
+            # _panel's fallback, the centre among them, neither read nor
+            # write the table
+            whole = len(xs) == 15
+            if not whole or (entry := table.get(xs[0])) is None:
                 nodes = build(xs)
                 entry = tuple(filter(None, nodes)), [i for i, n in enumerate(nodes) if n is None]
-                if len(xs) == 15:  # a panel; the single nodes of _panel's fallback stay out
-                    table[xs] = entry
+                if whole:
+                    table[xs[0]] = entry
             nodes, guarded = entry
             f = values(nodes)
             for i in guarded:  # ascending, so each 0.0 lands at its node

@@ -48,8 +48,9 @@ __all__ = [
 # reports non-convergence
 MAX_TERMS = 500
 
-# outer terms of the double series handed to the acceleration
-_OUTER_TERMS = 48
+# outer terms of the double series handed to the acceleration: the
+# smallest n with 2/(3 + sqrt 8)^n <= 2^-60 (see double_series_I)
+_OUTER_TERMS = 24
 
 
 # absolute tail tolerance of every series sum
@@ -275,6 +276,15 @@ def double_series_I() -> Estimate:
     alternating sum is accelerated; plain partial sums would need ~1/eps
     terms. The acceleration needs positive outer coefficients, which a
     moment sequence has; computed ones that are not raise ArithmeticError.
+
+    For the moments a_k of a positive measure, Cohen, Rodriguez Villegas
+    and Zagier (2000, Exp. Math. 9:3, Prop. 1) bound the acceleration's
+    truncation after n terms by 2S/(3 + sqrt 8)^n, S the sum. n =
+    ``_OUTER_TERMS`` = 24 is the smallest n with 2/(3 + sqrt 8)^n <=
+    2^-60, so the truncation is below 8.5e-19 S, far under the inner sums'
+    errors. The error bar, |cvz(n) - cvz(n - 4)| plus twice the worst
+    inner sum's bound, does not derive from that bound; it is a check
+    that the accelerated value has settled.
     """
     inner = [inner_k_sum(n) for n in range(_OUTER_TERMS)]
     coeffs = [central_binomial_ratio(n) * r.value for n, r in enumerate(inner)]

@@ -18,14 +18,16 @@ def rep_values(rep_results):
 
 @pytest.fixture
 def built_panels(monkeypatch):
-    """The nodes, in xi or sigma, of every panel whose node tuples the
-    contour integrals build, in the order they are built."""
+    """(key, node count) of every entry the contour integrals write to a
+    node table, in the order they are written: a panel's centre, in xi or
+    sigma, and the node tuples plus guarded nodes its entry holds."""
     built = []
 
     class Recording(dict):
-        def __setitem__(self, xs, entry):
-            built.append(xs)
-            super().__setitem__(xs, entry)
+        def __setitem__(self, key, entry):
+            nodes, guarded = entry
+            built.append((key, len(nodes) + len(guarded)))
+            super().__setitem__(key, entry)
 
     monkeypatch.setattr(contour, "_node_table", _once(lambda name, delta: Recording()))
     return built

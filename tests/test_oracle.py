@@ -44,6 +44,23 @@ def test_carlson_rf_against_elliprf():
     assert worst <= 4.0
 
 
+def rj_far_above(y: float, z: float, p: float):
+    """R_J(0, y, z, p) for p far above y and z, as 3 R_F(0, y, z)/p -
+    3 pi/(2 p^(3/2)) to 30 digits, and the bound 6 sqrt((y + z)/2)/p^2 on
+    what that leaves out.
+
+    In R_J = (3/2) int_0^inf dt / ((t + p) sqrt(t (t + y) (t + z))), write
+    1/(t + p) = 1/p - t/(p (t + p)). The first part gives 3 R_F(0, y, z)/p
+    and the second, with sqrt((t + y)(t + z)) taken as t, -3 pi/(2 p^(3/2)).
+    As t <= sqrt((t + y)(t + z)) <= t + m, m = (y + z)/2, what that leaves
+    out lies between 0 and (3/(2p)) int_0^inf m dt / (sqrt(t) (t + p) (t + m))
+    <= (3 pi/2) sqrt(m)/p^2."""
+    with mpmath.workdps(30):
+        y, z, p = mpmath.mpf(y), mpmath.mpf(z), mpmath.mpf(p)
+        value = 3 * mpmath.elliprf(0, y, z) / p - 3 * mpmath.pi / (2 * p * mpmath.sqrt(p))
+        return value, 6 * mpmath.sqrt((y + z) / 2) / p**2
+
+
 def test_carlson_rj_against_elliprj():
     # seeded points, then p = 10**e far above the other arguments, where
     # duplication runs for up to about 500 steps
@@ -54,9 +71,25 @@ def test_carlson_rj_against_elliprj():
     points += [(0.0, 0.75e-150, 1e-150, 10.0**e * 1e-150) for e in (0, 50, 100)]
     worst = 0.0
     for x, y, z, p in points:
-        ref = mpmath.elliprj(x, y, z, p)
+        if x == 0.0 and p >= 1e20 * max(y, z):
+            # elliprj's cost grows with p / max(y, z); the expansion's
+            # remainder is below 1e-20 of R_J here
+            ref = rj_far_above(y, z, p)[0]
+        else:
+            ref = mpmath.elliprj(x, y, z, p)
         worst = max(worst, float(abs(carlson_rj(x, y, z, p) - ref) / ref) / sys.float_info.epsilon)
     assert worst <= 8.0
+
+
+def test_rj_expansion_against_elliprj():
+    # elliprj exceeds the expansion by at most its remainder bound, where
+    # test_carlson_rj_against_elliprj starts to use it
+    for e in range(20, 26):
+        p = 10.0**e
+        value, bound = rj_far_above(0.75, 1.0, p)
+        with mpmath.workdps(40):
+            remainder = mpmath.elliprj(0, 0.75, 1.0, p) - value
+        assert 0 <= remainder <= bound, e
 
 
 def test_carlson_rj_far_below_its_arguments():

@@ -160,10 +160,10 @@ def test_error_estimate_covers_true_error(rep_results, rid):
 @pytest.mark.parametrize(
     "cfg, ceiling",
     [
-        (QuadratureConfig(abs_tol=1e-13), 9_557),
-        (QuadratureConfig(abs_tol=1e-14), 15_377),
-        (QuadratureConfig(abs_tol=1e-15), 62_117),
-        (QuadratureConfig(abs_tol=1e-300, max_evals=10**7), 62_327),
+        (QuadratureConfig(abs_tol=1e-13), 7_997),
+        (QuadratureConfig(abs_tol=1e-14), 13_817),
+        (QuadratureConfig(abs_tol=1e-15), 60_557),
+        (QuadratureConfig(abs_tol=1e-300, max_evals=10**7), 60_767),
     ],
     ids=["1e-13", "1e-14", "1e-15", "1e-300"],
 )

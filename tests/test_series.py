@@ -367,10 +367,19 @@ def test_double_series_value():
 
 
 def test_double_series_evals_count_every_term():
-    # 48 outer terms plus every term of the inner k-sums under them
+    # 24 outer terms plus every term of the inner k-sums under them
     inner = sum(inner_k_sum(n).evals for n in range(series._OUTER_TERMS))
     assert double_series_I().evals == series._OUTER_TERMS + inner
-    assert inner > 2000
+    assert inner == 982
+
+
+def test_outer_terms_meet_the_acceleration_bound():
+    # Cohen, Rodriguez Villegas and Zagier's Prop. 1 bounds the truncation
+    # by 2S/(3 + sqrt 8)^N; N is the fewest outer terms that put it at or
+    # below 2^-60 S
+    n = series._OUTER_TERMS
+    rate = 3.0 + math.sqrt(8.0)
+    assert 2.0 / rate**n <= 2.0**-60 < 2.0 / rate ** (n - 1)
 
 
 def test_double_series_bracketed_by_partial_sums():

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -421,6 +422,40 @@ def test_node_tables_left_by_a_failed_check_stay_valid(monkeypatch, built_panels
     assert len(built_panels) == len(v5_panels) + len(v6_panels)
     assert v6_panels <= cold_panels
     assert cold_panels - v6_panels == cold_panels & v5_panels != set()
+
+
+def test_node_tables_key_each_panel_on_its_dyadic_centre(monkeypatch, built_panels):
+    # each part bisects [0, 1], so a key is a panel's centre k/2^m with k
+    # odd, which names the panel [(k - 1)/2^m, (k + 1)/2^m] alone; the
+    # entry under it holds that panel's 15 nodes, so no two panels alias
+    memos = []
+    execute = verifier._execute
+
+    def keeping(spec, cfg):
+        memos.append(_MEMO.get())
+        return execute(spec, cfg)
+
+    monkeypatch.setattr(verifier, "_execute", keeping)
+    assert run_checks().overall == "pass"
+    (memo,) = {id(m): m for m in memos}.values()
+    tables = [(args, table) for (fn, args, _), table in memo.items() if fn is contour._node_table.__wrapped__]
+    assert {delta for (_, delta), _ in tables} == {0.25, 0.5, 1.0}
+    keys = 0
+    for (name, delta), table in tables:
+        for key, (nodes, guarded) in table.items():
+            k, den = key.as_integer_ratio()
+            assert 0.0 < key < 1.0 and k % 2 == 1 and den & (den - 1) == 0, (name, delta, key)
+            _, xs = quadrature._nodes((k - 1) / den, (k + 1) / den)
+            assert xs[0] == key
+            if name == "contour arc":
+                zs = [delta * cmath.exp(contour._ARC * xi) for xi in xs]
+            else:
+                zs = [None if n is None else complex(-delta * n[0], delta) for n in quadrature._compact_nodes(-1.0, xs)]
+            assert [z for z, *_ in nodes] == [z for z in zs if z is not None], (name, delta, key)
+            assert guarded == [i for i, z in enumerate(zs) if z is None], (name, delta, key)
+            keys += 1
+    # every entry written is still there, once
+    assert keys == len(built_panels) > 0
 
 
 def test_resolvent_in_a_run_equals_a_fresh_call(monkeypatch):
