@@ -200,23 +200,29 @@ def _hyperbola_rule() -> tuple[tuple[complex, complex], ...]:
 
 
 _HYP_RULE = _hyperbola_rule()
-HYPERBOLIC_ERROR = 1e-13  # bound on |hankel_hyperbolic(t) - S(t)| for t >= 8
+# |hankel_hyperbolic(t) - S(t)| <= HYPERBOLIC_ERROR for 6 <= t <= 50: the
+# worst, 8.4e-14, lies near t = 6 against a 45-digit sum of the series
+# (tests/test_oracle.py); below 6 it grows, to 9.3e-14 on [5, 6) and
+# 1.07e-13 on [4, 5)
+HYPERBOLIC_ERROR = 1e-13
+_HYP_T_MIN = 1e-306  # below about 4.0e-307, mu = _HYP_MU_T / t overflows
 
 
 def hankel_hyperbolic(t: float) -> float:
-    """S(t) = (1/(2 pi i)) int exp(t z) / sqrt(z + sqrt(z)) dz for finite t > 0,
-    by the 2N+1-point trapezoid rule on the Weideman-Trefethen hyperbola.
+    """S(t) = (1/(2 pi i)) int exp(t z) / sqrt(z + sqrt(z)) dz for finite
+    t >= 1e-306, by the 2N+1-point trapezoid rule on the Weideman-Trefethen
+    hyperbola; smaller t, where mu overflows, raise ValueError.
 
     The rule evaluates the integrand at the N+1 nodes u_k = k h >= 0 (the
     others are their conjugates) and returns a plain float, like
     ``hankel_series``. Its nodes mu w_k lie on the positive axis (k = 0)
     or in the open upper half plane, so it takes sqrt(z + sqrt(z)) without
     ``nested_radical``'s cut checks. Its absolute error is below 1e-12 for
-    0.25 <= t <= 50 and below ``HYPERBOLIC_ERROR`` for t >= 8, where the
-    rounding of the terms, not the rule, sets it.
+    0.25 <= t <= 50 and below ``HYPERBOLIC_ERROR`` for 6 <= t <= 50, where
+    the rounding of the terms, not the rule, sets it.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"hankel_hyperbolic: t must be finite and > 0, got {t!r}")
+    if not _HYP_T_MIN <= t < math.inf:
+        raise ValueError(f"hankel_hyperbolic: t must be finite and >= {_HYP_T_MIN}, got {t!r}")
     mu = _HYP_MU_T / t
     sqrt = cmath.sqrt
     total = 0j

@@ -193,7 +193,6 @@ def _eval_r2(cfg: QuadratureConfig) -> Estimate:
     return double_series_I()
 
 
-_R3_SWITCH_T = 8.0  # Hankel sum up to here, hyperbolic contour rule above
 _R3_SPLIT_T = 6.0  # the low piece ends here, the upper piece begins
 _R3_CUTOFF_T = 50.0
 
@@ -201,24 +200,23 @@ _R3_CUTOFF_T = 50.0
 def _eval_r3(cfg: QuadratureConfig) -> Estimate:
     """int_0^inf S(t) U(t) exp(-t) dt, in two pieces, both at cfg.
 
-    S(t) comes from ``hankel_series`` for t <= 8, where the alternating
-    sum is accurate to its 1e-13 tail tolerance, and from the fixed-node
-    rule ``hankel_hyperbolic`` for 8 < t <= 50, where the sum's terms
-    reach exp(t)/(2 pi t) and it loses its digits to cancellation. U(t)
-    comes from the fixed Gauss-Legendre rule of ``u_value``, so the only
-    adaptive quadrature is the outer one, split at t = 6: [0, 6] in the
-    engine's s = sqrt(t), and [6, 50] in w = 6/t, dt = (t^2/6) dw, over
-    [6/50, 1], where two panels suffice. At the default abs_tol each
-    piece takes 30 evaluations; split at t = 8 the two take 120.
+    The low piece, t in [0, 6], takes S(t) from the alternating sum
+    ``hankel_series`` and is integrated in the engine's s = sqrt(t). The
+    upper piece, t in [6, 50], where the sum's terms reach exp(t)/(2 pi t)
+    and cancel, takes S(t) from the fixed-node rule ``hankel_hyperbolic``
+    and is integrated in w = 6/t, dt = (t^2/6) dw, over [6/50, 1], where
+    two panels suffice. U(t) comes from the fixed Gauss-Legendre rule of
+    ``u_value``, so the only adaptive quadrature is the outer one; at the
+    default abs_tol each piece takes 30 evaluations. Each t meets one
+    kernel for S(t), so S(t)'s error is charged once, at the larger bound.
     """
 
     def f(t: float) -> float:
-        s = hankel_series(t) if t <= _R3_SWITCH_T else hankel_hyperbolic(t)
-        return s * u_value(t) * math.exp(-t)
+        return hankel_series(t) * u_value(t) * math.exp(-t)
 
     def upper(w: float) -> float:
         t = _R3_SPLIT_T / w
-        return f(t) * (t * t / _R3_SPLIT_T)
+        return hankel_hyperbolic(t) * u_value(t) * math.exp(-t) * (t * t / _R3_SPLIT_T)
 
     low = integrate(f, Interval(0.0, _R3_SPLIT_T, singular_lower=True), cfg)
     high = integrate(upper, Interval(_R3_SPLIT_T / _R3_CUTOFF_T, 1.0), cfg)
@@ -228,7 +226,7 @@ def _eval_r3(cfg: QuadratureConfig) -> Estimate:
     # part 4 eps |S| of hankel_series' bound), the rule's error in U(t) at
     # most sqrt(pi) U_RULE_ERROR, and the discarded tail exp(-T)/sqrt(T).
     tail = math.exp(-_R3_CUTOFF_T) / math.sqrt(_R3_CUTOFF_T)
-    s_err = TAIL_TOL + 4.0 * _EPS * math.sqrt(math.pi) + HYPERBOLIC_ERROR * math.exp(-_R3_SWITCH_T)
+    s_err = max(TAIL_TOL, HYPERBOLIC_ERROR) + 4.0 * _EPS * math.sqrt(math.pi)
     u_err = math.sqrt(math.pi) * U_RULE_ERROR
     return _linear(((1.0, low), (1.0, high)), extra_err=s_err + u_err + tail)
 

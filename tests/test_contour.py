@@ -415,9 +415,13 @@ def test_hyperbolic_matches_exp_integral(t):
 
 
 def test_hyperbolic_requires_positive_t():
-    for t in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
+    # below about 4.0e-307 mu = 71.87/t overflows and the rule would return
+    # NaN, so t below 1e-306 is rejected; at 1e-306 the rule is within
+    # 5e-13 relative of S's leading term 1/sqrt(pi t)
+    for t in (0.0, -1.0, math.nan, 5e-324, 1e-307, math.nextafter(1e-306, 0.0)):
+        with pytest.raises(ValueError, match="t must be finite and >= 1e-306"):
             hankel_hyperbolic(t)
+    assert hankel_hyperbolic(1e-306) == pytest.approx(1.0 / math.sqrt(math.pi * 1e-306), rel=1e-12)
 
 
 def test_hyperbola_nodes_lie_off_the_cut():

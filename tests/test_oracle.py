@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gr32485.contour import hankel_exp_integral, hankel_hyperbolic
+from gr32485.contour import HYPERBOLIC_ERROR, hankel_exp_integral, hankel_hyperbolic
 from gr32485.elliptic import carlson_rf, carlson_rj, complete_Pi
 from gr32485.quadrature import integrate
 from gr32485.representations import (
@@ -185,22 +185,42 @@ def test_u_quadrature_within_its_claim(t):
 
 
 def hankel_sum_reference(t: float):
-    """S(t) by its series at 50 digits; for t <= 1e-4 the terms fall like t^(n/2)."""
-    with mpmath.workdps(50):
-        t, half = mpmath.mpf(t), mpmath.mpf(1) / 2
-        return sum(
-            (-1) ** n * mpmath.binomial(2 * n, n) / 4**n * t ** ((n - 1) * half) / mpmath.gamma((n + 1) * half)
-            for n in range(40)
-        )
+    """S(t) by its series at 45 digits, for 0 < t <= 50.
+
+    The terms a_n = (-1)^n binom(2n, n)/4^n t^((n-1)/2) / Gamma((n+1)/2)
+    start from a_0 = 1/sqrt(pi t) and a_1 = -1/2, and each parity recurs
+    by a rational factor, a_(n+2) = a_n (2n+1)(2n+3) t / ((n+1)^2 (2n+4)).
+    They peak near exp(t)/(2 pi t), about 1.6e19 at t = 50, so 45 digits
+    leave the sum good to about 1e-26 there."""
+    with mpmath.workdps(45):
+        t = mpmath.mpf(t)
+        even, odd = 1 / mpmath.sqrt(mpmath.pi * t), mpmath.mpf(-1) / 2
+        total, n = even + odd, 0
+        # each parity's ratio is below 2t/(n+2), so past n = 2t the terms fall
+        while n <= 2 * t or abs(even) + abs(odd) >= mpmath.mpf(10) ** -45:
+            even *= t * ((2 * n + 1) * (2 * n + 3)) / ((n + 1) ** 2 * (2 * n + 4))
+            odd *= t * ((2 * n + 3) * (2 * n + 5)) / ((n + 2) ** 2 * (2 * n + 6))
+            total += even + odd
+            n += 2
+        return total
 
 
-@pytest.mark.parametrize("t", [1e-9, 1e-6, 6e-6, 1e-4])
+@pytest.mark.parametrize("t", [1e-9, 1e-6, 6e-6, 1e-4, 0.084375, 0.75, 1.209375, 2.0, 3.5, 5.0, 6.0])
 def test_hankel_series_near_zero_within_its_bound(t):
     # below t ~ 2.5e-5 the first term's roundoff floor alone passes
-    # TAIL_TOL, and the bound is 4 eps |S|
+    # TAIL_TOL, and the bound is 4 eps |S|; 0.084375 and 1.209375 come
+    # closest to it over 640 points of (0, 6], at 0.81 and 0.77 of it
     ref = hankel_sum_reference(t)
     bound = max(TAIL_TOL, 4.0 * sys.float_info.epsilon * float(abs(ref)))
     assert float(abs(hankel_series(t) - ref)) <= bound
+
+
+def test_hyperbolic_within_its_bound():
+    # the upper piece of R3 takes S(t) from the rule on [6, 50]; its error
+    # is largest near t = 6 (8.4e-14 at 6.1), so the grid is finest there
+    grid = [6.0 + k / 40 for k in range(80)] + [8.0 + k for k in range(43)]
+    worst = max(float(abs(hankel_hyperbolic(t) - hankel_sum_reference(t))) for t in grid)
+    assert worst <= HYPERBOLIC_ERROR
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])

@@ -200,7 +200,8 @@ def test_r3_makes_no_adaptive_u_calls(monkeypatch):
 
 def test_r3_upper_piece_in_w_equals_its_t_form(monkeypatch):
     # R3 integrates its upper piece in w = 6/t over [6/50, 1]: two panels,
-    # where the same integral in t over [6, 50] takes eight
+    # where the same integral in t over [6, 50] takes eight. Each piece
+    # takes S(t) from one kernel: the sum on [0, 6], the rule on [6, 50]
     pieces = []
     engine = representations.integrate
 
@@ -209,15 +210,28 @@ def test_r3_upper_piece_in_w_equals_its_t_form(monkeypatch):
         pieces.append((iv, cfg, res))
         return res
 
+    def recording_kernel(name):
+        kernel, ts = getattr(representations, name), []
+
+        def call(t):
+            ts.append(t)
+            return kernel(t)
+
+        monkeypatch.setattr(representations, name, call)
+        return ts
+
     monkeypatch.setattr(representations, "integrate", recording)
+    series_ts = recording_kernel("hankel_series")
+    rule_ts = recording_kernel("hankel_hyperbolic")
     assert eval_representation("R3").evals == 60
     (_, _, low), (iv, cfg, upper) = pieces
     assert iv == Interval(6.0 / 50.0, 1.0)
     assert low.evals == upper.evals == 30
+    assert len(series_ts) == len(rule_ts) == 30
+    assert max(series_ts) <= representations._R3_SPLIT_T <= min(rule_ts)
 
     def in_t_integrand(t):
-        s = series.hankel_series(t) if t <= 8.0 else hankel_hyperbolic(t)
-        return s * u_value(t) * math.exp(-t)
+        return hankel_hyperbolic(t) * u_value(t) * math.exp(-t)
 
     in_t = integrate(in_t_integrand, Interval(6.0, 50.0), cfg)
     assert in_t.evals == 120
