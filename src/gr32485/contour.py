@@ -26,15 +26,15 @@ as real functions, and count its error estimate twice. The ray runs
 over the engine's compact variable sigma in (0, 1], x = -1 + 1/sigma**2,
 and takes its nodes from the engine's compact map itself, whether the
 integrand decays exponentially or only algebraically along it, so no
-tail is discarded. A GK15 panel's nodes, z with sqrt(z + sqrt(z)) and
-the part's weights, sit in node tables, one per delta and part, that
-last for a run of the check runner, so every contour integral at one
-delta reads its panels from one dyadic tree; elsewhere each call fills
-fresh ones. A table is keyed on a panel's centre node. Each part starts
-from [0, 1] and only bisects, so its panels are dyadic subintervals, and
-the centre k/2^m, k odd, names one panel alone. Each integral computes a
-panel's values in one comprehension over its node tuples, with its
-integrand written into it.
+tail is discarded. A GK15 panel's nodes, each z with one weight that
+folds in 1/sqrt(z + sqrt(z)) and the part's Jacobian, sit in node
+tables, one per delta and part, that last for a run of the check
+runner, so every contour integral at one delta reads its panels from
+one dyadic tree; elsewhere each call fills fresh ones. A table is keyed
+on a panel's centre node. Each part starts from [0, 1] and only bisects,
+so its panels are dyadic subintervals, and the centre k/2^m, k odd,
+names one panel alone. Each integral computes a panel's values in one
+comprehension over its node pairs, with its integrand written into it.
 
 For S(t) = (1/(2 pi i)) int_H exp(t z) / sqrt(z + sqrt(z)) dz at larger t
 there is also a fixed-node rule, :func:`hankel_hyperbolic`: the trapezoid
@@ -65,8 +65,10 @@ __all__ = [
 
 def principal_sqrt(z: complex) -> complex:
     """Principal square root on the cut plane; the closed negative real
-    axis (including 0) is a domain error."""
+    axis (including 0) and a z with a non-finite part are domain errors."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"principal_sqrt: z must be finite, got {z!r}")
     if z == 0 or (z.real < 0.0 and z.imag == 0.0):
         raise ValueError(f"principal_sqrt: {z!r} lies on the branch cut")
     return cmath.sqrt(z)
@@ -75,7 +77,8 @@ def principal_sqrt(z: complex) -> complex:
 def nested_radical(z: complex) -> complex:
     """sqrt(z + sqrt(z)) with principal branches; well defined on all of
     Omega because z + sqrt(z) never meets the cut there. Both square
-    roots reject the cut as :func:`principal_sqrt` does."""
+    roots reject the cut and non-finite input as :func:`principal_sqrt`
+    does."""
     return principal_sqrt(z + principal_sqrt(z))
 
 
@@ -89,52 +92,49 @@ def _node_table(name: str, delta: float) -> dict:
     return {}  # a part's node table: kept for a run, fresh elsewhere
 
 
-def _upper_half(values: Callable[[tuple], list], delta: float, cfg: QuadratureConfig) -> Estimate:
-    """(1/(2 pi i)) int_H g(z, sqrt(z + sqrt(z))) dz on the contour at distance
-    ``delta``, as Im of the upper half's integral over pi, its error counted
-    twice.
+def _upper_half(values: Callable[[list], list], delta: float, cfg: QuadratureConfig) -> Estimate:
+    """(1/(2 pi i)) int_H g(z) / sqrt(z + sqrt(z)) dz on the contour at
+    distance ``delta``, as Im of the upper half's integral over pi, its
+    error counted twice.
 
-    ``values(nodes)`` returns 2 Im(g(z, r) * w) / d for each node tuple
-    (z, r, w, d), r = sqrt(z + sqrt(z)), in one comprehension with g
-    written into it, so no Python call is made per node. (w, d) are the
-    part's weights: (-delta, sigma**3) on the ray, from the engine's
-    compact map, and (gamma'(xi), 2) on the arc, where the value is
-    exactly Im(g gamma'). A panel's node tuples come from its part's table
-    of whole panels; a ray node the compact map guards gives 0.0."""
+    ``values(nodes)`` returns Im(g(z) * q) for each node pair (z, q), in one
+    comprehension with g written into it, so no Python call is made per
+    node. The weight q folds in all that does not depend on g:
+    q = gamma'(xi) / sqrt(z + sqrt(z)) on the arc, and on the ray
+    q = -2 delta / (sqrt(z + sqrt(z)) sigma**3), gamma' = -delta times the
+    engine's compact map's 2 / sigma**3. A ray node the compact map guards
+    is (0j, 0j), where g is finite, so it gives +0.0 in the same pass. A
+    panel's node pairs come from its part's table of whole panels."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError("delta must be a positive finite number")
     exp, sqrt = cmath.exp, cmath.sqrt
+    arc = delta * _ARC
 
-    # a panel's node tuples in one pass; they lie in the upper half plane,
+    # a panel's node pairs in one pass; they lie in the upper half plane,
     # where sqrt(z + sqrt(z)) needs no cut checks
     def arc_nodes(xis: tuple) -> list:
-        return [(z := delta * (w := exp(_ARC * xi)), sqrt(z + sqrt(z)), delta * _ARC * w, 2.0) for xi in xis]
+        return [(z := delta * (w := exp(_ARC * xi)), arc * w / sqrt(z + sqrt(z))) for xi in xis]
 
     def ray_nodes(sigmas: tuple) -> list:
         return [
-            None if n is None else (z := complex(-delta * n[0], delta), sqrt(z + sqrt(z)), -delta, n[1])
+            (0j, 0j) if n is None else (z := complex(-delta * n[0], delta), -2.0 * delta / (sqrt(z + sqrt(z)) * n[1]))
             for n in _compact_nodes(-1.0, sigmas)
         ]
 
     def part(name: str, build: Callable) -> Estimate:
-        # an entry depends on (delta, nodes) alone, so a partial fill stays valid
+        # an entry depends on (delta, panel) alone, so a partial fill stays valid
         table = _node_table(name, delta)
 
         def at(xs: tuple) -> list:
-            # a panel is keyed on its centre xs[0]; the single nodes of
-            # _panel's fallback, the centre among them, neither read nor
-            # write the table
-            whole = len(xs) == 15
-            if not whole or (entry := table.get(xs[0])) is None:
-                nodes = build(xs)
-                entry = tuple(filter(None, nodes)), [i for i, n in enumerate(nodes) if n is None]
-                if whole:
-                    table[xs[0]] = entry
-            nodes, guarded = entry
-            f = values(nodes)
-            for i in guarded:  # ascending, so each 0.0 lands at its node
-                f.insert(i, 0.0)
-            return f
+            # a panel is keyed on its centre xs[0], and a new entry is read
+            # back from its table, so its first use sees what later ones do;
+            # the single nodes of _panel's fallback, the centre among them,
+            # neither read nor write the table
+            if len(xs) != 15:
+                return values(build(xs))
+            if xs[0] not in table:
+                table[xs[0]] = build(xs)
+            return values(table[xs[0]])
 
         return _adaptive([(at, 0.0, 1.0)], cfg)
 
@@ -158,7 +158,7 @@ def hankel_exp_integral(
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_exp_integral: t must be finite and > 0, got {t!r}")
     exp = cmath.exp
-    return _upper_half(lambda nodes: [2.0 * (exp(t * z) / r * w).imag / d for z, r, w, d in nodes], delta, cfg)
+    return _upper_half(lambda nodes: [(exp(t * z) * q).imag for z, q in nodes], delta, cfg)
 
 
 def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Estimate:
@@ -171,9 +171,7 @@ def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFI
     """
     if not 0.0 <= c < math.inf:
         raise ValueError(f"hankel_resolvent_integral: c must be finite and >= 0, got {c!r}")
-    return _upper_half(
-        lambda nodes: [2.0 * (1.0 / (r * (1.0 - z + c)) * w).imag / d for z, r, w, d in nodes], _DELTA, cfg
-    )
+    return _upper_half(lambda nodes: [(q / (1.0 + c - z)).imag for z, q in nodes], _DELTA, cfg)
 
 
 # Weideman-Trefethen hyperbola z(u) = mu * (1 + sin(i u - alpha)) with

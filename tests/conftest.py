@@ -20,14 +20,14 @@ def rep_values(rep_results):
 def built_panels(monkeypatch):
     """(key, node count) of every entry the contour integrals write to a
     node table, in the order they are written: a panel's centre, in xi or
-    sigma, and the node tuples plus guarded nodes its entry holds."""
+    sigma, and the (z, q) node pairs its entry holds, guarded ray nodes
+    included."""
     built = []
 
     class Recording(dict):
-        def __setitem__(self, key, entry):
-            nodes, guarded = entry
-            built.append((key, len(nodes) + len(guarded)))
-            super().__setitem__(key, entry)
+        def __setitem__(self, key, nodes):
+            built.append((key, len(nodes)))
+            super().__setitem__(key, nodes)
 
     monkeypatch.setattr(contour, "_node_table", _once(lambda name, delta: Recording()))
     return built

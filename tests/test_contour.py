@@ -66,18 +66,59 @@ def test_nested_radical_cut_error():
         assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize(
+    "z",
+    [complex(bad, 1.0) for bad in (math.nan, math.inf, -math.inf)]
+    + [complex(1.0, bad) for bad in (math.nan, math.inf, -math.inf)]
+    + [math.nan, math.inf, -math.inf],
+    ids=repr,
+)
+def test_non_finite_input_is_a_domain_error(z):
+    # like every other public kernel, the square roots reject NaN and +-inf
+    # in either part and name the argument; nested_radical raises the
+    # principal_sqrt composition's error
+    with pytest.raises(ValueError, match=r"^principal_sqrt: z must be finite, got ") as expected:
+        principal_sqrt(z)
+    with pytest.raises(ValueError) as got:
+        nested_radical(z)
+    assert str(got.value) == str(expected.value)
+
+
 def _bits(w: complex) -> tuple[str, str]:
     return w.real.hex(), w.imag.hex()
 
 
-def _table_nodes(memo, delta):
-    """Every node in the contour node tables at delta of a run memo."""
+def _table_entries(memo, delta):
+    """(part, delta, centre, node pairs) of every entry in the contour node
+    tables at delta of a run memo."""
     token = _MEMO.set(memo)
     try:
-        tables = [contour._node_table(name, delta) for name in ("contour arc", "contour ray")]
+        tables = [(name, contour._node_table(name, delta)) for name in ("contour arc", "contour ray")]
     finally:
         _MEMO.reset(token)
-    return [node for table in tables for nodes, _ in table.values() for node in nodes]
+    return [(name, delta, key, nodes) for name, table in tables for key, nodes in table.items()]
+
+
+def _dyadic_nodes(key):
+    """The 15 nodes, as _panel takes them, of the dyadic panel centred on key."""
+    k, den = key.as_integer_ratio()
+    return quadrature._nodes((k - 1) / den, (k + 1) / den)[1]
+
+
+def _weighted_nodes(part, delta, xs):
+    """(z, q) at each node of xs, each weight from its formula with
+    nested_radical: delta (i pi/2) e^{i pi xi/2} / sqrt(z + sqrt(z)) on the
+    arc, -2 delta / (sqrt(z + sqrt(z)) sigma**3) on the ray, and (0j, 0j)
+    where the engine's compact map guards sigma."""
+    if part == "contour arc":
+        return [
+            (z := delta * (w := cmath.exp(contour._ARC * xi)), delta * contour._ARC * w / nested_radical(z))
+            for xi in xs
+        ]
+    return [
+        (0j, 0j) if n is None else (z := complex(-delta * n[0], delta), -2.0 * delta / (nested_radical(z) * n[1]))
+        for n in quadrature._compact_nodes(-1.0, xs)
+    ]
 
 
 def test_nested_radical_is_the_principal_sqrt_composition():
@@ -87,9 +128,10 @@ def test_nested_radical_is_the_principal_sqrt_composition():
     points += [complex(rng.uniform(0.0, 8.0), z) for z in (0.0, -0.0) for _ in range(20)]
     for z in points:
         assert _bits(nested_radical(z)) == _bits(principal_sqrt(z + principal_sqrt(z))), z
-    # every node the contour integrals evaluate lies in the open upper half
-    # plane, and the radical its table holds is the principal composition
-    nodes = []
+    # every node the contour integrals evaluate but a guarded (0j, 0j) lies
+    # in the open upper half plane, and each weight its table holds is its
+    # formula with the principal composition
+    entries = []
     for integral, delta in (
         (lambda: hankel_exp_integral(1.0), 0.5),
         (lambda: hankel_exp_integral(2.0, 0.25), 0.25),
@@ -101,11 +143,15 @@ def test_nested_radical_is_the_principal_sqrt_composition():
             integral()
         finally:
             _MEMO.reset(token)
-        nodes += _table_nodes(memo, delta)
-    assert len(nodes) > 500
-    for z, r, *_ in nodes:
-        assert z.imag > 0.0, z
-        assert _bits(r) == _bits(nested_radical(z)) == _bits(principal_sqrt(z + principal_sqrt(z))), z
+        entries += _table_entries(memo, delta)
+    assert sum(len(nodes) for *_, nodes in entries) > 500
+    for part, delta, key, nodes in entries:
+        want = _weighted_nodes(part, delta, _dyadic_nodes(key))
+        assert [(_bits(z), _bits(q)) for z, q in nodes] == [(_bits(z), _bits(q)) for z, q in want], (part, key)
+        for z, _ in nodes:
+            if z != 0j:
+                assert z.imag > 0.0, z
+                assert _bits(nested_radical(z)) == _bits(principal_sqrt(z + principal_sqrt(z))), z
 
 
 def test_integrand_overflow_names_the_node():
@@ -124,8 +170,8 @@ def test_calls_outside_a_run_fill_fresh_node_tables(built_panels):
 
 
 def _values(g):
-    """The panel values _upper_half takes, for a per-node integrand g(z, r)."""
-    return lambda nodes: [2.0 * (g(z, r) * w).imag / d for z, r, w, d in nodes]
+    """The panel values _upper_half takes, for a per-node integrand g(z)."""
+    return lambda nodes: [(g(z) * q).imag for z, q in nodes]
 
 
 def _capture_pieces(monkeypatch, g, delta):
@@ -179,10 +225,10 @@ def _dyadic_panels(rng, count):
 
 
 def test_arc_panel_values_are_the_per_node_form(monkeypatch):
-    # a panel's 15 values equal Im(g(z, sqrt(z + sqrt(z))) gamma'(xi)) at
-    # its nodes, bit for bit, with gamma(xi) = delta exp(i pi xi / 2)
-    def g(z, r):
-        return cmath.exp(2.0 * z) / r
+    # a panel's 15 values equal Im(g(z) q) at its nodes, bit for bit, with
+    # q = gamma'(xi) / sqrt(z + sqrt(z)) and gamma(xi) = delta exp(i pi xi / 2)
+    def g(z):
+        return cmath.exp(2.0 * z)
 
     for delta in (0.25, 0.5, 1.0):
         arc, _ = _capture_pieces(monkeypatch, g, delta)
@@ -190,7 +236,7 @@ def test_arc_panel_values_are_the_per_node_form(monkeypatch):
         def per_node(xi, delta=delta):
             w = cmath.exp(contour._ARC * xi)
             z = delta * w
-            return (g(z, nested_radical(z)) * (delta * contour._ARC * w)).imag
+            return (g(z) * (delta * contour._ARC * w / nested_radical(z))).imag
 
         for a, b in _dyadic_panels(random.Random(20181020), 60):
             values, result = _panel_values(monkeypatch, arc, a, b)
@@ -201,24 +247,29 @@ def test_arc_panel_values_are_the_per_node_form(monkeypatch):
 
 def test_ray_sigma_map_is_the_engines_compact_map(monkeypatch):
     # the ray is integrated over sigma in (0, 1] with x = -1 + 1/sigma**2:
-    # a panel's values equal, bit for bit, the engine's compact map of the
-    # integrand in x, tiny-sigma guard and 2 f / sigma**3 order included
+    # a panel's nodes and its tiny-sigma guard are the engine's compact map
+    # of the integrand in x, and its values equal, bit for bit,
+    # Im(g(z) q) with q = -2 delta / (sqrt(z + sqrt(z)) sigma**3) at each
+    # node the map keeps and +0.0 at each node it guards
     delta = 0.5
     seen = []
 
-    def g(z, r):
+    def g(z):
         seen.append(z)
-        return cmath.exp(z) / r
+        return cmath.exp(z)
 
     _, ray = _capture_pieces(monkeypatch, g, delta)
     xs = []
 
     def in_x(x):
         xs.append(x)
-        z = complex(-delta * x, delta)
-        return (g(z, nested_radical(z)) * -delta).imag
+        return 1.0
 
     ((reference, *_),) = quadrature._pieces(in_x, Interval(0.0, math.inf))
+
+    def per_node(nodes):
+        return [(g(z) * q).imag for z, q in _weighted_nodes("contour ray", delta, nodes)]
+
     # past about sigma = 1.6e-108 sigma**3 underflows to 0: the first two
     # tiny panels straddle that guard, the third lies wholly past it
     tiny = [(0.0, 2.0**-355), (2.0**-359, 2.0**-358), (0.0, 2.0**-400)]
@@ -229,15 +280,32 @@ def test_ray_sigma_map_is_the_engines_compact_map(monkeypatch):
         ray_z = list(seen)
         xs.clear()
         sigmas = _abscissae(a, b)
-        assert [v.hex() for v in values] == [reference((s,))[0].hex() for s in sigmas], (a, b)
-        # g ran at the nodes the reference evaluates, and at no guarded node
-        assert ray_z == [complex(-delta * x, delta) for x in xs], (a, b)
+        reference(sigmas)
+        assert [v.hex() for v in values] == [v.hex() for v in per_node(sigmas)], (a, b)
+        # g ran at the nodes the reference evaluates, and at z = 0 at each
+        # node it guards, where the value is +0.0
+        assert [z for z in ray_z if z != 0j] == [complex(-delta * x, delta) for x in xs], (a, b)
+        assert [z == 0j for z in ray_z] == [s * s * s == 0.0 for s in sigmas], (a, b)
+        assert all(v.hex() == "0x0.0p+0" for v, z in zip(values, ray_z) if z == 0j), (a, b)
         seen.clear()
-        assert [v.hex() for v in result] == [v.hex() for v in quadrature._panel(reference, a, b)]
+        assert [v.hex() for v in result] == [v.hex() for v in quadrature._panel(per_node, a, b)]
         guarded += sum(s * s * s == 0.0 for s in sigmas)
     assert guarded == 3 + 8 + 15
     seen.clear()
-    assert ray[0]((1e-200,)) == [0.0] and seen == []
+    assert [v.hex() for v in ray[0]((1e-200,))] == ["0x0.0p+0"] and seen == [0j]
+    # both integrands are finite at z = 0, so their guarded nodes give +0.0
+    handed = []
+
+    def capturing(pieces, cfg):
+        handed.append(pieces)
+        return quadrature._adaptive(pieces, cfg)
+
+    monkeypatch.setattr(contour, "_adaptive", capturing)
+    hankel_exp_integral(2.0)
+    hankel_resolvent_integral(1.0)
+    assert len(handed) == 4
+    for ((values, *_),) in handed[1::2]:
+        assert [v.hex() for v in values(_abscissae(0.0, 2.0**-400))] == ["0x0.0p+0"] * 15
 
 
 def _node_of(panel_index, delta, part, panel):
@@ -259,37 +327,37 @@ def test_contour_panel_failures_name_the_node(part, built_panels):
     for panel in ((0.0, 0.5), (0.5, 1.0)):
         s, bad = _node_of(5, delta, part, panel)
         with pytest.raises(IntegrandError) as info:
-            contour._upper_half(_values(lambda z, r: 1.0 / ((z - bad) * r)), delta, QuadratureConfig())
+            contour._upper_half(_values(lambda z: 1.0 / (z - bad)), delta, QuadratureConfig())
         assert str(info.value) == f"integrand division by zero at node {s!r}"
         with pytest.raises(IntegrandError) as info:
-            contour._upper_half(_values(lambda z, r: cmath.infj if z == bad else 1.0 / r), delta, QuadratureConfig())
+            contour._upper_half(_values(lambda z: cmath.infj if z == bad else 1.0), delta, QuadratureConfig())
         assert str(info.value) == f"non-finite integrand value at node {s!r}"
     assert built_panels and all(count == 15 for _, count in built_panels)
 
 
 _EXP_PINS = {
-    (0.5, 0.5): ("0x1.f75c3c400acb2p-2", "0x1.afd6c8c89943bp-48", 270),
-    (1.0, 0.5): ("0x1.353764c58bd01p-2", "0x1.d4b47349f05bbp-48", 210),
+    (0.5, 0.5): ("0x1.f75c3c400acb2p-2", "0x1.afd6c8c8e597ap-48", 270),
+    (1.0, 0.5): ("0x1.353764c58bd01p-2", "0x1.d4b4455983568p-48", 210),
     (2.0, 0.5): ("0x1.740d0daf752d0p-3", "0x1.f4fccbf10b9dbp-49", 210),
-    (5.0, 0.5): ("0x1.738d1e02f22cep-4", "0x1.a6ff62592e7c5p-45", 210),
-    (1.0, 0.25): ("0x1.353764c58bcffp-2", "0x1.07e0fc7bf7bf0p-48", 270),
-    (1.0, 1.0): ("0x1.353764c58bd01p-2", "0x1.639e1f1f76d60p-48", 210),
-    (2.0, 0.25): ("0x1.740d0daf752d1p-3", "0x1.420a9b9c39007p-48", 210),
-    (2.0, 1.0): ("0x1.740d0daf752cfp-3", "0x1.2ea4088ada648p-46", 180),
+    (5.0, 0.5): ("0x1.738d1e02f22cep-4", "0x1.a6ff856d1190ep-45", 210),
+    (1.0, 0.25): ("0x1.353764c58bd00p-2", "0x1.07e0ffe963990p-48", 270),
+    (1.0, 1.0): ("0x1.353764c58bd00p-2", "0x1.639e1cddb166ep-48", 210),
+    (2.0, 0.25): ("0x1.740d0daf752d1p-3", "0x1.420a636129038p-48", 210),
+    (2.0, 1.0): ("0x1.740d0daf752cdp-3", "0x1.2ea4088ada648p-46", 180),
 }
 
 # the resolvent at the offsets c = (16/3) u^2 (1-u)^2, u = j/19, j = 0..9
 _RESOLVENT_PINS = (
     ("0x1.6a09e667f3bcdp-1", "0x1.1ad7bc01366b8p-47", 120),
-    ("0x1.6840f6343ec98p-1", "0x1.1972c058d10d7p-47", 120),
+    ("0x1.6840f6343ec99p-1", "0x1.1972c058d10d7p-47", 120),
     ("0x1.63ce28f8acd6dp-1", "0x1.15f910024707cp-47", 120),
     ("0x1.5df727df91935p-1", "0x1.11691726a9bb2p-47", 120),
-    ("0x1.57c03d72b4cb3p-1", "0x1.0c8e30019d3ebp-47", 150),
+    ("0x1.57c03d72b4cb2p-1", "0x1.0c8e30019d3ebp-47", 150),
     ("0x1.51e177da3efe2p-1", "0x1.07f825a281369p-47", 120),
     ("0x1.4cd22cea2aa93p-1", "0x1.04043316f1543p-47", 120),
     ("0x1.48dab41be590fp-1", "0x1.00eadcb5cb594p-47", 120),
-    ("0x1.462445708925cp-1", "0x1.fd98ac7fd64afp-48", 120),
-    ("0x1.44c47d3dc32f2p-1", "0x1.58dc31a38a5fep-42", 90),
+    ("0x1.462445708925ap-1", "0x1.fd98ac7fd64aep-48", 120),
+    ("0x1.44c47d3dc32f2p-1", "0x1.58dc31a38a5ffp-42", 90),
 )
 
 # Bits of the contour checks' integrals (V5's and V8's (t, delta) pairs,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gr32485.contour import HYPERBOLIC_ERROR, hankel_exp_integral, hankel_hyperbolic
+from gr32485.contour import HYPERBOLIC_ERROR, hankel_exp_integral, hankel_hyperbolic, hankel_resolvent_integral
 from gr32485.elliptic import carlson_rf, carlson_rj, complete_Pi
 from gr32485.quadrature import integrate
 from gr32485.representations import (
@@ -228,6 +228,20 @@ def test_hyperbolic_within_its_bound():
 def test_exp_integral_within_its_claim(delta, t):
     res = hankel_exp_integral(t, delta)
     assert abs(res.value - s_reference(t)) <= res.error_estimate
+
+
+def test_resolvent_within_its_claim():
+    # the 20-point u grid, V6's 10 offsets c = (16/3) u^2 (1-u)^2 among
+    # them, against the residue 1/sqrt((1+c) + sqrt(1+c)) to 30 digits
+    for j in range(20):
+        u = j / 19.0
+        c = 16.0 / 3.0 * u * u * (1.0 - u) ** 2
+        res = hankel_resolvent_integral(c)
+        with mpmath.workdps(30):
+            a = 1 + mpmath.mpf(c)
+            error = abs(mpmath.mpf(res.value) - 1 / mpmath.sqrt(a + mpmath.sqrt(a)))
+        assert res.converged, j
+        assert error <= res.error_estimate, j
 
 
 def _x_form(weight, lower, upper):

@@ -454,10 +454,11 @@ def test_panel_division_by_zero_names_the_node():
 
 
 def _slow(nodes):
-    """Contour values of g = r**-2.001, about |z|**-1.0005 on the ray: in
-    sigma that is about sigma**-0.999, so the ray's panels bisect towards
-    sigma = 0 until its nodes pass the tiny-sigma guard."""
-    return [2.0 * (r**-2.001 * w).imag / d for z, r, w, d in nodes]
+    """Contour values of g = (1 + z)**-0.5005, with q's 1/sqrt(z + sqrt(z))
+    about |z|**-1.0005 on the ray: in sigma that is about sigma**-0.999, so
+    the ray's panels bisect towards sigma = 0 until its nodes pass the
+    tiny-sigma guard, where g is finite at z = 0."""
+    return [((1.0 + z) ** -0.5005 * q).imag for z, q in nodes]
 
 
 _SMALL = QuadratureConfig(max_evals=15 * 800)

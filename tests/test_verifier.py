@@ -442,7 +442,7 @@ def test_node_tables_key_each_panel_on_its_dyadic_centre(monkeypatch, built_pane
     assert {delta for (_, delta), _ in tables} == {0.25, 0.5, 1.0}
     keys = 0
     for (name, delta), table in tables:
-        for key, (nodes, guarded) in table.items():
+        for key, nodes in table.items():
             k, den = key.as_integer_ratio()
             assert 0.0 < key < 1.0 and k % 2 == 1 and den & (den - 1) == 0, (name, delta, key)
             _, xs = quadrature._nodes((k - 1) / den, (k + 1) / den)
@@ -451,11 +451,27 @@ def test_node_tables_key_each_panel_on_its_dyadic_centre(monkeypatch, built_pane
                 zs = [delta * cmath.exp(contour._ARC * xi) for xi in xs]
             else:
                 zs = [None if n is None else complex(-delta * n[0], delta) for n in quadrature._compact_nodes(-1.0, xs)]
-            assert [z for z, *_ in nodes] == [z for z in zs if z is not None], (name, delta, key)
+            assert [z for z, _ in nodes] == [0j if z is None else z for z in zs], (name, delta, key)
+            guarded = [i for i, node in enumerate(nodes) if node == (0j, 0j)]
             assert guarded == [i for i, z in enumerate(zs) if z is None], (name, delta, key)
             keys += 1
     # every entry written is still there, once
     assert keys == len(built_panels) > 0
+
+
+def test_a_scaled_contour_weight_fails_the_hankel_and_residue_checks(monkeypatch):
+    # every node weight q scaled by (1 + 1e-10) as its entry is stored; a
+    # new entry is read back from its table, so every read sees the same
+    # scaled value. The Hankel sums (V5) and the residues (V6) catch it.
+    # V8 compares two deltas' integrals with each other alone, so it stays
+    # blind to a scale common to all of them
+    class Scaling(dict):
+        def __setitem__(self, key, nodes):
+            super().__setitem__(key, [(z, q * (1.0 + 1e-10)) for z, q in nodes])
+
+    monkeypatch.setattr(contour, "_node_table", _once(lambda name, delta: Scaling()))
+    report = run_checks()
+    assert {r.id for r in report.records if r.status != "pass"} == {"V5-hankel", "V6-residue"}
 
 
 def test_resolvent_in_a_run_equals_a_fresh_call(monkeypatch):
