@@ -271,7 +271,12 @@ def _nodes(a: float, b: float) -> tuple[float, tuple[float, ...]]:
 
 
 def _rule(f, half: float):
-    """The panel from its 15 values f, in the order of ``_nodes``."""
+    """The panel from its 15 values f, in the order of ``_nodes``.
+
+    ``_panel`` forms a panel [a, b] only with a < b, so half = (b - a)/2 is
+    never negative: positive, or +0.0 when b - a is the least subnormal.
+    The sums therefore scale by half where |half| would give the same bits.
+    """
     fc, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = f
     # the sums are written out term by term, in the order of a loop from
     # the centre outwards: for a cheap integrand the panel's arithmetic
@@ -283,7 +288,7 @@ def _rule(f, half: float):
         + w3 * s3 + w4 * (a4 + b4) + w5 * s5 + w6 * (a6 + b6)
     )
     resg = _WG[3] * fc + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5
-    err = abs((resk - resg) * half)
+    err = abs(resk - resg) * half
     # QUADPACK-style sharpening: rescale the raw |K15 - G7| gap by the
     # panel's own variation (so smooth panels are not re-split forever)
     # and floor it at the panel's roundoff level
@@ -294,37 +299,44 @@ def _rule(f, half: float):
         + w2 * (abs(a2 - mean) + abs(b2 - mean)) + w3 * (abs(a3 - mean) + abs(b3 - mean))
         + w4 * (abs(a4 - mean) + abs(b4 - mean)) + w5 * (abs(a5 - mean) + abs(b5 - mean))
         + w6 * (abs(a6 - mean) + abs(b6 - mean))
-    ) * abs(half)
+    ) * half
     resabs = (
         w7 * abs(fc)
         + w0 * (abs(a0) + abs(b0)) + w1 * (abs(a1) + abs(b1)) + w2 * (abs(a2) + abs(b2))
         + w3 * (abs(a3) + abs(b3)) + w4 * (abs(a4) + abs(b4)) + w5 * (abs(a5) + abs(b5))
         + w6 * (abs(a6) + abs(b6))
-    ) * abs(half)
+    ) * half
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        # resasc * min(1, x**1.5), with x**1.5 < 1 exactly when x < 1
+        x = 200.0 * err / resasc
+        err = resasc * x**1.5 if x < 1.0 else resasc
     floor = 50.0 * _EPS * resabs
     if floor < err <= 1e4 * floor:
         # certify the panel at its floor when its null-rule coefficients
         # decay fast enough to put K15's error below it; coefficients are in
         # units of sum(w |f|), so that their squares neither overflow nor
-        # underflow
-        unit = abs(half) / resabs
+        # underflow. Each pair must be at most 1/4 of the one before, so
+        # the pairs are formed one at a time, up to the first that is not
+        unit = half / resabs
         s0, s2, s4, s6 = a0 + b0, a2 + b2, a4 + b4, a6 + b6
         d0, d1, d2, d3, d4, d5, d6 = b0 - a0, b1 - a1, b2 - a2, b3 - a3, b4 - a4, b5 - a5, b6 - a6
         e = []
         for (u0, u1, u2, u3, u4, u5, u6), (vc, v0, v1, v2, v3, v4, v5, v6) in _NULL:
             odd = unit * abs(u0 * d0 + u1 * d1 + u2 * d2 + u3 * d3 + u4 * d4 + u5 * d5 + u6 * d6)
             even = unit * abs(vc * fc + v0 * s0 + v1 * s1 + v2 * s2 + v3 * s3 + v4 * s4 + v5 * s5 + v6 * s6)
-            e.append(odd * odd + even * even)
-        e0, e1, e2 = e
-        # each pair at most 1/4 of the one before, the worst ratio r; the
-        # error of K15 is predicted as 10 |half| E_13,14 r**4
-        if 16.0 * e1 <= e0 and 16.0 * e2 <= e1:
-            r2 = max(e1 / e0, e2 / e1) if e2 else 0.0
+            pair = odd * odd + even * even
+            if e and not 16.0 * pair <= e[-1]:
+                break
+            e.append(pair)
+        else:
+            # the worst ratio r; the error of K15 is predicted as
+            # 10 |half| E_13,14 r**4
+            e0, e1, e2 = e
+            q1, q2 = (e1 / e0, e2 / e1) if e2 else (0.0, 0.0)
+            r2 = q2 if q2 > q1 else q1
             if 10.0 * math.sqrt(e2) * (r2 * r2) <= 50.0 * _EPS:
                 err = floor
-    return resk * half, max(err, floor), floor
+    return resk * half, floor if floor > err else err, floor
 
 
 def _compact_nodes(c: float, sigmas) -> list:

@@ -20,6 +20,12 @@ v on [0, 1/2]. The v-form integrand is entire, so the rule converges
 geometrically (Trefethen 2008, SIAM Rev. 50:67) and is accurate to
 rounding for t <= 50; ``u_value`` takes no larger t.
 
+S(t) sqrt(t) = P(-sqrt t) is a power series in -sqrt t with fixed
+coefficients c_n = binom(2n,n)/(4^n Gamma((n+1)/2)), built once, each
+correctly rounded, so ``hankel_series`` sums it by Horner's rule. Its term
+count comes from a table of bounds on t, built with the coefficients, and
+no term is formed to decide it.
+
 The outer n-sum converges only conditionally (terms ~ 1/n); inner(n) is
 absolutely convergent with term ratio -> -1/3. The outer coefficients
 form a moment sequence, so the Cohen-Rodriguez Villegas-Zagier
@@ -28,6 +34,7 @@ Chebyshev acceleration applies and converges geometrically.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from .quadrature import _EPS, DEFAULT_CONFIG, Estimate, Interval, QuadratureConfig, _linear, _once, integrate
@@ -179,49 +186,100 @@ def u_value(t: float) -> float:
     return 2.0 * math.fsum([w * exp(c * t) for w, c in _U_PAIRS])
 
 
-# (n + 1, 2n + 1, 2n + 2, (n + 1)/2) for each step n of hankel_series,
-# each exact, so reading them gives the bits of computing them in place
-_HANKEL_STEPS = tuple(
-    (n + 1, float(2 * n + 1), float(2 * n + 2), 0.5 * (n + 1)) for n in range(MAX_TERMS)
+# pi * 2**124, rounded down: pi's first 32 hexadecimal digits
+_PI_FIX = 0x3243F6A8885A308D313198A2E0370734
+
+
+def _hankel_coefficients(count: int) -> list[float]:
+    """c_n = binom(2n, n)/(4^n Gamma((n+1)/2)) for n < count, each correctly
+    rounded: the coefficients of S(t) sqrt(t) = sum_n c_n (-sqrt t)^n.
+
+    Gamma((n+1)/2) is (m-1)! for odd n = 2m-1 and (2m)! sqrt(pi)/(4^m m!)
+    for even n = 2m, so c_n is a ratio of integers, over sqrt(pi) when n is
+    even. 1/sqrt(pi) is taken to 2^-120 in fixed point from ``_PI_FIX``,
+    and Python's integer division rounds each quotient once, so no c_n
+    depends on the platform's libm.
+    """
+    inv_sqrt_pi = math.isqrt((_FIX * _FIX << 124) // _PI_FIX)  # _FIX/sqrt(pi)
+    coeffs = []
+    for n in range(count):
+        m, odd = divmod(n + 1, 2)
+        if odd:  # n = 2m
+            num = math.comb(2 * n, n) * 4**m * math.factorial(m) * inv_sqrt_pi
+            den = 4**n * math.factorial(2 * m) * _FIX
+        else:  # n = 2m - 1
+            num, den = math.comb(2 * n, n), 4**n * math.factorial(m - 1)
+        coeffs.append(num / den)
+    return coeffs
+
+
+# The first omitted term of S(t) is held to this share of TAIL_TOL; the
+# rest of TAIL_TOL holds the rounding floor 2 eps max_n |term_n|. A share
+# below 1/2 also lets the relative bound 4 eps |S| cover both near t = 0.
+_HANKEL_TAIL_SHARE = 0.25
+_HANKEL_C = _hankel_coefficients(100)
+
+# Each term c_n t^((n-1)/2), n >= 2, grows with t, so the rounding floor of
+# the terms n >= 1 (the n = 1 term is 1/2) fits the rest of TAIL_TOL up to
+# the least t at which one of them reaches (1 - share) TAIL_TOL/(2 eps):
+# about 9.17, where the term n = 17 does; the terms n >= 100 reach it only
+# past t = 22.
+_HANKEL_T_MAX = min(
+    ((1.0 - _HANKEL_TAIL_SHARE) * TAIL_TOL / (2.0 * _EPS * c)) ** (2.0 / (n - 1))
+    for n, c in enumerate(_HANKEL_C)
+    if n >= 2
 )
 
 
-def hankel_series(t: float) -> float:
-    """S(t) by direct summation.
+def _hankel_term_counts() -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """For N = 2, 3, ...: the largest t at which N terms sum S(t), and
+    c_(N-1), ..., c_0, the coefficients in Horner's order, up to the first N
+    that covers ``_HANKEL_T_MAX``.
 
-    Term magnitudes grow until n ~ 2t (peaking near exp(t)/(2 pi t)) and
-    decrease beyond, so the alternating truncation bound is applied only
-    once n >= 2t. The roundoff floor 2 * max_term * eps joins the tail
-    estimate, and the sum stops once the two are at most
-    max(TAIL_TOL, 4 eps |S|), its error bound. The relative part serves
-    t below about 2.5e-5, where S(t) ~ 1/sqrt(pi t) exceeds
-    TAIL_TOL/(4 eps) ~ 113 and the first term's floor alone passes
-    TAIL_TOL. For large t the floor dominates |S| and the sum raises
-    ArithmeticError instead of returning (the contour route takes over
-    there).
+    N terms do while N >= 2t + 1, from where the terms fall, so that an
+    alternating tail is at most its first term, and that term,
+    c_N t^((N-1)/2), is at most share * TAIL_TOL. The second bound is read
+    through pow, which is not correctly rounded, so a t within an ulp or so
+    of a bound may take a different N on another platform."""
+    bounds, rules = [], []
+    for n in range(2, len(_HANKEL_C)):
+        bounds.append(min(0.5 * (n - 1), (_HANKEL_TAIL_SHARE * TAIL_TOL / _HANKEL_C[n]) ** (2.0 / (n - 1))))
+        rules.append(tuple(reversed(_HANKEL_C[:n])))
+        if bounds[-1] >= _HANKEL_T_MAX:
+            break
+    return tuple(bounds), tuple(rules)
+
+
+_HANKEL_T_BOUNDS, _HANKEL_RULES = _hankel_term_counts()
+
+
+def hankel_series(t: float) -> float:
+    """S(t) for 0 < t <= 9.17 as P(-sqrt t)/sqrt t, the polynomial
+    P(x) = sum_(n < N) c_n x^n by Horner's rule, within max(TAIL_TOL, 4 eps |S|).
+
+    N is the fewest terms whose first omitted term is at most a quarter of
+    TAIL_TOL, with N >= 2t + 1, read from a table of bounds on t. The
+    terms peak near exp(t)/(2 pi t), and rounding is charged as
+    2 eps max|term|: past ``_HANKEL_T_MAX`` ~ 9.17 that floor of the terms
+    n >= 1 no longer fits the other three quarters of TAIL_TOL, and the sum
+    raises ArithmeticError without summing (the contour route takes over
+    there). The n = 0 term, 1/sqrt(pi t), is the largest below t ~ 1; below
+    t ~ 1.1e-5 its floor alone passes 3/4 TAIL_TOL, and then
+    4 eps |S| >= 4 eps (1/sqrt(pi t) - 1/2) exceeds the floor by more than
+    TAIL_TOL/4, so it covers the floor and the tail: the bound is relative
+    there. A call costs N multiply-adds, N = 15 at t = 0.05 and 71 at t = 6.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"hankel_series: t must be finite and > 0, got {t!r}")
-    if t > 600.0:
-        raise OverflowError("hankel_series: term peak exp(t)/(2 pi t) overflows")
-    sqrt_t = math.sqrt(t)
-    two_t = 2.0 * t
-    b = 1.0 / math.sqrt(math.pi * t)  # n = 0 magnitude
-    g = 1.0 / math.sqrt(math.pi)  # Gamma((n+2)/2)/Gamma((n+1)/2) at n = 0
-    sign = 1.0
-    total = 0.0
-    peak = 0.0
-    for m, odd, even, half_m in _HANKEL_STEPS:
-        total += sign * b
-        if b > peak:
-            peak = b
-        nxt = b * odd / even * sqrt_t / g
-        g = half_m / g
-        sign = -sign
-        if m >= two_t and ((bound := nxt + 2.0 * peak * _EPS) <= TAIL_TOL or bound <= 4.0 * _EPS * abs(total)):
-            return total
-        b = nxt
-    raise ArithmeticError(f"hankel_series({t}) did not converge")
+    if t > _HANKEL_T_MAX:
+        raise ArithmeticError(
+            f"hankel_series({t}): the rounding floor of its terms does not fit TAIL_TOL above t = {_HANKEL_T_MAX:.4g}"
+        )
+    r = math.sqrt(t)
+    p = 0.0
+    for c in _HANKEL_RULES[bisect.bisect_left(_HANKEL_T_BOUNDS, t)]:
+        p = c - p * r  # p (-r) + c, the same bits
+    return p / r
 
 
 def central_binomial_ratio(n: int) -> float:

@@ -397,16 +397,18 @@ def run_checks(selection: Iterable[str] | None = None, cfg: QuadratureConfig = D
     """Run the selected checks (all of them when selection is empty or
     None), one after another in catalog order.
 
-    Unknown ids raise UnknownCheckError; a selection that is a str or
-    bytes, is not iterable, or holds anything but str ids, or a cfg that
-    is not a QuadratureConfig, raises TypeError. A failing check never
-    prevents later checks from running.
+    A repeated id counts once, and the config echo names each id once, in
+    the order given. Unknown ids raise UnknownCheckError; a selection that
+    is a str or bytes, is not iterable, or holds anything but str ids, or a
+    cfg that is not a QuadratureConfig, raises TypeError. A failing check
+    never prevents later checks from running.
     """
     if isinstance(selection, (str, bytes)) or not isinstance(selection, (Iterable, type(None))):
         raise TypeError(f"selection must be a list of check ids, not {selection!r}")
     selection = list(selection or ())
     if not all(isinstance(cid, str) for cid in selection):
         raise TypeError(f"selection must be check ids of type str, got {selection!r}")
+    selection = list(dict.fromkeys(selection))  # each id once, in the order given
     if not isinstance(cfg, QuadratureConfig):
         raise TypeError(f"cfg must be a QuadratureConfig, got {type(cfg).__name__}")
     known = catalog_ids()

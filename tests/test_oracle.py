@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import gr32485.series as series
 from gr32485.contour import HYPERBOLIC_ERROR, hankel_exp_integral, hankel_hyperbolic, hankel_resolvent_integral
 from gr32485.elliptic import carlson_rf, carlson_rj, complete_Pi
 from gr32485.quadrature import integrate
@@ -208,11 +209,39 @@ def hankel_sum_reference(t: float):
 @pytest.mark.parametrize("t", [1e-9, 1e-6, 6e-6, 1e-4, 0.084375, 0.75, 1.209375, 2.0, 3.5, 5.0, 6.0])
 def test_hankel_series_near_zero_within_its_bound(t):
     # below t ~ 2.5e-5 the first term's roundoff floor alone passes
-    # TAIL_TOL, and the bound is 4 eps |S|; 0.084375 and 1.209375 come
-    # closest to it over 640 points of (0, 6], at 0.81 and 0.77 of it
+    # TAIL_TOL, and the bound is 4 eps |S|
     ref = hankel_sum_reference(t)
     bound = max(TAIL_TOL, 4.0 * sys.float_info.epsilon * float(abs(ref)))
     assert float(abs(hankel_series(t) - ref)) <= bound
+
+
+def _hankel_ratio(t: float) -> float:
+    """|hankel_series(t) - S(t)| over its bound max(TAIL_TOL, 4 eps |S|)."""
+    ref = hankel_sum_reference(t)
+    bound = max(TAIL_TOL, 4.0 * sys.float_info.epsilon * float(abs(ref)))
+    return float(abs(hankel_series(t) - ref)) / bound
+
+
+def test_hankel_series_within_its_bound_on_a_dense_grid():
+    # every 0.01 up to the upper limit, and 100 points spread evenly in
+    # log t over [1e-12, 1e-2], 73 of them in the relative regime below
+    # t ~ 2.5e-5. The worst ratio to the bound is 0.47, at 9.1, where the
+    # rounding floor nears its three quarters of TAIL_TOL; on (0, 6] it
+    # is 0.25, at t = 7.1e-8
+    grid = [k / 100 for k in range(1, 918)] + [10.0 ** (-12.0 + k / 9.9) for k in range(100)]
+    assert max(grid) <= series._HANKEL_T_MAX < 9.18
+    worst = max(grid, key=_hankel_ratio)
+    assert _hankel_ratio(worst) <= 0.5, worst
+
+
+def test_hankel_coefficients_are_correctly_rounded():
+    # c_n = binom(2n, n)/(4^n Gamma((n+1)/2)) to 40 digits, rounded once;
+    # _PI_FIX is pi's first 32 hexadecimal digits, pi * 2**124 rounded down
+    with mpmath.workdps(40):
+        assert 0 <= mpmath.pi * 2**124 - series._PI_FIX < 1
+        for n, c in enumerate(series._HANKEL_C):
+            ref = mpmath.binomial(2 * n, n) / mpmath.mpf(4) ** n / mpmath.gamma(mpmath.mpf(n + 1) / 2)
+            assert c == float(ref), n
 
 
 def test_hyperbolic_within_its_bound():

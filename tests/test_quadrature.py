@@ -420,6 +420,36 @@ def test_certification_needs_decaying_coefficients():
     assert 5.0 * flat[2] < flat[1] <= 1e4 * flat[2]
 
 
+def test_decay_test_keeps_a_faint_narrow_line_above_its_floor():
+    # a flat continuum under a Lorentzian line 4e-11 high and 1/65 wide: on
+    # the left half of [0, 1] the line's null-rule pairs stall at 1e-13 to
+    # 1e-14 of sum(w |f|), each above 1/4 of the one before. The predicted
+    # error 10 |half| E_13,14 r**4 alone lies below the floor, so only the
+    # decay test keeps the panel's estimate; certified at their floors, the
+    # two halves would claim 1.1e-14 and err by 4.2e-14
+    amp, width, centre = 4e-11, 65.0, 0.52
+
+    def f(x):
+        return 1.0 + amp / (1.0 + (width * (x - centre)) ** 2)
+
+    mid, half = 0.25, 0.25
+    xs = [mid - half * x for x in quadrature._XGK[:7]] + [mid] + [mid + half * x for x in reversed(quadrature._XGK[:7])]
+    values = [f(x) for x in xs]
+    unit = math.fsum(w * abs(v) for w, v in zip(_WS, values))
+    coeff = [math.fsum(w * v * q for w, v, q in zip(_WS, values, p)) / unit for p in _BASIS]
+    e = [math.hypot(coeff[j], coeff[j + 1]) for j in (9, 11, 13)]
+    assert 1e-15 < e[2] < e[1] < e[0] < 1e-13
+    assert e[1] > e[0] / 4.0 and e[2] > e[1] / 4.0
+    r = max(e[1] / e[0], e[2] / e[1])
+    assert 10.0 * e[2] * r**4 <= 50.0 * quadrature._EPS
+    _, err, floor = _plain_panel(f, 0.0, 0.5)
+    assert 10.0 * floor < err <= 1e4 * floor
+    res = integrate(f, Interval(0.0, 1.0))
+    exact = 1.0 + amp * (math.atan(width * (1.0 - centre)) + math.atan(width * centre)) / width
+    assert res.converged and res.evals > 30
+    assert abs(res.value - exact) <= res.error_estimate
+
+
 def test_panel_stops_at_the_first_non_finite_node():
     # the NaN makes the one pass's panel NaN, so the panel goes node by
     # node: the centre first, then mid - dx and mid + dx for the outermost

@@ -86,6 +86,17 @@ def test_unknown_id_raises():
 def test_duplicate_selection_runs_once():
     report = run_checks(["constants", "constants"])
     assert len(report.records) == 1
+    assert report.config_echo.endswith(" only=constants")
+
+
+def test_repeated_ids_are_echoed_once_in_the_order_given(capsys):
+    report = run_checks(["R1", "R0", "R1", "R0", "R1"])
+    assert [r.id for r in report.records] == ["R0", "R1"]
+    assert report.config_echo.endswith(" only=R1,R0")
+    assert main(["--only", "R0,R0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["id"] for r in doc["records"]] == ["R0"]
+    assert doc["config_echo"].endswith(" only=R0")
 
 
 def test_records_keep_catalog_order():
