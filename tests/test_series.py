@@ -259,10 +259,11 @@ def _off_the_bounds(t: float) -> bool:
     return all(abs(t - b) > 1e-9 * b for b in (*series._HANKEL_T_BOUNDS, series._HANKEL_T_MAX))
 
 
-@pytest.mark.parametrize("t, pin", _HANKEL_PINS.items())
-def test_hankel_series_bits_are_pinned(t, pin):
+@pytest.mark.parametrize("t", _HANKEL_PINS)
+def test_hankel_series_bits_are_pinned(t):
+    # the id names t alone, so a change that moves a pinned bit keeps it
     assert _off_the_bounds(t)
-    assert hankel_series(t).hex() == pin
+    assert hankel_series(t).hex() == _HANKEL_PINS[t]
 
 
 def test_hankel_term_counts_meet_their_bounds():
