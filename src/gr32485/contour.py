@@ -132,9 +132,11 @@ def _upper_half(values: Callable[[list], list], delta: float, cfg: QuadratureCon
             # neither read nor write the table
             if len(xs) != 15:
                 return values(build(xs))
-            if xs[0] not in table:
+            entry = table.get(xs[0])
+            if entry is None:
                 table[xs[0]] = build(xs)
-            return values(table[xs[0]])
+                entry = table[xs[0]]
+            return values(entry)
 
         return _adaptive([(at, 0.0, 1.0)], cfg)
 

@@ -12,7 +12,9 @@ therefore never detects singularities at run time. It
 * removes a singular upper endpoint b with x = b - s**2. The integrand
   receives ``x``, not the offset s**2; an integrand that recomputes
   ``b - x`` loses the offset's relative precision, so the result can be
-  less accurate than its error estimate claims,
+  less accurate than its error estimate claims. A node that rounds onto
+  either singular endpoint is moved to the float next to it inside the
+  interval, even where b - 1 rounds to b,
 * compactifies a semi-infinite range [a, inf) with t = a - 1 + 1/sigma**2
   on sigma in (0, 1]. Its Jacobian 2/sigma**3 cancels the t**(-3/2)
   algebraic tails that occur here, so the image of infinity is a regular
@@ -54,7 +56,9 @@ A piece is (values, a, b), values(nodes) its values at a tuple of nodes.
 in one pass. A panel whose values fail, or whose value or error estimate
 is not finite, goes again node by node, and an ``IntegrandError`` names
 its first bad node, or the panel when its sums overflowed, or the
-panels when their total does.
+panels when their total does. A substituted piece names them in its own
+variable: s next to a singular endpoint, sigma on a compactified range,
+not x.
 
 Results are deterministic functions of (integrand, interval, config).
 The check runner sets a memo for its run, in which the functions marked
@@ -69,6 +73,7 @@ import contextvars
 import functools
 import heapq
 import math
+import operator
 from collections.abc import Callable
 
 __all__ = [
@@ -353,14 +358,21 @@ def _pieces(f: Callable, iv: Interval) -> list:
     a, b = iv.lower, iv.upper
     if iv.singular_lower and math.isinf(b):
         return _pieces(f, Interval(0.0, 1.0, True)) + _pieces(f, Interval(1.0, b))
-    if iv.singular_lower or iv.singular_upper:
-        # x = end + step * s**2 moves away from the singular endpoint, which
-        # is never evaluated
-        end, step = (0.0, 1.0) if iv.singular_lower else (b, -1.0)
-        nudge = math.nextafter(end, end + step)
+    # x = s**2 or x = b - s**2 moves away from the singular endpoint, which
+    # is never evaluated: a node that rounds onto it takes the float next to
+    # it inside the interval instead
+    if iv.singular_lower:
+        inner = math.nextafter(0.0, b)
 
         def in_s(ss):
-            return [2.0 * s * f(x if (x := end + step * (s * s)) != end else nudge) for s in ss]
+            return [2.0 * s * f(x if (x := s * s) != 0.0 else inner) for s in ss]
+
+        return [(in_s, 0.0, math.sqrt(b))]
+    if iv.singular_upper:
+        inner = math.nextafter(b, a)
+
+        def in_s(ss):
+            return [2.0 * s * f(x if (x := b - s * s) != b else inner) for s in ss]
 
         return [(in_s, 0.0, math.sqrt(b - a))]
     if math.isinf(b):
@@ -397,7 +409,7 @@ def _panel(values: Callable, a: float, b: float):
     raise IntegrandError(f"the GK15 sums overflow on [{a!r}, {b!r}]")
 
 
-def _total(terms: list) -> float:
+def _total(terms) -> float:
     """The correctly rounded sum of finite panel values or error estimates."""
     try:
         return math.fsum(terms)
@@ -407,8 +419,13 @@ def _total(terms: list) -> float:
         raise IntegrandError("complex integrand values; integrate takes real integrands") from None
 
 
+# a panel is the heap item (-err, seq, values, a, b, val, err, floor)
+_VAL, _ERR = operator.itemgetter(5), operator.itemgetter(6)
+
+
 def _adaptive(pieces: list, cfg: QuadratureConfig) -> Estimate:
-    if 30 * len(pieces) > cfg.max_evals:
+    abs_tol, max_evals = cfg
+    if 30 * len(pieces) > max_evals:
         raise ValueError("max_evals too small for the interval decomposition")
     heap = []
     parked = []  # panels too narrow to bisect, or at their roundoff floor
@@ -420,33 +437,40 @@ def _adaptive(pieces: list, cfg: QuadratureConfig) -> Estimate:
         for lo, hi in ((a, mid), (mid, b)):
             val, err, floor = _panel(values, lo, hi)
             seq += 1
-            heapq.heappush(heap, (-err, seq, values, lo, hi, val, err, floor))
+            heap.append((-err, seq, values, lo, hi, val, err, floor))
+    heapq.heapify(heap)
 
-    err_total = _total([item[6] for item in heap])
-    while err_total > cfg.abs_tol and heap:
+    err_total = _total(map(_ERR, heap))
+    while err_total > abs_tol and heap:
         worst = heap[0]
-        if worst[6] <= 0.0 or 15 * seq + 30 > cfg.max_evals:
+        _, _, values, a, b, _, old_err, old_floor = worst
+        if old_err <= 0.0 or 15 * seq + 30 > max_evals:
             break
-        _, _, values, a, b, _, old_err, old_floor = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if not (a < mid < b) or old_err <= 1.05 * old_floor:
             # too narrow to bisect, or the estimate already sits at the
             # panel's roundoff floor where splitting cannot help
+            heapq.heappop(heap)
             parked.append(worst)
             continue
-        err_total -= old_err
-        for lo, hi in ((a, mid), (mid, b)):
-            val, err, floor = _panel(values, lo, hi)
-            seq += 1
-            err_total += err
-            heapq.heappush(heap, (-err, seq, values, lo, hi, val, err, floor))
+        lval, lerr, lfloor = _panel(values, a, mid)
+        rval, rerr, rfloor = _panel(values, mid, b)
+        err_total = err_total - old_err + lerr + rerr
+        # the keys (-err, seq) are unique, so which call sifts an item
+        # cannot change the order panels leave the heap in
+        heapq.heapreplace(heap, (-lerr, seq + 1, values, a, mid, lval, lerr, lfloor))
+        heapq.heappush(heap, (-rerr, seq + 2, values, mid, b, rval, rerr, rfloor))
+        seq += 2
 
-    floored = (not heap or heap[0][6] <= 0.0) and all(p[6] <= 1.05 * p[7] for p in parked)
     # fsum is correctly rounded, so the panels' order cannot move a bit
     panels = heap + parked
-    value = _total([item[5] for item in panels])
-    err_total = _total([item[6] for item in panels])
-    return Estimate(value, err_total, 15 * seq, err_total <= cfg.abs_tol or floored)
+    value = _total(map(_VAL, panels))
+    err_total = _total(map(_ERR, panels))
+    converged = err_total <= abs_tol or (
+        # every panel left is exact or parked at its roundoff floor
+        (not heap or heap[0][6] <= 0.0) and all(p[6] <= 1.05 * p[7] for p in parked)
+    )
+    return Estimate(value, err_total, 15 * seq, converged)
 
 
 def integrate(

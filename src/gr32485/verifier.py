@@ -42,7 +42,7 @@ from collections.abc import Iterable
 
 from . import __version__
 from .contour import hankel_exp_integral, hankel_resolvent_integral, nested_radical
-from .elliptic import complete_K, complete_Pi, incomplete_F, landen_residual
+from .elliptic import carlson_rf, complete_K, complete_Pi, incomplete_F, landen_residual
 from .quadrature import _EPS, _MEMO, DEFAULT_CONFIG, Estimate, QuadratureConfig, _linear
 from .representations import (
     _LOG_T0,
@@ -237,7 +237,9 @@ def _build_catalog() -> tuple[CheckSpec, ...]:
                 "descending Landen residual at k = 2-sqrt(3), 0.5, 0.9",
                 "DLMF 19.8.12",
                 "match",
-                8.0 * _EPS * complete_K(CONSTANTS.k_prime),  # 8 ulps of the largest K compared
+                # 8 ulps of the largest K compared, K(k') = R_F(0, k^2, 1) at
+                # k = 2 - sqrt(3), in the form landen_residual computes it
+                8.0 * _EPS * carlson_rf(0.0, CONSTANTS.k * CONSTANTS.k, 1.0),
                 lambda cfg: (max(abs(landen_residual(k)) for k in (CONSTANTS.k, 0.5, 0.9)), 0.0),
             ),
             CheckSpec(

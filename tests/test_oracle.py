@@ -8,7 +8,7 @@ import pytest
 
 import gr32485.series as series
 from gr32485.contour import HYPERBOLIC_ERROR, hankel_exp_integral, hankel_hyperbolic, hankel_resolvent_integral
-from gr32485.elliptic import carlson_rf, carlson_rj, complete_Pi
+from gr32485.elliptic import carlson_rf, carlson_rj, complete_K, complete_Pi
 from gr32485.quadrature import integrate
 from gr32485.representations import (
     DELTA_FORMS,
@@ -152,6 +152,42 @@ def test_complete_pi_for_negative_characteristic():
             n = -(10.0**e)
             worst = max(worst, ulps(complete_Pi(n, k), _pi_positive(n, k)))
     assert worst <= 4.0
+
+
+def _kpi_points():
+    """3,000 seeded (n, k) of the elliptic oracle's domain, then edge points:
+    n -> 1, k -> 1 down to k' = 2**-20, k = 1e-8, both sides of n = -1
+    and of n = k, two lines of n from k to 1, and k = 0."""
+    rng = random.Random(20181021)
+    points = [(rng.uniform(-1.0, 1.0 - 1e-4), rng.uniform(0.05, 0.99)) for _ in range(3000)]
+    for k in (1e-8, 0.05, 0.5, 0.9498452744016076, 0.99, 1.0 - 2.0**-10, 1.0 - 2.0**-21, 1.0 - 2.0**-41):
+        ns = [1.0 - 1e-4, 1.0 - 1e-8, 1.0 - 2.0**-30, 1.0 - 2.0**-53, -0.5, 0.5]
+        ns += [-1.0, math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0)]
+        ns += [k, math.nextafter(k, 1.0), math.nextafter(k, 0.0)]
+        points += [(n, k) for n in ns if n < 1.0]
+    for k in (0.3, 1.0 - 2.0**-41):
+        # 1 - n from (1 - k) 2**-0.25 down to (1 - k) 2**-40, or to 2**-53
+        ns = [1.0 - (1.0 - k) * 2.0 ** (-i / 4.0) for i in range(1, 161)]
+        points += [(n, k) for n in ns if n < 1.0]
+    points += [(n, 0.0) for n in (-1.0, -0.5, 0.5, 0.99, 1.0 - 1e-8)]
+    return points
+
+
+def test_complete_K_and_Pi_against_mpmath():
+    # relative error in units of eps = 2**-52 against 30 digits. K's worst
+    # known error is 2.02 eps, at k = 0.9498452744016076, among the edges
+    eps = 2.0**-52
+    worst_k = worst_pi = 0.0
+    with mpmath.workdps(30):
+        for n, k in _kpi_points():
+            m = mpmath.mpf(k) ** 2
+            ref = mpmath.ellippi(n, m)
+            worst_pi = max(worst_pi, float(abs(complete_Pi(n, k) - ref) / ref) / eps)
+            if k > 0.0:
+                ref = mpmath.ellipk(m)
+                worst_k = max(worst_k, float(abs(complete_K(k) - ref) / ref) / eps)
+    assert worst_k <= 2.05
+    assert worst_pi <= 3.0
 
 
 def u_reference(t: float):

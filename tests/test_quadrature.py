@@ -224,15 +224,86 @@ def test_a_piece_starts_as_its_two_halves():
 
 def _sub(f, end, step):
     """The integrand in s, where x = end + step * s**2 moves away from a
-    singular endpoint, node by node: the reference for the engine's."""
+    singular endpoint, node by node: the reference for the engine's. A
+    node that rounds onto the endpoint takes the float next to it, on
+    the interval's side."""
 
     def g(s):
         x = end + step * (s * s)
         if x == end:
-            x = math.nextafter(end, end + step)
+            x = math.nextafter(end, step * math.inf)
         return 2.0 * s * f(x)
 
     return g
+
+
+@pytest.mark.parametrize("b", [1e17, 2.0**60, 1e300])
+def test_singular_upper_endpoint_is_never_evaluated_past_2_53(b):
+    # past 2**53, b - 1.0 rounds to b, so a nudge toward b - 1.0 stayed at b
+    # and 1/sqrt(b - x) divided by zero there; the engine nudges toward the
+    # lower endpoint. The integrand recomputes b - x, so the result need not
+    # converge (see the module docstring); it must be finite
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return 1.0 / math.sqrt(b - x)
+
+    res = integrate(f, Interval(0.0, b, singular_upper=True))
+    assert max(nodes) == math.nextafter(b, 0.0)
+    assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+    assert res.value == pytest.approx(2.0 * math.sqrt(b), rel=1e-7)
+
+
+# The oracle's x-forms of K(k) and Pi(n, k), singular at x = 1, and K in
+# u = 1 - x, singular at u = 0, at three (n, k): (value, error_estimate,
+# evals, converged) at the default configuration, value and error in hex.
+_SQRT3 = math.sqrt(3.0)
+_SINGULAR_PINS = [
+    (
+        (2.0 - _SQRT3, 1.0 / _SQRT3),
+        [
+            ("0x1.bbe1fa1c2a2bep+0", "0x1.5ac88b6600f24p-46", 30, True),
+            ("0x1.0573da202120dp+1", "0x1.988504d233c34p-46", 30, True),
+            ("0x1.bbe1fa1c2a3e8p+0", "0x1.5ac88b660100dp-46", 30, True),
+        ],
+    ),
+    (
+        (0.97, 0.6),
+        [
+            ("0x1.c03166b6ded8dp+0", "0x1.5e26983ede196p-46", 30, True),
+            ("0x1.5e6adc5bd3262p+3", "0x1.62f9cf2a74878p-41", 180, True),
+            ("0x1.c03166b6deebep+0", "0x1.5e26983ede284p-46", 30, True),
+        ],
+    ),
+    (
+        (0.6, 0.99),
+        [
+            ("0x1.ada51600cb31dp+1", "0x1.408a986a14042p-43", 120, True),
+            ("0x1.9cfa431da4e47p+2", "0x1.6fa52879745dcp-42", 150, True),
+            ("0x1.ada51600c9518p+1", "0x1.4fa8f9309d47bp-45", 120, True),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("nk, pins", _SINGULAR_PINS)
+def test_singular_end_bits_are_pinned(nk, pins):
+    n, k = nk
+    forms = [
+        (lambda x: 1.0 / math.sqrt((1.0 - x * x) * (1.0 - k * k * x * x)), Interval(0.0, 1.0, singular_upper=True)),
+        (
+            lambda x: 1.0 / ((1.0 - n * x * x) * math.sqrt((1.0 - x * x) * (1.0 - k * k * x * x))),
+            Interval(0.0, 1.0, singular_upper=True),
+        ),
+        (
+            lambda u: 1.0 / math.sqrt(u * (2.0 - u) * (1.0 - k * k * (1.0 - u) * (1.0 - u))),
+            Interval(0.0, 1.0, singular_lower=True),
+        ),
+    ]
+    for (f, iv), pin in zip(forms, pins):
+        res = integrate(f, iv)
+        assert (res.value.hex(), res.error_estimate.hex(), res.evals, res.converged) == pin, iv
 
 
 def _compact(f, a):
