@@ -303,20 +303,21 @@ def complete_Pi(n: float, k: float) -> float:
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
     kc2, q = (1.0 - k) * (1.0 + k), 1.0 - n
+    if n < -1.0:
+        # p R_J(.) = sqrt(s) (s p) R_J(s .) exactly; s = 2**500 keeps p normal at small k'^2
+        s = 2.0**500 if kc2 < 2.0**-1000 * q else 1.0
+        p = kc2 * s / q
+        return (carlson_rf(0.0, kc2, 1.0) + carlson_rj(0.0, kc2 * s, s, p) * (p * (-n / 3.0)) * math.sqrt(s)) / q
+    kc = math.sqrt(kc2)
     if n > k:
         d = (n - k) + k * (1.0 - k)
-        s, rho = _agm_series(math.sqrt(kc2), d / n, 1.0, 0.0)
+        s, rho = _agm_series(kc, d / n, 1.0, 0.0)
         return 0.5 * math.pi * (math.sqrt(n / (q * d)) - k * k * rho / (d * s))
     if n >= 0.0:
-        s, rho = _agm_series(math.sqrt(kc2), q, 1.0, 0.0)
+        s, rho = _agm_series(kc, q, 1.0, 0.0)
         return 0.5 * math.pi / s * (2.0 + n * rho / q)
-    if n >= -1.0:
-        s, sigma = _agm_series(math.sqrt(kc2), q, 0.0, 1.0)
-        return 0.5 * math.pi / s * (2.0 + (-n) * sigma) / q
-    # p R_J(.) = sqrt(s) (s p) R_J(s .) exactly; s = 2**500 keeps p normal at small k'^2
-    s = 2.0**500 if kc2 < 2.0**-1000 * q else 1.0
-    p = kc2 * s / q
-    return (carlson_rf(0.0, kc2, 1.0) + carlson_rj(0.0, kc2 * s, s, p) * (p * (-n / 3.0)) * math.sqrt(s)) / q
+    s, sigma = _agm_series(kc, q, 0.0, 1.0)
+    return 0.5 * math.pi / s * (2.0 + (-n) * sigma) / q
 
 
 def landen_residual(k: float) -> float:
