@@ -51,7 +51,7 @@ import cmath
 import math
 from collections.abc import Callable
 
-from .quadrature import DEFAULT_CONFIG, Estimate, QuadratureConfig, _adaptive, _compact_nodes, _linear, _once
+from .quadrature import DEFAULT_CONFIG, Estimate, QuadratureConfig, _adaptive, _compact_nodes, _once
 
 __all__ = [
     "principal_sqrt",
@@ -140,9 +140,14 @@ def _upper_half(values: Callable[[list], list], delta: float, cfg: QuadratureCon
 
         return _adaptive([(at, 0.0, 1.0)], cfg)
 
-    half = _linear(((1.0, part("contour arc", arc_nodes)), (1.0, part("contour ray", ray_nodes))))
+    on_arc, on_ray = part("contour arc", arc_nodes), part("contour ray", ray_nodes)
     # twice the half's error, divided by 2 pi
-    return half._replace(value=half.value / math.pi, error_estimate=half.error_estimate / math.pi)
+    return Estimate(
+        math.fsum([on_arc.value, on_ray.value]) / math.pi,
+        math.fsum([on_arc.error_estimate, on_ray.error_estimate]) / math.pi,
+        on_arc.evals + on_ray.evals,
+        on_arc.converged and on_ray.converged,
+    )
 
 
 @_once
@@ -173,7 +178,8 @@ def hankel_resolvent_integral(c: float, *, cfg: QuadratureConfig = DEFAULT_CONFI
     """
     if not 0.0 <= c < math.inf:
         raise ValueError(f"hankel_resolvent_integral: c must be finite and >= 0, got {c!r}")
-    return _upper_half(lambda nodes: [(q / (1.0 + c - z)).imag for z, q in nodes], _DELTA, cfg)
+    pole = 1.0 + c
+    return _upper_half(lambda nodes: [(q / (pole - z)).imag for z, q in nodes], _DELTA, cfg)
 
 
 # Weideman-Trefethen hyperbola z(u) = mu * (1 + sin(i u - alpha)) with

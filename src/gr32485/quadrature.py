@@ -14,7 +14,9 @@ therefore never detects singularities at run time. It
   ``b - x`` loses the offset's relative precision, so the result can be
   less accurate than its error estimate claims. A node that rounds onto
   either singular endpoint is moved to the float next to it inside the
-  interval, even where b - 1 rounds to b,
+  interval, even where b - 1 rounds to b. Rounded s*s and b - s*s are
+  monotone in s >= 0, so a panel tests only its least node: when that
+  node maps off the endpoint, every node does,
 * compactifies a semi-infinite range [a, inf) with t = a - 1 + 1/sigma**2
   on sigma in (0, 1]. Its Jacobian 2/sigma**3 cancels the t**(-3/2)
   algebraic tails that occur here, so the image of infinity is a regular
@@ -25,7 +27,9 @@ therefore never detects singularities at run time. It
   summed |K15 - G7| error estimate meets ``abs_tol``, or every panel left
   is exact or parked at its roundoff floor, which its error bar then
   holds; never once the budget runs out or while a panel too narrow to
-  split sits above its floor.
+  split sits above its floor. When the starting panels already meet
+  ``abs_tol``, their totals are returned at once, the bits the loop
+  would give: the totals are correctly rounded sums.
 
 A panel's error estimate is QUADPACK's: the |K15 - G7| gap rescaled by
 the panel's variation resasc, as resasc * min(1, (200 gap / resasc)**1.5),
@@ -158,13 +162,15 @@ def _linear(terms, const: float = 0.0, extra_err: float = 0.0) -> Estimate:
     bound on whatever else the combination leaves out; its evals are the
     parts' evals summed, and it converged when every part did.
     """
-    terms = list(terms)
-    return Estimate(
-        const + math.fsum([c * est.value for c, est in terms]),
-        math.fsum([abs(c) * est.error_estimate for c, est in terms]) + extra_err,
-        sum(est.evals for _, est in terms),
-        all(est.converged for _, est in terms),
-    )
+    values, errors = [], []
+    evals, converged = 0, True
+    for c, (value, error, n, ok) in terms:
+        values.append(c * value)
+        errors.append(abs(c) * error)
+        evals += n
+        if not ok:
+            converged = False
+    return Estimate(const + math.fsum(values), math.fsum(errors) + extra_err, evals, converged)
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
@@ -360,11 +366,16 @@ def _pieces(f: Callable, iv: Interval) -> list:
         return _pieces(f, Interval(0.0, 1.0, True)) + _pieces(f, Interval(1.0, b))
     # x = s**2 or x = b - s**2 moves away from the singular endpoint, which
     # is never evaluated: a node that rounds onto it takes the float next to
-    # it inside the interval instead
+    # it inside the interval instead. The guard runs per node only on a
+    # panel whose least node lo, second in the order of _nodes, maps onto
+    # the endpoint (see the module docstring)
     if iv.singular_lower:
         inner = math.nextafter(0.0, b)
 
         def in_s(ss):
+            lo = ss[1] if len(ss) == 15 else min(ss)
+            if lo * lo != 0.0:
+                return [2.0 * s * f(s * s) for s in ss]
             return [2.0 * s * f(x if (x := s * s) != 0.0 else inner) for s in ss]
 
         return [(in_s, 0.0, math.sqrt(b))]
@@ -372,6 +383,9 @@ def _pieces(f: Callable, iv: Interval) -> list:
         inner = math.nextafter(b, a)
 
         def in_s(ss):
+            lo = ss[1] if len(ss) == 15 else min(ss)
+            if b - lo * lo != b:
+                return [2.0 * s * f(b - s * s) for s in ss]
             return [2.0 * s * f(x if (x := b - s * s) != b else inner) for s in ss]
 
         return [(in_s, 0.0, math.sqrt(b - a))]
@@ -438,9 +452,13 @@ def _adaptive(pieces: list, cfg: QuadratureConfig) -> Estimate:
             val, err, floor = _panel(values, lo, hi)
             seq += 1
             heap.append((-err, seq, values, lo, hi, val, err, floor))
-    heapq.heapify(heap)
-
     err_total = _total(map(_ERR, heap))
+    if err_total <= abs_tol:
+        # the starting panels meet abs_tol: the loop would not run, and the
+        # totals below would sum these same panels
+        return Estimate(_total(map(_VAL, heap)), err_total, 15 * seq, True)
+
+    heapq.heapify(heap)
     while err_total > abs_tol and heap:
         worst = heap[0]
         _, _, values, a, b, _, old_err, old_floor = worst

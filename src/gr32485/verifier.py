@@ -35,7 +35,6 @@ work that two checks share counts in both records.
 from __future__ import annotations
 
 import collections
-import json
 import math
 import time
 from collections.abc import Iterable
@@ -112,7 +111,12 @@ def _worst(gaps: list[float], parts: list[Estimate], extra_err: float = 0.0) -> 
     """The largest of gaps computed from the estimates in parts; their
     summed error estimates, plus extra_err for the error of any other
     side, bound the error of any one gap."""
-    return _linear(((1.0, p) for p in parts), extra_err=extra_err)._replace(value=max(gaps))
+    return Estimate(
+        max(gaps),
+        math.fsum([p.error_estimate for p in parts]) + extra_err,
+        sum(p.evals for p in parts),
+        all(p.converged for p in parts),
+    )
 
 
 _LEMMA_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -357,18 +361,27 @@ def _execute(spec: CheckSpec, cfg: QuadratureConfig) -> CheckRecord:
     tolerance = math.nan if spec.tolerance is None else spec.tolerance
     t0 = time.monotonic()
     try:
-        sides = spec.fn(cfg)
-        estimates = {n: s for n, s in zip(("lhs", "rhs"), sides) if isinstance(s, Estimate)}
-        evals = sum(e.evals for e in estimates.values())
-        lhs, rhs = (s.value if isinstance(s, Estimate) else s for s in sides)
+        # unpacked from an iterator, so that a wrong number of sides gives
+        # the same message on every Python
+        lhs, rhs = iter(spec.fn(cfg))
+        evals, errors, unconverged = 0, [], []
+        if isinstance(lhs, Estimate):
+            lhs, error, evals, converged = lhs
+            errors.append(error)
+            if not converged:
+                unconverged.append("lhs")
+        if isinstance(rhs, Estimate):
+            rhs, error, n, converged = rhs
+            evals += n
+            errors.append(error)
+            if not converged:
+                unconverged.append("rhs")
         if spec.tolerance is None:
-            errors = math.fsum([e.error_estimate for e in estimates.values()])
-            tolerance = errors + 4.0 * _EPS * max(abs(lhs), abs(rhs))
+            tolerance = math.fsum(errors) + 4.0 * _EPS * max(abs(lhs), abs(rhs))
         # max keeps a NaN in first place, so a NaN side reaches _status
         abs_diff = max(lhs - rhs, 0.0) if spec.kind == "bound" else abs(lhs - rhs)
         status = _status(spec.kind, abs_diff, tolerance)
         reason = "the difference is NaN" if status == "no-converge" else None
-        unconverged = [n for n, e in estimates.items() if not e.converged]
         if unconverged:
             status, reason = "no-converge", f"{' and '.join(unconverged)} did not converge"
     except Exception as exc:
@@ -463,6 +476,8 @@ def _finite_or_none(v):
 def render_json(report: Report) -> str:
     """The report as strict JSON: NaN and infinities become null, and a
     record's keys follow the CheckRecord fields in order."""
+    import json  # here alone, so that a table or --list run never loads it
+
     doc = {
         "tool_version": report.tool_version,
         "config_echo": report.config_echo,

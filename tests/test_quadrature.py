@@ -1,4 +1,5 @@
 import collections
+import heapq
 import itertools
 import math
 import random
@@ -161,6 +162,50 @@ def test_linear_combination_sums_are_correctly_rounded():
     assert combo.value == combo.error_estimate == 1.0 + 2.0**-52
 
 
+def _linear_comprehension(terms, const=0.0, extra_err=0.0):
+    """_linear with one comprehension per field: the reference for its
+    one-pass sums."""
+    terms = list(terms)
+    return Estimate(
+        const + math.fsum([c * est.value for c, est in terms]),
+        math.fsum([abs(c) * est.error_estimate for c, est in terms]) + extra_err,
+        sum(est.evals for _, est in terms),
+        all(est.converged for _, est in terms),
+    )
+
+
+def _estimate_bits(est):
+    return est.value.hex(), est.error_estimate.hex(), est.evals, type(est.evals), est.converged, type(est.converged)
+
+
+_A, _B = Estimate(1.0, 0.25, 15, True), Estimate(2.0, 0.5, 30, True)
+_NEG_ZERO = Estimate(-0.0, 0.0, 15, True)
+
+
+@pytest.mark.parametrize(
+    "terms, const, extra_err",
+    [
+        ([(2.0, _A), (-0.5, _B)], 4.0, 0.125),
+        ([(-3.0, _A), (0.0, _B), (-0.0, _A)], 0.0, 0.0),
+        ([(1.0, _NEG_ZERO), (1.0, _NEG_ZERO)], -0.0, 0.0),
+        ([(-1.0, _NEG_ZERO), (0.0, Estimate(-1.5, 0.0, 0, True))], -0.0, -0.0),
+        ([(1.0, _A), (1.0, _B._replace(converged=False)), (-2.0, _A)], 0.0, 1e-300),
+        ([(1.0, Estimate(1.0, 1.0, 15, True)), (1.0, Estimate(2.0**-53, 2.0**-53, 15, True))] * 2, 0.0, 0.0),
+        ([], 0.0, 0.0),
+        ([], -0.0, 0.25),
+    ],
+)
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_linear_equals_its_comprehension_form(terms, const, extra_err, as_generator):
+    # the same fsum operands in one pass: every bit, the signs of zeros,
+    # the evals and the converged flag, whatever iterable the terms come in
+    def given():
+        return (term for term in terms) if as_generator else list(terms)
+
+    got = quadrature._linear(given(), const, extra_err)
+    assert _estimate_bits(got) == _estimate_bits(_linear_comprehension(given(), const, extra_err))
+
+
 def test_interval_additivity():
     f = lambda x: math.sin(3.0 * x) ** 2 * math.exp(-0.3 * x)
     whole = integrate(f, Interval(0.0, 4.0)).value
@@ -222,6 +267,98 @@ def test_a_piece_starts_as_its_two_halves():
     assert integrate(lambda t: math.exp(-t) / math.sqrt(t), iv, QuadratureConfig(max_evals=60)).evals == 60
 
 
+def _adaptive_loop(pieces, cfg):
+    """The engine's bisection with every result assembled after the loop,
+    also when the starting panels already meet abs_tol: the reference for
+    _adaptive's early return."""
+    abs_tol, max_evals = cfg
+    if 30 * len(pieces) > max_evals:
+        raise ValueError("max_evals too small for the interval decomposition")
+    heap, parked, seq = [], [], 0
+    for values, a, b in pieces:
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            val, err, floor = quadrature._panel(values, lo, hi)
+            seq += 1
+            heap.append((-err, seq, values, lo, hi, val, err, floor))
+    heapq.heapify(heap)
+    err_total = quadrature._total(p[6] for p in heap)
+    while err_total > abs_tol and heap:
+        worst = heap[0]
+        _, _, values, a, b, _, old_err, old_floor = worst
+        if old_err <= 0.0 or 15 * seq + 30 > max_evals:
+            break
+        mid = 0.5 * (a + b)
+        if not (a < mid < b) or old_err <= 1.05 * old_floor:
+            heapq.heappop(heap)
+            parked.append(worst)
+            continue
+        lval, lerr, lfloor = quadrature._panel(values, a, mid)
+        rval, rerr, rfloor = quadrature._panel(values, mid, b)
+        err_total = err_total - old_err + lerr + rerr
+        heapq.heapreplace(heap, (-lerr, seq + 1, values, a, mid, lval, lerr, lfloor))
+        heapq.heappush(heap, (-rerr, seq + 2, values, mid, b, rval, rerr, rfloor))
+        seq += 2
+    panels = heap + parked
+    value = quadrature._total(p[5] for p in panels)
+    err_total = quadrature._total(p[6] for p in panels)
+    converged = err_total <= abs_tol or (
+        (not heap or heap[0][6] <= 0.0) and all(p[6] <= 1.05 * p[7] for p in parked)
+    )
+    return Estimate(value, err_total, 15 * seq, converged)
+
+
+def _outcome(run):
+    try:
+        return _estimate_bits(run())
+    except (IntegrandError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "f, iv",
+    [
+        (lambda x: x * x, Interval(0.0, 1.0)),
+        (lambda x: 0.0, Interval(-1.0, 1.0)),
+        (lambda x: -0.0, Interval(0.0, 1.0)),
+        (math.exp, Interval(0.0, 0.5)),
+        (math.exp, Interval(0.0, 40.0)),
+        (lambda x: math.cos(20.0 * x), Interval(0.0, 3.0)),
+        (lambda x: abs(x - 0.502), Interval(0.0, 1.0)),
+        (lambda x: math.cos(x) / math.sqrt(x), Interval(0.0, 2.0, True)),
+        (lambda x: 1.0 / math.sqrt(1.0 - x), Interval(-1.0, 1.0, False, True)),
+        (lambda t: math.exp(-t) / math.sqrt(t), Interval(0.0, math.inf, True)),
+        (lambda t: t**-1.5, Interval(1.0, math.inf)),
+        (lambda x: 0.8e308, Interval(0.0, 2.4)),
+        (lambda x: 1.0 + 0.0j, Interval(0.0, 2.0)),
+    ],
+)
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        DEFAULT_CONFIG,
+        QuadratureConfig(abs_tol=1e-3),
+        QuadratureConfig(abs_tol=1e-15),
+        QuadratureConfig(abs_tol=1e-300, max_evals=2_000),
+        QuadratureConfig(max_evals=60),
+        None,
+    ],
+    ids=["default", "loose", "tight", "floor", "budget", "just-missed"],
+)
+def test_adaptive_equals_its_loop_form(f, iv, cfg):
+    # _adaptive returns at once when its starting panels meet abs_tol; it
+    # gives the bits, evals, flags and errors of the loop form, both where
+    # the start settles the integral and where it must bisect, also when
+    # abs_tol lies one float below the starting panels' summed error
+    pieces = quadrature._pieces(f, iv)
+    if cfg is None:
+        start = [quadrature._panel(v, *ab)[1] for v, a, b in pieces for ab in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+        start = math.fsum(start)
+        cfg = QuadratureConfig(abs_tol=math.nextafter(start, 0.0)) if start > 1e-300 else DEFAULT_CONFIG
+    got = _outcome(lambda: quadrature._adaptive(pieces, cfg))
+    assert got == _outcome(lambda: _adaptive_loop(pieces, cfg))
+
+
 def _sub(f, end, step):
     """The integrand in s, where x = end + step * s**2 moves away from a
     singular endpoint, node by node: the reference for the engine's. A
@@ -253,6 +390,46 @@ def test_singular_upper_endpoint_is_never_evaluated_past_2_53(b):
     assert max(nodes) == math.nextafter(b, 0.0)
     assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
     assert res.value == pytest.approx(2.0 * math.sqrt(b), rel=1e-7)
+
+
+@pytest.mark.parametrize("b", [1.0, 2.0**53])
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+def test_singular_maps_test_the_endpoint_once_per_panel(b, upper):
+    # x = s**2 and x = b - s**2 test only a panel's least node against the
+    # endpoint, which is sound because both maps are monotone in s >= 0.
+    # They must give the per-node guarded form's bits on panels clear of
+    # the endpoint and on panels touching it, down to [0, 2**-30] and to
+    # where s*s underflows; f divides by zero at the endpoint, so a node
+    # let through onto it raises, and a node that rounds onto it must
+    # take the float next to it
+    end = b if upper else 0.0
+    inner = math.nextafter(end, 0.5 * b)
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 1.0 / math.sqrt(abs(x - end))
+
+    iv = Interval(0.0, b, singular_lower=not upper, singular_upper=upper)
+    ((values, _, top),) = quadrature._pieces(f, iv)
+    reference = _sub(f, end, -1.0 if upper else 1.0)
+    rng = random.Random(20181022)
+    clear = [(lo, lo + (top - lo) * rng.random()) for lo in (top * rng.random() for _ in range(40))]
+    near = [(0.0, 2.0**k) for k in range(-30, int(math.log2(top)) + 1)]
+    near += [(0.0, 2.0**-k) for k in (530, 535, 537, 540, 600, 1074)]
+    # how many of a panel's nodes the unguarded map sends onto the endpoint
+    on_end = collections.Counter()
+    for lo, hi in [(0.0, top)] + clear + near:
+        _, xs = quadrature._nodes(lo, hi)
+        want = [reference(x).hex() for x in xs]
+        seen.clear()
+        assert [v.hex() for v in values(xs)] == want, (lo, hi)
+        assert end not in seen and len(seen) == 15
+        assert [values((x,))[0].hex() for x in xs] == want, (lo, hi)
+        hits = sum((b - s * s if upper else s * s) == end for s in xs)
+        assert hits == 0 or inner in seen, (lo, hi)
+        on_end["none" if hits == 0 else "all" if hits == 15 else "some"] += 1
+    assert on_end["none"] and on_end["some"] and on_end["all"], on_end
 
 
 # The oracle's x-forms of K(k) and Pi(n, k), singular at x = 1, and K in

@@ -155,6 +155,10 @@ def test_failures_say_why(monkeypatch):
         CheckSpec("nan-rhs", "NaN rhs", "none", "bound", 1.0, lambda ctx: (0.5, math.nan)),
         CheckSpec("overflow", "an overflowing integral", "none", "match", None, overflowing),
         CheckSpec("overflow-total", "an overflowing total", "none", "match", None, overflowing_total),
+        # a check must return two sides; the message is the same on every
+        # Python, also where unpacking a tuple would count its items
+        CheckSpec("one-side", "one side", "none", "match", None, lambda ctx: (Estimate(1.0, 0.0, 30, True),)),
+        CheckSpec("three-sides", "three sides", "none", "match", None, lambda ctx: (1.0, 1.0, 1.0)),
     )
     monkeypatch.setattr(verifier, "_CATALOG", specs)
     report = run_checks()
@@ -169,7 +173,11 @@ def test_failures_say_why(monkeypatch):
         ("no-converge", "the difference is NaN"),
         ("no-converge", "the GK15 sums overflow on [0.0, 0.5]"),
         ("no-converge", "the GK15 panels' total overflows"),
+        ("no-converge", "not enough values to unpack (expected 2, got 1)"),
+        ("no-converge", "too many values to unpack (expected 2)"),
     ]
+    assert [r.evals for r in report.records[-2:]] == [0, 0]
+    assert all(math.isnan(r.tolerance) for r in report.records[-2:])
     assert math.isnan(report.records[1].lhs)
     # the runner sums the cost of the Estimate sides; a None tolerance is
     # derived from their error bars, here 0, plus rounding
@@ -698,6 +706,15 @@ def test_cli_run_leaves_out_dataclasses_inspect_typing_and_shutil():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stderr
     assert err == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [([], []), (["--list"], []), (["--json"], ["json"])])
+def test_cli_loads_json_only_to_render_it(argv, loaded):
+    # render_json imports json itself, so a table or --list run never loads it
+    code = f"import sys, gr32485.cli; gr32485.cli.main({argv!r}); sys.stderr.write(repr(sorted({{'json'}} & set(sys.modules))))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gr32485.__file__))}
+    err = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True).stderr
+    assert err == repr(loaded)
 
 
 def test_cli_help_ignores_columns(capsys, monkeypatch):
