@@ -711,7 +711,10 @@ def test_cli_run_leaves_out_dataclasses_inspect_typing_and_shutil():
 @pytest.mark.parametrize("argv, loaded", [([], []), (["--list"], []), (["--json"], ["json"])])
 def test_cli_loads_json_only_to_render_it(argv, loaded):
     # render_json imports json itself, so a table or --list run never loads it
-    code = f"import sys, gr32485.cli; gr32485.cli.main({argv!r}); sys.stderr.write(repr(sorted({{'json'}} & set(sys.modules))))"
+    code = (
+        f"import sys, gr32485.cli; gr32485.cli.main({argv!r}); "
+        "sys.stderr.write(repr(sorted({'json'} & set(sys.modules))))"
+    )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gr32485.__file__))}
     err = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True).stderr
     assert err == repr(loaded)
