@@ -359,7 +359,7 @@ def _status(kind: str, abs_diff: float, tolerance: float) -> str:
 
 def _execute(spec: CheckSpec, cfg: QuadratureConfig) -> CheckRecord:
     tolerance = math.nan if spec.tolerance is None else spec.tolerance
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     try:
         # unpacked from an iterator, so that a wrong number of sides gives
         # the same message on every Python
@@ -402,7 +402,7 @@ def _execute(spec: CheckSpec, cfg: QuadratureConfig) -> CheckRecord:
         status=status,
         paper_anchor=spec.anchor,
         evals=evals,
-        wall_time_ms=int(round((time.monotonic() - t0) * 1000.0)),
+        wall_time_ms=round((time.perf_counter() - t0) * 1000.0, 3),
         kind=spec.kind,
         reason=reason,
     )
