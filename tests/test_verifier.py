@@ -13,7 +13,7 @@ import gr32485.contour as contour
 import gr32485.quadrature as quadrature
 import gr32485.representations as representations
 import gr32485.verifier as verifier
-from gr32485.cli import main
+from gr32485.cli import HELP, main
 from gr32485.contour import hankel_exp_integral
 from gr32485.quadrature import _MEMO, Estimate, QuadratureConfig, _once
 from gr32485.series import TAIL_TOL, _u_quadrature, u_series
@@ -110,6 +110,13 @@ def test_full_suite_passes():
     assert report.overall == "pass"
     assert len(report.records) == len(catalog_ids())
     assert all(r.status == "pass" for r in report.records)
+
+
+def test_wall_times_are_float_milliseconds():
+    # perf_counter milliseconds, so a check shorter than 1 ms does not read 0
+    times = [r.wall_time_ms for r in run_checks().records]
+    assert all(type(t) is float and math.isfinite(t) and t >= 0.0 for t in times), times
+    assert math.fsum(times) > 0.0
 
 
 def test_failing_check_does_not_stop_later_ones(monkeypatch):
@@ -695,17 +702,21 @@ def test_cli_json_output(capsys):
 def test_cli_run_leaves_out_dataclasses_inspect_typing_and_shutil():
     # dataclasses pulls in inspect, ast, dis and tokenize, which cost a
     # verify process more than its checks; typing and shutil (with its
-    # compression modules) serve nothing a report needs. -S keeps site
-    # hooks from preloading modules, so sys.modules holds what a run loads.
-    code = (
-        "import sys, gr32485.cli; gr32485.cli.main(['--json']); "
-        "sys.stderr.write(repr(sorted({'dataclasses', 'inspect', 'typing', 'shutil'} & set(sys.modules))))"
-    )
+    # compression modules) serve nothing a report needs, nor does an
+    # argument-parsing library with the gettext and locale it loads. -S
+    # keeps site hooks from preloading modules, so sys.modules holds what a
+    # run loads.
+    banned = {"dataclasses", "inspect", "typing", "shutil", "argparse", "gettext", "locale"}
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gr32485.__file__))}
-    err = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stderr
-    assert err == "[]"
+    for argv in (["--json"], [], ["--list"]):
+        code = (
+            f"import sys, gr32485.cli; gr32485.cli.main({argv!r}); "
+            f"sys.stderr.write(repr(sorted({banned!r} & set(sys.modules))))"
+        )
+        err = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stderr
+        assert err == "[]", argv
 
 
 @pytest.mark.parametrize("argv, loaded", [([], []), (["--list"], []), (["--json"], ["json"])])
@@ -732,3 +743,41 @@ def test_cli_help_ignores_columns(capsys, monkeypatch):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert max(len(line) for line in outs[0].splitlines()) <= 78
+
+
+USAGE = "usage: verify [-h] [--only ID[,ID...]] [--json] [--list]\n"
+
+
+def _usage_error(message):
+    return 2, "", f"{USAGE}verify: error: {message}\n"
+
+
+# each argv with the exit code, stdout and stderr it gives
+CLI_CASES = [
+    (["--only=R0,R12"], (0, render_table(run_checks(["R0", "R12"])), "")),
+    # the last --only wins, in either form
+    (["--only", "R12", "--only=constants"], (0, render_table(run_checks(["constants"])), "")),
+    (["--only=R12", "--only", "constants"], (0, render_table(run_checks(["constants"])), "")),
+    (["--only"], _usage_error("argument --only: expected one argument")),
+    (["--only", "--json"], _usage_error("argument --only: expected one argument")),
+    (["constants"], _usage_error("unrecognized arguments: constants")),
+    (["--json=1"], _usage_error("unrecognized arguments: --json=1")),
+    # abbreviations are not expanded
+    (["--js"], _usage_error("unrecognized arguments: --js")),
+    # every unconsumed token is listed, in order
+    (["--bogus", "--json", "x"], _usage_error("unrecognized arguments: --bogus x")),
+    # help acts where it stands, before later tokens are read
+    (["--json", "--only", "R0", "-h", "--bogus"], (0, HELP, "")),
+    (["-h"], (0, HELP, "")),
+    (["--help"], (0, HELP, "")),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CLI_CASES, ids=[" ".join(argv) for argv, _ in CLI_CASES])
+def test_cli_parses_its_flags(argv, expected, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
