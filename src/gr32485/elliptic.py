@@ -13,23 +13,21 @@ argument before it reaches this form.
 
 Evaluation takes two routes.
 
-* K(k) and Pi(n, k) for -1 <= n < 1 come from the arithmetic-geometric
-  mean (DLMF 19.8(i)): K = pi/(2M) with M the AGM of 1 and k', and Pi
-  from the AGM series of DLMF 19.8.6, with the reflection DLMF 19.7.8
-  above n = k. Each step of the AGM squares the relative gap between
-  its means, so a double takes two to seven steps, where Carlson's
-  duplication gains two bits a step and R_J runs an R_C loop inside
-  each of its steps.
-* F(phi, k), the Landen residual and Pi for n < -1 go through Carlson's
-  symmetric forms R_F and R_J with the duplication theorem (Carlson,
-  Numerical computation of real or complex elliptic integrals, 1994).
-  For n < -1 the AGM series starts from p = sqrt(1 - n), which falls
-  to the means by halving, about log2 sqrt(-n) steps (500 at
-  n = -2**1000), each adding its rounding: 4.8 ulps at n = -1e60,
-  where Carlson's positive form is within 2.2. The Landen residual
-  compares two R_F values, because one step of the AGM is itself the
-  Landen transformation: computed by the AGM, the residual would
-  vanish by construction and verify nothing.
+* K(k) and Pi(n, k) come from the arithmetic-geometric mean (DLMF
+  19.8(i)): K = pi/(2M) with M the AGM of 1 and k', and Pi from the AGM
+  series of DLMF 19.8.6, with the reflection DLMF 19.7.8 above n = k and
+  the map of DLMF 19.7(iii) below n = -1. Each step of the AGM squares
+  the relative gap between its means, so a double takes two to seven
+  steps, where Carlson's duplication gains two bits a step.
+* F(phi, k) and the Landen residual go through Carlson's symmetric form
+  R_F with the duplication theorem (Carlson, Numerical computation of
+  real or complex elliptic integrals, 1994). The Landen residual compares
+  two R_F values, because one step of the AGM is itself the Landen
+  transformation: computed by the AGM, the residual would vanish by
+  construction and verify nothing.
+
+carlson_rj, Carlson's R_J, is kept as a public kernel; nothing in the
+package calls it.
 
 Direct quadrature of the defining x-form integrands is kept as an
 independent oracle in the test suite.
@@ -189,7 +187,8 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     """Carlson's symmetric integral of the third kind R_J(x, y, z, p) for
     max(x, y, z) <= 2**1000 and 0 < p <= 2**1000 min(1, max(x, y, z)).
     When p is the largest argument, duplication takes about
-    log4(p / max(x, y, z)) steps, 505 at the top of that range."""
+    log4(p / max(x, y, z)) steps, 505 at the top of that range. No other
+    function of the package calls it."""
     _check_rf_args(x, y, z)
     top = max(x, y, z)
     if not (0.0 < p <= 2.0**1000 and p <= 2.0**1000 * top and top <= 2.0**1000):
@@ -269,10 +268,10 @@ def complete_K(k: float) -> float:
 
 
 def complete_Pi(n: float, k: float) -> float:
-    """Complete third-kind integral with characteristic -2**1000 < n < 1
-    multiplying x^2 directly. k = 0 is accepted (closed form
+    """Complete third-kind integral with characteristic n < 1 multiplying
+    x^2 directly; n must be finite. k = 0 is accepted (closed form
     pi/(2 sqrt(1-n)) exists); n = 0 gives complete_K(k) to the bit, from
-    the same call of _agm_series.
+    the same call of _agm_series, which every branch makes once.
 
     Three branches, by n:
 
@@ -287,28 +286,34 @@ def complete_Pi(n: float, k: float) -> float:
       of rounding (up to 5 eps on a line of n to 1 at k = 0.3);
       reflected, it starts within k' of them. n - k^2 is formed as (n - k) + k(1 - k),
       without cancellation.
-    * n < -1: Carlson's positive form. n is mapped to N = (k^2 - n)/(1 - n)
-      in (k^2, 1) (DLMF 19.7(iii)); with p = k'^2/(1 - n) that leaves two
-      positive terms, (R_F + (-n) p/3 R_J(0, k'^2, 1, p))/(1 - n), within
-      5 ulps of mpmath for n = -10**e, e = 0..300, on a scan of k in [0, 1).
+    * n < -1: n is mapped to N = (k^2 - n)/(1 - n) in (k, 1) (DLMF
+      19.7(iii)), Pi(n) = (k^2 K + (-n)(1 - N) Pi(N))/(k^2 - n), and
+      Pi(N) is reflected as above. That leaves
+      Pi(n) = (pi/2)/(k^2 - n) (sqrt(-n N) + k^2 (2 - rho_0)/(2M)) at
+      p_0**2 = (N - k^2)/N, with N - k^2 formed as the product
+      (-n)/(1 - n) k'^2. p_0**2 <= k'^2 <= k', so e_0 <= 0 and
+      rho_0 <= 1: both terms are positive. Started from p = sqrt(1 - n)
+      instead, the series would fall to the means by halving, about
+      log2 sqrt(-n) steps of rounding.
 
     Against mpmath at 30 digits the relative error is at most 2.09 eps
     (eps = 2**-52) on 3,000 seeded points of -1 < n < 1 - 1e-4,
     0.05 < k < 0.99 (Carlson's R_F + (n/3) R_J: 2.42 eps), and at most
     2.57 eps on 312 edge points: n -> 1 down to 1 - n = 2**-53, k' down
     to 2**-20, k = 1e-8 and k = 0, both sides of n = -1 and of n = k,
-    and lines of n from k to 1 (tests/test_oracle.py)."""
-    if not -(2.0**1000) < n < 1.0:
-        raise ValueError(f"characteristic must satisfy -2**1000 < n < 1, got {n!r}")
+    and lines of n from k to 1 (tests/test_oracle.py). For n < -1 it is
+    within 2.88 ulps on n = -10**(i/4), i = 0..1200, and n down to
+    -1.7e308, on ten moduli from k = 0 to k' = 2**-19.5."""
+    if not -math.inf < n < 1.0:
+        raise ValueError(f"characteristic must be finite and below 1, got {n!r}")
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
     kc2, q = (1.0 - k) * (1.0 + k), 1.0 - n
-    if n < -1.0:
-        # p R_J(.) = sqrt(s) (s p) R_J(s .) exactly; s = 2**500 keeps p normal at small k'^2
-        s = 2.0**500 if kc2 < 2.0**-1000 * q else 1.0
-        p = kc2 * s / q
-        return (carlson_rf(0.0, kc2, 1.0) + carlson_rj(0.0, kc2 * s, s, p) * (p * (-n / 3.0)) * math.sqrt(s)) / q
     kc = math.sqrt(kc2)
+    if n < -1.0:
+        N = (k * k - n) / q
+        s, rho = _agm_series(kc, -n / q * kc2 / N, 1.0, 0.0)
+        return 0.5 * math.pi / (k * k - n) * (math.sqrt(-n) * math.sqrt(N) + k * k * (2.0 - rho) / s)
     if n > k:
         d = (n - k) + k * (1.0 - k)
         s, rho = _agm_series(kc, d / n, 1.0, 0.0)

@@ -362,22 +362,14 @@ def _execute(spec: CheckSpec, cfg: QuadratureConfig) -> CheckRecord:
     t0 = time.perf_counter()
     try:
         # unpacked from an iterator, so that a wrong number of sides gives
-        # the same message on every Python
-        lhs, rhs = iter(spec.fn(cfg))
-        evals, errors, unconverged = 0, [], []
-        if isinstance(lhs, Estimate):
-            lhs, error, evals, converged = lhs
-            errors.append(error)
-            if not converged:
-                unconverged.append("lhs")
-        if isinstance(rhs, Estimate):
-            rhs, error, n, converged = rhs
-            evals += n
-            errors.append(error)
-            if not converged:
-                unconverged.append("rhs")
+        # the same message on every Python; a float side is exact and free
+        (lhs, lhs_err, lhs_evals, lhs_ok), (rhs, rhs_err, rhs_evals, rhs_ok) = (
+            side if isinstance(side, Estimate) else Estimate(side, 0.0, 0, True) for side in spec.fn(cfg)
+        )
+        evals = lhs_evals + rhs_evals
+        unconverged = [name for name, ok in (("lhs", lhs_ok), ("rhs", rhs_ok)) if not ok]
         if spec.tolerance is None:
-            tolerance = math.fsum(errors) + 4.0 * _EPS * max(abs(lhs), abs(rhs))
+            tolerance = math.fsum([lhs_err, rhs_err]) + 4.0 * _EPS * max(abs(lhs), abs(rhs))
         # max keeps a NaN in first place, so a NaN side reaches _status
         abs_diff = max(lhs - rhs, 0.0) if spec.kind == "bound" else abs(lhs - rhs)
         status = _status(spec.kind, abs_diff, tolerance)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import gr32485.elliptic as elliptic
 from gr32485.elliptic import (
     _rf_state,
     _rj_state,
@@ -13,6 +14,7 @@ from gr32485.elliptic import (
     landen_residual,
 )
 from gr32485.quadrature import Interval, integrate
+from gr32485.verifier import run_checks
 
 K_MODULUS = 2.0 - math.sqrt(3.0)
 
@@ -202,6 +204,25 @@ def test_domain_errors():
     for k in (1e-160, 1e-170):
         with pytest.raises(ValueError, match="k >= 2"):
             landen_residual(k)
-    for n in (-math.inf, -1e302):
+    for n in (-math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match="characteristic"):
             complete_Pi(n, 0.5)
+
+
+def test_no_package_path_reaches_carlson_rj(monkeypatch):
+    # complete_Pi runs on the AGM alone for every n, and the catalog's only
+    # Carlson calls are R_F's, for F and the Landen residual
+    ns = (-1.7e308, -1e6, -10.0, -1.5, math.nextafter(-1.0, -2.0), -1.0, -0.5, 0.0, 0.3, 0.9)
+    ks = (0.0, 0.5, 0.99)
+    expected = [complete_Pi(n, k) for n in ns for k in ks]
+
+    def forbidden(*args):
+        raise AssertionError(f"Carlson kernel called with {args!r}")
+
+    monkeypatch.setattr(elliptic, "carlson_rj", forbidden)
+    monkeypatch.setattr(elliptic, "carlson_rf", forbidden)
+    assert [complete_Pi(n, k) for n in ns for k in ks] == expected
+    monkeypatch.setattr(elliptic, "carlson_rf", carlson_rf)
+    report = run_checks()
+    assert [r.id for r in report.records if r.status != "pass"] == []
+    assert len(report.records) == 28
